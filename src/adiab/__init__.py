@@ -22,6 +22,7 @@ from adiab.models import (
 from adiab.propagate import TimeGrid, Trajectory, evolve, marzlin_sanders_model, propagator_matrix
 from adiab.tracking import (
     DegeneracyError,
+    GaugeError,
     LevelCrossingError,
     SpectralPath,
     berry_phase,
@@ -37,6 +38,7 @@ __all__ = [
     "ConvergenceError",
     "DegeneracyError",
     "DiagnosticsResult",
+    "GaugeError",
     "LevelCrossingError",
     "Model",
     "RunReport",

@@ -5,7 +5,9 @@
     adiab verify <scenario.json>              identity checks only, no files
 
 Exit codes: 0 all checks pass, 1 identity failure, 2 configuration error,
-3 numerical failure (degeneracy, lost level identity, non-convergence).
+3 numerical failure (degeneracy, lost level identity, eigensolver
+non-convergence, broken gauge), 4 internal error (any other exception,
+reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from pathlib import Path
 from adiab.linalg import ConvergenceError
 from adiab.runner import RunResult, emit_csv, emit_report, run_scenario
 from adiab.scenario import ScenarioError, load_scenario
-from adiab.tracking import DegeneracyError, LevelCrossingError
+from adiab.tracking import DegeneracyError, GaugeError, LevelCrossingError
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 
 def _print_checks(result: RunResult) -> None:
@@ -116,9 +119,13 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegeneracyError, LevelCrossingError, ConvergenceError) as exc:
+    except (DegeneracyError, LevelCrossingError, ConvergenceError, GaugeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception as exc:  # keeps exit 1 for identity failures only
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

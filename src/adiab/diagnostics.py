@@ -327,7 +327,8 @@ def run_diagnostics(
 
     ``n`` is the zero-based tracked level. The accumulated phase is
     integrated once; every other quantity is a pure function of frame,
-    state and that phase.
+    state and that phase, computed for all samples at once. The per-sample
+    helpers above state the same formulas for one sample.
     """
     if trajectory.states is None:
         raise ValueError("trajectory carries no states")
@@ -342,53 +343,63 @@ def run_diagnostics(
     acc = berry_phase(path, n)
     beta = acc.values
 
-    c = np.empty((n_samples, dim), dtype=np.complex128)
+    v = path.eigenvectors
+    w = path.eigenvalues
+    vn = v[:, :, n]
+    vdot_n = path.derivatives[:, :, n]
+    e_n = w[:, n]
+    phase = np.exp(1j * beta)
+    hs = np.stack([model.hamiltonian(float(t)) for t in path.times])
+
+    # Ḋ from the equation of motion, as in difference_vector_derivative.
+    beta_dot = -e_n + 1j * np.einsum("kj,kj->k", vn.conj(), vdot_n)
+    d_vectors = states - phase[:, np.newaxis] * vn
+    ddot_vectors = -1j * np.einsum("kij,kj->ki", hs, states) - phase[:, np.newaxis] * (
+        vdot_n + 1j * beta_dot[:, np.newaxis] * vn
+    )
+    combo = 1j * ddot_vectors - e_n[:, np.newaxis] * d_vectors
+
+    # Projections <E_m|x> onto every level at every sample.
+    c = np.einsum("kjm,kj->km", v.conj(), states)
+    proj_d = np.einsum("kjm,kj->km", v.conj(), d_vectors)
+    proj_ddot = np.einsum("kjm,kj->km", v.conj(), ddot_vectors)
+    coupling = np.einsum("kjm,kj->km", v.conj(), vdot_n)
+
+    d_norm = np.linalg.norm(d_vectors, axis=1)
+    ddot_norm = np.linalg.norm(ddot_vectors, axis=1)
+    equivalence = np.linalg.norm(combo, axis=1)
+    lam = np.abs(proj_ddot[:, n] + 1j * e_n * proj_d[:, n])
+    defined = np.abs(e_n) > _ZERO_ENERGY_ATOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cn_res = np.where(defined, np.abs(c[:, n] - (phase + 1j * proj_ddot[:, n] / e_n)), np.nan)
+
+    off = np.arange(dim) != n
+    gap = w[:, off] - e_n[:, np.newaxis]
+    abs_gap = np.abs(gap)
     q = np.full((n_samples, dim), np.nan, dtype=np.complex128)
     r = np.full((n_samples, dim), np.nan, dtype=np.complex128)
     schiff = np.full((n_samples, dim), np.nan, dtype=np.complex128)
     residual = np.full((n_samples, dim), np.nan)
     ratios = np.full((n_samples, dim, 3), np.nan)
     projected = np.full((n_samples, dim, 3), np.nan)
-    d_vectors = np.empty((n_samples, dim), dtype=np.complex128)
-    ddot_vectors = np.empty((n_samples, dim), dtype=np.complex128)
-    d_norm = np.empty(n_samples)
-    ddot_norm = np.empty(n_samples)
-    lam = np.empty(n_samples)
-    equivalence = np.empty(n_samples)
-    cn_res = np.empty(n_samples)
-    norm_error = np.empty(n_samples)
-    defined = np.empty(n_samples, dtype=bool)
-
-    off_levels = [m for m in range(dim) if m != n]
-    for k in range(n_samples):
-        psi = states[k]
-        cvec = amplitudes(path, k, psi)
-        c[k] = cvec
-        adi = adiabatic_state(path, k, beta[k], n)
-        d = difference_vector(psi, adi)
-        ddot = difference_vector_derivative(model, path, k, psi, beta[k], n)
-        d_vectors[k] = d
-        ddot_vectors[k] = ddot
-        d_norm[k] = vector_norm(d)
-        ddot_norm[k] = vector_norm(ddot)
-        e_n = float(path.eigenvalues[k, n])
-        lam[k] = lambda_residual(path, k, d, ddot, n)
-        equivalence[k] = equivalence_residual(d, ddot, e_n)
-        defined[k] = abs(e_n) > _ZERO_ENERGY_ATOL
-        if defined[k]:
-            cn_res[k] = abs(cvec[n] - c_n_reconstruction(path, k, beta[k], ddot, n))
-        else:
-            cn_res[k] = np.nan
-        for m in off_levels:
-            q[k, m] = q_term(path, k, beta[k], m, n)
-            r[k, m] = r_term(path, k, d, ddot, m, n)
-            residual[k, m] = decomposition_residual(cvec[m], q[k, m], r[k, m])
-            schiff[k, m] = schiff_amplitude(path, k, m, n)
-            check = criteria_check(path, k, d, ddot, m, n, margin)
-            ratios[k, m] = check.ratios
-            projected[k, m] = check.projected
-        norm_error[k] = abs(vector_norm(psi) - 1.0)
-
+    q[:, off] = 1j * phase[:, np.newaxis] * coupling[:, off] / gap
+    r[:, off] = (-e_n[:, np.newaxis] * proj_d[:, off] + 1j * proj_ddot[:, off]) / gap
+    residual[:, off] = np.abs(c[:, off] - q[:, off] - r[:, off])
+    schiff[:, off] = (
+        1j * coupling[:, off] / gap * (np.exp(1j * gap * path.times[:, np.newaxis]) - 1.0)
+    )
+    ratios[:, off] = np.stack(
+        [d_norm * np.abs(e_n), ddot_norm, equivalence], axis=1
+    )[:, np.newaxis, :] / abs_gap[:, :, np.newaxis]
+    projected[:, off] = np.stack(
+        [
+            np.abs(proj_d[:, off]) * np.abs(e_n)[:, np.newaxis],
+            np.abs(proj_ddot[:, off]),
+            np.abs(1j * proj_ddot[:, off] - e_n[:, np.newaxis] * proj_d[:, off]),
+        ],
+        axis=2,
+    ) / abs_gap[:, :, np.newaxis]
+    norm_error = np.abs(np.linalg.norm(states, axis=1) - 1.0)
     probability_defect = np.abs(np.einsum("km->k", np.abs(c) ** 2) - 1.0)
     return DiagnosticsResult(
         level=n,

@@ -2,12 +2,12 @@
 
 Everything operates on plain numpy arrays: state vectors are 1-D complex
 arrays, operators are square 2-D complex arrays, eigenvectors are matrix
-columns. Intended for dimensions 2..64; no sparsity, no large-N tricks.
+columns. The eigensolver and the exponential also take a (K, d, d) stack of
+operators, one per time sample, and solve it in one LAPACK call. Intended
+for dimensions 2..64; no sparsity, no large-N tricks.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -31,14 +31,10 @@ HERMITIAN_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
 NORMALIZED_ATOL = 1e-9
 
-# Jacobi sweeps stop once the off-diagonal Frobenius norm drops below
-# _SWEEP_TARGET * ||H||_F; two orders below the 1e-12 scales used downstream.
-_SWEEP_TARGET = 1e-14
-_MAX_SWEEPS = 100
 
 
 class ConvergenceError(RuntimeError):
-    """Jacobi sweep loop failed to reach its off-diagonal target."""
+    """The Hermitian eigensolver failed to converge."""
 
 
 def inner(u, v) -> complex:
@@ -66,20 +62,33 @@ def max_abs(a) -> float:
 
 
 def require_hermitian(h, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Validate that ``h`` is a finite square Hermitian matrix.
+    """Validate that ``h`` is a finite square Hermitian matrix, or a stack.
 
-    Elementwise |h[i,j] - conj(h[j,i])| must stay within ``atol``; this also
-    bounds imaginary parts on the diagonal. Returns ``h`` as an ndarray.
+    ``h`` is one (d, d) matrix or a (K, d, d) stack, each checked on its own:
+    elementwise |h[i,j] - conj(h[j,i])| must stay within ``atol``, which also
+    bounds imaginary parts on the diagonal. An error about a stack names the
+    first failing matrix. Returns ``h`` as an ndarray.
     """
     h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("operator must be a square matrix")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("operator contains non-finite entries")
-    defect = max_abs(h - h.conj().T)
-    if defect > atol:
-        raise ValueError(f"operator is not Hermitian (defect {defect:.3e} > {atol:.1e})")
+    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
+        raise ValueError("operator must be a square matrix or a stack of them")
+    stack = h.reshape((-1,) + h.shape[-2:])
+    finite = np.all(np.isfinite(stack), axis=(1, 2))
+    if not np.all(finite):
+        raise ValueError(f"operator{_which(h, finite)} contains non-finite entries")
+    defects = np.max(np.abs(stack - np.swapaxes(stack.conj(), 1, 2)), axis=(1, 2), initial=0.0)
+    ok = defects <= atol
+    if not np.all(ok):
+        defect = defects[np.argmin(ok)]
+        raise ValueError(
+            f"operator{_which(h, ok)} is not Hermitian (defect {defect:.3e} > {atol:.1e})"
+        )
     return h
+
+
+def _which(h: np.ndarray, ok: np.ndarray) -> str:
+    # Names the first failing matrix of a stack; a single matrix needs no name.
+    return f" {int(np.argmin(ok))} of the stack" if h.ndim == 3 else ""
 
 
 def require_unitary(u, atol: float = UNITARY_ATOL) -> np.ndarray:
@@ -107,112 +116,30 @@ def require_normalized(v, atol: float = NORMALIZED_ATOL) -> np.ndarray:
     return v
 
 
-def _small_rotation_tangent(tau: float) -> float:
-    # Smaller-magnitude root of t^2 - 2*tau*t - 1 = 0, keeping |theta| <= pi/4.
-    t = -1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau))
-    return -t if tau < 0.0 else t
+def hermitian_eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors of a Hermitian matrix or stack.
 
+    ``h`` is one (d, d) matrix or a (K, d, d) stack, solved by one LAPACK
+    call. Returns ``(w, V)`` with ``w`` real ascending along the last axis
+    and the columns of ``V`` the matching eigenvectors, so ``H @ V[..., i]``
+    equals ``w[..., i] * V[..., i]``. A zero matrix gives ``(0, I)``.
 
-def _eig2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # dim-2 case: the cyclic sweep is a single rotation, done with scalars.
-    app = float(h[0, 0].real)
-    aqq = float(h[1, 1].real)
-    b = complex(h[0, 1])
-    ab = abs(b)
-    if ab == 0.0:
-        if app <= aqq:
-            return np.array([app, aqq]), np.eye(2, dtype=np.complex128)
-        return np.array([aqq, app]), np.eye(2, dtype=np.complex128)[:, ::-1].copy()
-    phase = b / ab
-    t = _small_rotation_tangent((aqq - app) / (2.0 * ab))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    w1 = app + t * ab
-    w2 = aqq - t * ab
-    v1 = np.array([c, s * phase.conjugate()], dtype=np.complex128)
-    v2 = np.array([-s * phase, c], dtype=np.complex128)
-    if w1 <= w2:
-        return np.array([w1, w2]), np.column_stack([v1, v2])
-    return np.array([w2, w1]), np.column_stack([v2, v1])
-
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    # One Jacobi rotation zeroing a[p, q]; updates a <- U†aU and v <- vU.
-    b = a[p, q]
-    ab = abs(b)
-    if ab == 0.0:
-        return
-    phase = b / ab
-    t = _small_rotation_tangent((a[q, q].real - a[p, p].real) / (2.0 * ab))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    sp = s * phase
-    spc = s * phase.conjugate()
-
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p + spc * col_q
-    a[:, q] = -sp * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p + sp * row_q
-    a[q, :] = -spc * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vec_p = v[:, p].copy()
-    vec_q = v[:, q].copy()
-    v[:, p] = c * vec_p + spc * vec_q
-    v[:, q] = -sp * vec_p + c * vec_q
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(a.diagonal())
-    return float(np.linalg.norm(off))
-
-
-def hermitian_eigendecompose(h, max_sweeps: int = _MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors of a Hermitian matrix.
-
-    Cyclic Jacobi rotations run until the off-diagonal Frobenius norm falls
-    below 1e-14 * ||H||_F. Returns ``(w, V)`` with ``w`` real ascending and
-    the columns of ``V`` the matching eigenvectors, so ``H @ V[:, i]``
-    equals ``w[i] * V[:, i]``.
-
-    Raises ``ValueError`` for non-Hermitian input and ``ConvergenceError``
-    if the target is not met within ``max_sweeps`` sweeps.
+    Raises ``ValueError`` for non-Hermitian or non-finite input and
+    ``ConvergenceError`` when the solver does not converge.
     """
-    h = require_hermitian(h)
-    n = h.shape[0]
-    scale = frobenius_norm(h)
-    if scale == 0.0:
-        return np.zeros(n), np.eye(n, dtype=np.complex128)
-    if n == 2:
-        return _eig2(h)
-
-    a = np.array(h, dtype=np.complex128)
-    v = np.eye(n, dtype=np.complex128)
-    target = _SWEEP_TARGET * scale
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _rotate(a, v, p, q)
-    else:
-        if _offdiag_norm(a) > target:
-            raise ConvergenceError(
-                f"Jacobi iteration did not reach off-diagonal norm {target:.3e} "
-                f"within {max_sweeps} sweeps"
-            )
-    w = a.diagonal().real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], np.ascontiguousarray(v[:, order])
+    h = np.asarray(require_hermitian(h), dtype=np.complex128)
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
+    zero = ~np.any(h, axis=(-2, -1))
+    if np.any(zero):
+        w[zero] = 0.0
+        v[zero] = np.eye(h.shape[-1])
+    return w, v
 
 
 def unitary_exponential(h, s: float) -> np.ndarray:
-    """exp(-i * s * H) for Hermitian H, assembled from the eigensystem."""
+    """exp(-i * s * H) for one Hermitian H or a (K, d, d) stack of them."""
     w, v = hermitian_eigendecompose(h)
-    return (v * np.exp(-1j * s * w)) @ v.conj().T
+    return (v * np.exp(-1j * s * w)[..., np.newaxis, :]) @ np.swapaxes(v.conj(), -2, -1)

@@ -56,27 +56,37 @@ class SchwingerParams:
 
 
 def effective_rabi_frequency(p: SchwingerParams) -> float:
-    """sqrt(omega0^2 + omega^2 - 2*omega0*omega*cos(theta))."""
-    return math.sqrt(
-        p.omega0 * p.omega0
-        + p.omega * p.omega
-        - 2.0 * p.omega0 * p.omega * math.cos(p.theta)
-    )
+    """sqrt(omega0^2 + omega^2 - 2*omega0*omega*cos(theta)).
+
+    Evaluated as sqrt((omega0 - omega)^2 + 4*omega0*omega*sin^2(theta/2)),
+    which has no cancellation when omega ~ omega0 and theta ~ 0.
+    """
+    detuning = p.omega0 - p.omega
+    return math.sqrt(detuning * detuning + 4.0 * p.omega0 * p.omega * _half_sin_sq(p.theta))
+
+
+def _half_sin_sq(theta: float) -> float:
+    # sin^2(theta/2) = (1 - cos(theta))/2 without the cancellation near 0.
+    s = math.sin(0.5 * theta)
+    return s * s
 
 
 def schwinger_hamiltonian(p: SchwingerParams, t: float) -> np.ndarray:
     """(omega0/2) * [[cos θ, sin θ e^{-iωt}], [sin θ e^{iωt}, -cos θ]]."""
     half = 0.5 * p.omega0
-    off = half * math.sin(p.theta) * np.exp(-1j * p.omega * t)
+    wt = p.omega * t
+    # e^{-iωt} from real sines: cheaper per call than a numpy scalar exp.
+    off = half * math.sin(p.theta) * complex(math.cos(wt), -math.sin(wt))
     diag = half * math.cos(p.theta)
-    return np.array([[diag, off], [np.conj(off), -diag]], dtype=np.complex128)
+    return np.array([[diag, off], [off.conjugate(), -diag]], dtype=np.complex128)
 
 
 def schwinger_hamiltonian_derivative(p: SchwingerParams, t: float) -> np.ndarray:
     """Elementwise time derivative of the rotating-field Hamiltonian."""
     half = 0.5 * p.omega0
-    doff = -1j * p.omega * half * math.sin(p.theta) * np.exp(-1j * p.omega * t)
-    return np.array([[0.0, doff], [np.conj(doff), 0.0]], dtype=np.complex128)
+    wt = p.omega * t
+    doff = -1j * p.omega * half * math.sin(p.theta) * complex(math.cos(wt), -math.sin(wt))
+    return np.array([[0.0, doff], [doff.conjugate(), 0.0]], dtype=np.complex128)
 
 
 def schwinger_analytic_eigensystem(p: SchwingerParams, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -87,12 +97,14 @@ def schwinger_analytic_eigensystem(p: SchwingerParams, t: float) -> tuple[np.nda
     """
     half_sin = math.sin(0.5 * p.theta)
     half_cos = math.cos(0.5 * p.theta)
-    up = np.exp(-0.5j * p.omega * t)
-    dn = np.exp(0.5j * p.omega * t)
-    v1 = np.array([up * half_sin, -dn * half_cos], dtype=np.complex128)
-    v2 = np.array([up * half_cos, dn * half_sin], dtype=np.complex128)
+    half_wt = 0.5 * p.omega * t
+    up = complex(math.cos(half_wt), -math.sin(half_wt))
+    dn = up.conjugate()
     w = np.array([-0.5 * p.omega0, 0.5 * p.omega0])
-    return w, np.column_stack([v1, v2])
+    v = np.array(
+        [[up * half_sin, up * half_cos], [-dn * half_cos, dn * half_sin]], dtype=np.complex128
+    )
+    return w, v
 
 
 def schwinger_analytic_eigensystem_derivative(p: SchwingerParams, t: float) -> np.ndarray:
@@ -122,7 +134,8 @@ def schwinger_analytic_amplitudes(p: SchwingerParams, t):
         ratio = np.sin(half) / wt
     else:
         ratio = 0.5 * t  # sin(x)/x limit for a vanishing effective frequency
-    c1 = np.cos(half) + 1j * (p.omega0 - p.omega * math.cos(p.theta)) * ratio
+    # omega0 - omega cos(theta), written without cancellation.
+    c1 = np.cos(half) + 1j * ((p.omega0 - p.omega) + 2.0 * p.omega * _half_sin_sq(p.theta)) * ratio
     c2 = 1j * p.omega * math.sin(p.theta) * ratio
     if t.ndim == 0:
         return complex(c1), complex(c2)

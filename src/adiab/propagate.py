@@ -69,11 +69,20 @@ class Trajectory:
     propagators: Optional[np.ndarray] = None
 
 
-def _step_unitaries(model: Model, grid: TimeGrid):
-    ts = grid.samples
+def _step_unitaries(model: Model, grid: TimeGrid) -> np.ndarray:
+    """(K, dim, dim) midpoint unitaries exp(-i h H(t_k + h/2)), one batched solve."""
     h = grid.h
-    for k in range(grid.steps):
-        yield unitary_exponential(model.hamiltonian(ts[k] + 0.5 * h), h)
+    mids = grid.samples[:-1] + 0.5 * h
+    return unitary_exponential(np.stack([model.hamiltonian(float(t)) for t in mids]), h)
+
+
+def _accumulate(unitaries: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Running products out[k + 1] = U_k out[k] from out[0] = first."""
+    out = np.empty((unitaries.shape[0] + 1,) + first.shape, dtype=np.complex128)
+    out[0] = first
+    for k, u in enumerate(unitaries):
+        np.matmul(u, out[k], out=out[k + 1])
+    return out
 
 
 def evolve(model: Model, psi0, grid: TimeGrid, keep_propagators: bool = False) -> Trajectory:
@@ -85,29 +94,14 @@ def evolve(model: Model, psi0, grid: TimeGrid, keep_propagators: bool = False) -
     psi0 = require_normalized(psi0)
     if psi0.shape[0] != model.dim:
         raise ValueError(f"state dimension {psi0.shape[0]} does not match model dim {model.dim}")
-    n_samples = grid.steps + 1
-    states = np.empty((n_samples, model.dim), dtype=np.complex128)
-    states[0] = psi0
-    propagators = None
-    if keep_propagators:
-        propagators = np.empty((n_samples, model.dim, model.dim), dtype=np.complex128)
-        propagators[0] = np.eye(model.dim)
-    psi = states[0]
-    for k, u in enumerate(_step_unitaries(model, grid)):
-        psi = u @ psi
-        states[k + 1] = psi
-        if keep_propagators:
-            propagators[k + 1] = u @ propagators[k]
-    return Trajectory(grid=grid, states=states, propagators=propagators)
+    unitaries = _step_unitaries(model, grid)
+    propagators = _accumulate(unitaries, np.eye(model.dim)) if keep_propagators else None
+    return Trajectory(grid=grid, states=_accumulate(unitaries, psi0), propagators=propagators)
 
 
 def propagator_matrix(model: Model, grid: TimeGrid) -> Trajectory:
     """Accumulate the full propagator over the grid, U[0] = identity."""
-    n_samples = grid.steps + 1
-    propagators = np.empty((n_samples, model.dim, model.dim), dtype=np.complex128)
-    propagators[0] = np.eye(model.dim)
-    for k, u in enumerate(_step_unitaries(model, grid)):
-        propagators[k + 1] = u @ propagators[k]
+    propagators = _accumulate(_step_unitaries(model, grid), np.eye(model.dim))
     return Trajectory(grid=grid, states=None, propagators=propagators)
 
 

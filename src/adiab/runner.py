@@ -328,10 +328,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
     return RunResult(scenario=scenario, pipeline=pipeline_b, report=report, companion=pipeline_a)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def csv_header(dim: int, level: int) -> str:
     """Column schema; ``level`` is the 1-based tracked label."""
     cols = ["t"]
@@ -348,30 +344,16 @@ def csv_header(dim: int, level: int) -> str:
 def emit_csv(result: RunResult, path) -> Path:
     """One row per grid sample, fixed column order, deterministic bytes."""
     diag = result.pipeline.diagnostics
-    dim = diag.dim
     n = diag.level
-    off = _off_levels(dim, n)
-    lines = [csv_header(dim, n + 1)]
-    for k in range(diag.n_samples):
-        row = [_fmt(diag.times[k])]
-        for i in range(dim):
-            z = diag.c[k, i]
-            row += [_fmt(z.real), _fmt(z.imag), _fmt(abs(z))]
-        for m in off:
-            row += [
-                _fmt(abs(diag.q[k, m])),
-                _fmt(abs(diag.r[k, m])),
-                _fmt(diag.qac[k, m]),
-                _fmt(diag.residual[k, m]),
-            ]
-        row += [
-            _fmt(diag.beta[k]),
-            _fmt(diag.d_norm[k]),
-            _fmt(diag.ddot_norm[k]),
-            _fmt(diag.lam[k]),
-            _fmt(diag.norm_error[k]),
-        ]
-        lines.append(",".join(row))
+    columns = [diag.times]
+    for i in range(diag.dim):
+        columns += [diag.c[:, i].real, diag.c[:, i].imag, np.abs(diag.c[:, i])]
+    for m in _off_levels(diag.dim, n):
+        columns += [np.abs(diag.q[:, m]), np.abs(diag.r[:, m]), diag.qac[:, m], diag.residual[:, m]]
+    columns += [diag.beta, diag.d_norm, diag.ddot_norm, diag.lam, diag.norm_error]
+    rows = np.column_stack(columns).tolist()
+    lines = [csv_header(diag.dim, n + 1)]
+    lines += [",".join(map(repr, row)) for row in rows]
     path = Path(path)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path

@@ -22,13 +22,14 @@ from typing import Optional
 
 import numpy as np
 
-from adiab.linalg import frobenius_norm, hermitian_eigendecompose, inner
+from adiab.linalg import hermitian_eigendecompose, inner
 from adiab.models import Model
 from adiab.propagate import TimeGrid
 
 __all__ = [
     "DegeneracyError",
     "LevelCrossingError",
+    "GaugeError",
     "SpectralFrame",
     "SpectralPath",
     "BerryPhase",
@@ -52,6 +53,10 @@ class DegeneracyError(RuntimeError):
 
 class LevelCrossingError(RuntimeError):
     """Level identity could not be followed between consecutive frames."""
+
+
+class GaugeError(ValueError):
+    """The accumulated phase came out complex: the gauge is not smooth."""
 
 
 @dataclass(frozen=True)
@@ -112,32 +117,80 @@ class BerryPhase:
     imag_residue: float
 
 
-def _align_phase(vec: np.ndarray, ref: np.ndarray, what: str, t: float):
-    z = inner(ref, vec)
-    mag = abs(z)
-    if mag < _OVERLAP_FLOOR:
-        raise LevelCrossingError(
-            f"{what}: overlap magnitude {mag:.3f} fell below {_OVERLAP_FLOOR} at t={t:.6g}"
-        )
-    vec *= z.conjugate() / mag
+def _unit(z: np.ndarray) -> np.ndarray:
+    return z / np.abs(z)
 
 
-def _default_phase(vec: np.ndarray):
-    nonzero = np.flatnonzero(np.abs(vec) > 1e-12)
-    j = int(nonzero[0]) if nonzero.size else 0
-    z = vec[j]
-    if abs(z) > 0.0:
-        vec *= z.conjugate() / abs(z)
+def _default_phases(frame: np.ndarray) -> np.ndarray:
+    """Per-column phases making the first nonzero component real positive."""
+    dim = frame.shape[1]
+    first = np.argmax(np.abs(frame) > 1e-12, axis=0)  # 0 for an all-zero column
+    z = frame[first, np.arange(dim)]
+    phases = np.ones(dim, dtype=np.complex128)
+    nonzero = z != 0.0
+    phases[nonzero] = _unit(z[nonzero]).conj()
+    return phases
 
 
-def _check_gap(w: np.ndarray, scale: float, t: float, k: int) -> float:
-    gaps = np.diff(w)
-    min_gap = float(np.min(gaps)) if gaps.size else np.inf
-    if min_gap <= _DEGENERACY_REL * max(scale, 1e-300):
-        raise DegeneracyError(
-            f"near-degenerate spectrum at sample {k} (t={t:.6g}): min gap {min_gap:.3e}"
-        )
-    return min_gap
+def _first(mask: np.ndarray) -> Optional[int]:
+    """Index of the first sample (axis 0) at which ``mask`` holds anywhere."""
+    rows = mask.reshape(mask.shape[0], -1).any(axis=1)
+    return int(np.argmax(rows)) if rows.any() else None
+
+
+def _min_gaps(w: np.ndarray) -> np.ndarray:
+    return np.min(np.diff(w, axis=1), axis=1, initial=np.inf)
+
+
+def _gap_failure(min_gaps: np.ndarray, scales: np.ndarray, ts: np.ndarray):
+    """(sample, DegeneracyError) for the first near-degenerate sample, or None."""
+    k = _first(min_gaps <= _DEGENERACY_REL * np.maximum(scales, 1e-300))
+    if k is None:
+        return None
+    return k, DegeneracyError(
+        f"near-degenerate spectrum at sample {k} (t={ts[k]:.6g}): min gap {min_gaps[k]:.3e}"
+    )
+
+
+def _floor_failure(overlaps: np.ndarray, what: str, ts: np.ndarray, offset: int = 0):
+    """(sample, LevelCrossingError) for the first overlap below the floor, or None.
+
+    ``overlaps`` is (samples, dim), its row k belonging to sample k + offset.
+    """
+    low = np.abs(overlaps) < _OVERLAP_FLOOR
+    k = _first(low)
+    if k is None:
+        return None
+    i = int(np.argmax(low[k]))
+    k_at = k + offset
+    return k_at, LevelCrossingError(
+        f"level {i} {what}: overlap magnitude {abs(overlaps[k, i]):.3f} fell below "
+        f"{_OVERLAP_FLOOR} at sample {k_at} (t={ts[k_at]:.6g})"
+    )
+
+
+def _order_failure(pair_overlaps: np.ndarray, ts: np.ndarray):
+    """(sample, LevelCrossingError) where the level order first breaks, or None.
+
+    ``pair_overlaps[k]`` holds <E_i(t_k)|E_j(t_k+1)>; level i must overlap
+    most with level i of the next frame.
+    """
+    dim = pair_overlaps.shape[1]
+    hits = np.argmax(np.abs(pair_overlaps), axis=2)
+    k = _first(hits != np.arange(dim))
+    if k is None:
+        return None
+    return k + 1, LevelCrossingError(
+        f"eigenvalue order broke between samples {k} and {k + 1} (t={ts[k + 1]:.6g}); "
+        "suspected level crossing"
+    )
+
+
+def _raise_first(*failures):
+    """Raise the error of the earliest failing sample; a tie goes to the earlier check."""
+    found = [(f[0], order, f[1]) for order, f in enumerate(failures) if f is not None]
+    if found:
+        raise min(found, key=lambda item: item[:2])[2]
 
 
 def _fill_derivatives(vectors: np.ndarray, h: float) -> np.ndarray:
@@ -159,66 +212,64 @@ def track(
 ) -> SpectralPath:
     """Eigendecompose H(t) on every grid sample and fix a smooth gauge.
 
-    ``reference`` (dim x dim, columns ordered by level) pins frame 0 in
-    transport mode. Raises ``DegeneracyError`` on a vanishing gap and
-    ``LevelCrossingError`` when consecutive frames cannot be identified
+    H(t) is evaluated once per sample and the whole stack is solved in one
+    call; the checks run as masks over the grid and raise at the earliest
+    failing sample. ``reference`` (dim x dim, columns ordered by level) pins
+    frame 0 in transport mode. Raises ``DegeneracyError`` on a vanishing gap
+    and ``LevelCrossingError`` when consecutive frames cannot be identified
     level-by-level (overlap below 0.5 or eigenvalue order breaking).
     """
     if gauge not in ("transport", "analytic"):
         raise ValueError(f"unknown gauge {gauge!r}; expected 'transport' or 'analytic'")
     if gauge == "analytic" and model.analytic_eigensystem is None:
         raise ValueError("model does not provide a closed-form eigensystem")
+    dim = model.dim
+    if gauge == "transport" and reference is not None:
+        reference = np.asarray(reference)
+        if reference.shape != (dim, dim):
+            raise ValueError(f"reference frame must be {dim}x{dim}, got {reference.shape}")
 
     ts = grid.samples
-    n_samples = ts.shape[0]
-    dim = model.dim
-    eigenvalues = np.empty((n_samples, dim))
-    eigenvectors = np.empty((n_samples, dim, dim), dtype=np.complex128)
-    min_gaps = np.empty(n_samples)
+    hs = np.stack([model.hamiltonian(float(t)) for t in ts])
+    eigenvalues, raw = hermitian_eigendecompose(hs)
+    min_gaps = _min_gaps(eigenvalues)
+    gap = _gap_failure(min_gaps, np.linalg.norm(hs, axis=(1, 2)), ts)
 
-    prev = None
-    for k in range(n_samples):
-        t = float(ts[k])
-        h_t = model.hamiltonian(t)
-        w, v = hermitian_eigendecompose(h_t)
-        min_gaps[k] = _check_gap(w, frobenius_norm(h_t), t, k)
-
-        if gauge == "analytic":
-            _, v_ref = model.analytic_eigensystem(t)
-            for i in range(dim):
-                _align_phase(v[:, i], v_ref[:, i], f"level {i} vs closed form", t)
-        elif prev is None:
-            if reference is not None:
-                ref = np.asarray(reference)
-                if ref.shape != (dim, dim):
-                    raise ValueError(f"reference frame must be {dim}x{dim}, got {ref.shape}")
-                for i in range(dim):
-                    _align_phase(v[:, i], ref[:, i], f"level {i} vs reference", t)
-            else:
-                for i in range(dim):
-                    _default_phase(v[:, i])
+    if gauge == "analytic":
+        refs = np.stack([model.analytic_eigensystem(float(t))[1] for t in ts])
+        overlaps = np.einsum("kji,kji->ki", refs.conj(), raw)
+        _raise_first(gap, _floor_failure(overlaps, "vs closed form", ts))
+        phases = _unit(overlaps).conj()
+    else:
+        start = None
+        if reference is not None:
+            ref_overlaps = np.einsum("ji,ji->i", reference.conj(), raw[0])[np.newaxis]
+            start = _floor_failure(ref_overlaps, "vs reference", ts)
+        pairs = np.einsum("kji,kjl->kil", raw[:-1].conj(), raw[1:])
+        steps = np.diagonal(pairs, axis1=1, axis2=2)
+        _raise_first(
+            gap,
+            start,
+            _order_failure(pairs, ts),
+            _floor_failure(steps, "continuity", ts, offset=1),
+        )
+        # Discrete parallel transport: each frame takes the phase that makes
+        # its overlap with the already-fixed previous frame real positive.
+        phases = np.empty((ts.shape[0], dim), dtype=np.complex128)
+        if reference is not None:
+            phases[0] = _unit(ref_overlaps[0]).conj()
         else:
-            overlaps = np.abs(prev.conj().T @ v)
-            hits = np.argmax(overlaps, axis=1)
-            if not np.array_equal(hits, np.arange(dim)):
-                raise LevelCrossingError(
-                    f"eigenvalue order broke between samples {k - 1} and {k} (t={t:.6g}); "
-                    "suspected level crossing"
-                )
-            for i in range(dim):
-                _align_phase(v[:, i], prev[:, i], f"level {i} continuity", t)
+            phases[0] = _default_phases(raw[0])
+        phases[1:] = phases[0] * np.cumprod(_unit(steps).conj(), axis=0)
+        phases = _unit(phases)
 
-        eigenvalues[k] = w
-        eigenvectors[k] = v
-        prev = v
-
-    derivatives = _fill_derivatives(eigenvectors, grid.h)
+    eigenvectors = raw * phases[:, np.newaxis, :]
     return SpectralPath(
         grid=grid,
         times=ts,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
-        derivatives=derivatives,
+        derivatives=_fill_derivatives(eigenvectors, grid.h),
         min_gaps=min_gaps,
     )
 
@@ -237,16 +288,15 @@ def analytic_path(model: Model, grid: TimeGrid) -> SpectralPath:
     eigenvalues = np.empty((n_samples, dim))
     eigenvectors = np.empty((n_samples, dim, dim), dtype=np.complex128)
     derivatives = np.empty((n_samples, dim, dim), dtype=np.complex128)
-    min_gaps = np.empty(n_samples)
     have_dv = model.analytic_eigensystem_derivative is not None
     for k in range(n_samples):
         t = float(ts[k])
-        w, v = model.analytic_eigensystem(t)
-        eigenvalues[k] = w
-        eigenvectors[k] = v
-        min_gaps[k] = _check_gap(w, float(np.max(np.abs(w))) or 1.0, t, k)
+        eigenvalues[k], eigenvectors[k] = model.analytic_eigensystem(t)
         if have_dv:
             derivatives[k] = model.analytic_eigensystem_derivative(t)
+    min_gaps = _min_gaps(eigenvalues)
+    scales = np.max(np.abs(eigenvalues), axis=1)
+    _raise_first(_gap_failure(min_gaps, np.where(scales > 0.0, scales, 1.0), ts))
     if not have_dv:
         derivatives = _fill_derivatives(eigenvectors, grid.h)
     return SpectralPath(
@@ -298,7 +348,7 @@ def berry_phase(path: SpectralPath, n: int) -> BerryPhase:
     """Trapezoidal accumulation of -E_n + i<E_n|Ė_n> from t_start.
 
     The result starts at zero and is real under a smooth gauge; an imaginary
-    residue above 1e-6 aborts, since it signals a broken gauge.
+    residue above 1e-6 raises ``GaugeError``, since it signals a broken gauge.
     """
     if path.derivatives is None:
         raise ValueError("path carries no eigenvector derivatives")
@@ -311,7 +361,7 @@ def berry_phase(path: SpectralPath, n: int) -> BerryPhase:
     raw = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
     residue = float(np.max(np.abs(raw.imag)))
     if residue > 1e-6:
-        raise ValueError(f"accumulated phase has imaginary residue {residue:.3e}; gauge broken")
+        raise GaugeError(f"accumulated phase has imaginary residue {residue:.3e}; gauge broken")
     return BerryPhase(level=n, values=raw.real.copy(), imag_residue=residue)
 
 

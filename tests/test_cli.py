@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+import adiab.diagnostics
 from adiab import cli
 from adiab.runner import csv_header, emit_csv, run_scenario
 from adiab.scenario import ScenarioError, Thresholds, load_scenario, parse_scenario
-from adiab.tracking import DegeneracyError
+from adiab.tracking import DegeneracyError, berry_phase, rotate_gauge
 
 MINIMAL = {
     "model": "schwinger",
@@ -175,6 +177,45 @@ class TestCliCommands:
         monkeypatch.setattr(cli, "run_scenario", boom)
         assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_NUMERICAL
         assert "sample 3" in capsys.readouterr().err
+
+    def test_solver_failure_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        scenario_path = self._write(tmp_path)
+
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_NUMERICAL
+        assert "eigensolver did not converge" in capsys.readouterr().err
+
+    def test_broken_gauge_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        scenario_path = self._write(tmp_path)
+
+        def jagged_berry_phase(path, n):
+            phases = np.random.default_rng(0).uniform(-1.0, 1.0, size=(path.n_samples, path.dim))
+            return berry_phase(rotate_gauge(path, phases), n)
+
+        monkeypatch.setattr(adiab.diagnostics, "berry_phase", jagged_berry_phase)
+        assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_NUMERICAL
+        assert "gauge broken" in capsys.readouterr().err
+
+    def test_unexpected_error_exits_internal(self, tmp_path, capsys, monkeypatch):
+        scenario_path = self._write(tmp_path)
+
+        def boom(scenario):
+            raise KeyError("lost\ncolumn")
+
+        monkeypatch.setattr(cli, "run_scenario", boom)
+        assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("internal error: KeyError:")
+
+    def test_exit_codes_are_distinct(self):
+        codes = (
+            cli.EXIT_OK, cli.EXIT_IDENTITY, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL, cli.EXIT_INTERNAL
+        )
+        assert len(set(codes)) == len(codes)
 
     def test_identity_failure_exit_code_names_check(self, tmp_path, capsys, monkeypatch):
         scenario_path = self._write(tmp_path)

@@ -114,9 +114,13 @@ class TestEigendecompose:
         with pytest.raises(ValueError, match="finite"):
             hermitian_eigendecompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    def test_sweep_budget_exhaustion_is_diagnosed(self):
-        with pytest.raises(ConvergenceError, match="sweeps"):
-            hermitian_eigendecompose(random_hermitian(4, 0), max_sweeps=0)
+    def test_solver_failure_is_diagnosed(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            hermitian_eigendecompose(random_hermitian(4, 0))
 
     def test_zero_matrix(self):
         w, v = hermitian_eigendecompose(np.zeros((3, 3), dtype=complex))
@@ -139,6 +143,41 @@ class TestEigendecompose:
         assert max_abs((v * w) @ v.conj().T - h) <= 1e-10 * scale
         assert max_abs(v.conj().T @ v - np.eye(n)) <= 1e-10
         assert np.all(np.diff(w) >= 0.0)
+
+
+class TestStacks:
+    def test_stack_matches_single_solves(self):
+        stack = np.stack([random_hermitian(5, seed) for seed in range(7)])
+        w, v = hermitian_eigendecompose(stack)
+        assert w.shape == (7, 5) and v.shape == (7, 5, 5)
+        for k in range(7):
+            wk, vk = hermitian_eigendecompose(stack[k])
+            assert max_abs(w[k] - wk) == 0.0
+            assert max_abs(stack[k] @ v[k] - v[k] * w[k]) <= 1e-12
+
+    def test_zero_matrix_inside_stack(self):
+        stack = np.stack([random_hermitian(3, 1), np.zeros((3, 3)), random_hermitian(3, 2)])
+        w, v = hermitian_eigendecompose(stack)
+        assert np.all(w[1] == 0.0)
+        assert np.array_equal(v[1], np.eye(3))
+
+    def test_non_hermitian_member_named(self):
+        stack = np.stack([random_hermitian(3, seed) for seed in range(6)])
+        stack[4, 0, 2] += 1e-6
+        with pytest.raises(ValueError, match="operator 4 of the stack is not Hermitian"):
+            hermitian_eigendecompose(stack)
+
+    def test_nonfinite_member_named(self):
+        stack = np.stack([random_hermitian(2, seed) for seed in range(3)])
+        stack[2, 1, 1] = np.inf
+        with pytest.raises(ValueError, match="operator 2 of the stack contains non-finite"):
+            unitary_exponential(stack, 0.1)
+
+    def test_exponential_stack_matches_single(self):
+        stack = np.stack([random_hermitian(4, seed) for seed in range(5)])
+        us = unitary_exponential(stack, 0.3)
+        for k in range(5):
+            assert max_abs(us[k] - unitary_exponential(stack[k], 0.3)) <= 1e-14
 
 
 class TestUnitaryExponential:

@@ -15,6 +15,7 @@ from adiab.models import (
 from adiab.propagate import TimeGrid
 from adiab.tracking import (
     DegeneracyError,
+    GaugeError,
     LevelCrossingError,
     analytic_path,
     berry_phase,
@@ -92,6 +93,72 @@ class TestTrack:
         model = custom_model(h, dim=2)
         with pytest.raises(LevelCrossingError):
             track(model, TimeGrid(0.0, 2.0, 11))  # samples straddle the crossing
+
+    def test_level_crossing_names_its_sample_pair(self):
+        model = custom_model(lambda t: np.diag([t - 1.0, 1.0 - t]).astype(complex), dim=2)
+        # samples 5 and 6 sit at t = 10/11 and 12/11, either side of t = 1
+        with pytest.raises(LevelCrossingError, match="between samples 5 and 6"):
+            track(model, TimeGrid(0.0, 2.0, 11))
+
+    def test_interior_degeneracy_names_its_sample(self):
+        def h(t):
+            return np.diag([1.0, 1.0 + (t - 0.5) ** 2]).astype(complex)
+
+        model = custom_model(h, lambda t: np.zeros((2, 2), dtype=complex), dim=2)
+        with pytest.raises(DegeneracyError, match=r"sample 5 \(t=0\.5\)"):
+            track(model, TimeGrid(0.0, 1.0, 10))
+
+    def test_transport_overlap_floor_failure_located(self):
+        # From t = 0.35 the eigenbasis jumps by a reflection whose first
+        # column keeps level 0 the best match (0.48 against 0.44) but below
+        # the 0.5 overlap floor: the order check passes, the floor must not.
+        u = np.sqrt(np.array([0.26, 0.185, 0.185, 0.185, 0.185]))
+        jump = np.eye(5) - 2.0 * np.outer(u, u)
+        spectrum = np.diag(np.arange(5.0)).astype(complex)
+
+        def h(t):
+            basis = jump if t > 0.35 else np.eye(5)
+            return basis @ spectrum @ basis.conj().T
+
+        model = custom_model(h, lambda t: np.zeros((5, 5), dtype=complex), dim=5)
+        floor = r"level 0 continuity: overlap magnitude 0\.480 .* sample 4"
+        with pytest.raises(LevelCrossingError, match=floor):
+            track(model, TimeGrid(0.0, 1.0, 10))
+
+    def test_reference_overlap_floor_failure_located(self):
+        model = schwinger_model(SLOW)
+        swapped = schwinger_analytic_eigensystem(SLOW, 0.0)[1][:, ::-1]
+        with pytest.raises(LevelCrossingError, match="level 0 vs reference.*sample 0"):
+            track(model, TimeGrid(0.0, 1.0, 10), reference=swapped)
+
+    def test_non_hermitian_sample_rejected(self):
+        def h(t):
+            out = np.diag([0.0, 1.0]).astype(complex)
+            if abs(t - 0.3) < 1e-12:
+                out[0, 1] = 1e-6  # no matching lower entry
+            return out
+
+        model = custom_model(h, lambda t: np.zeros((2, 2), dtype=complex), dim=2)
+        with pytest.raises(ValueError, match="operator 3 of the stack is not Hermitian"):
+            track(model, TimeGrid(0.0, 1.0, 10))
+
+    @pytest.mark.parametrize(
+        "flat_at, error, where",
+        [
+            (0.8, LevelCrossingError, "between samples 2 and 3"),
+            (0.1, DegeneracyError, "sample 1"),
+        ],
+    )
+    def test_earliest_failure_wins(self, flat_at, error, where):
+        # levels cross between t = 0.2 and 0.3; H is degenerate at t = flat_at
+        def h(t):
+            if abs(t - flat_at) < 1e-9:
+                return np.eye(2, dtype=complex)
+            return np.diag([t - 0.25, 0.25 - t]).astype(complex)
+
+        model = custom_model(h, dim=2)
+        with pytest.raises(error, match=where):
+            track(model, TimeGrid(0.0, 1.0, 10))
 
     def test_unknown_gauge_rejected(self):
         with pytest.raises(ValueError, match="gauge"):
@@ -200,7 +267,7 @@ class TestBerryPhase:
         rng = np.random.default_rng(0)
         phases = rng.uniform(-1.0, 1.0, size=(slow_analytic_path.n_samples, 2))
         jagged = rotate_gauge(slow_analytic_path, phases)
-        with pytest.raises(ValueError, match="gauge"):
+        with pytest.raises(GaugeError, match="gauge"):
             berry_phase(jagged, 0)
 
 
