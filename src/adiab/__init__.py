@@ -9,7 +9,6 @@ into a gap-weighted coupling term plus a correction term whose sum is exact.
 from adiab.linalg import (
     ConvergenceError,
     hermitian_eigendecompose,
-    inner,
     unitary_exponential,
 )
 from adiab.models import (
@@ -56,7 +55,6 @@ __all__ = [
     "emit_report",
     "evolve",
     "hermitian_eigendecompose",
-    "inner",
     "load_scenario",
     "marzlin_sanders_model",
     "parse_scenario",

@@ -8,6 +8,10 @@ Exit codes: 0 all checks pass, 1 identity failure, 2 configuration error,
 3 numerical failure (degeneracy, lost level identity, eigensolver
 non-convergence, broken gauge), 4 internal error (any other exception,
 reported on one stderr line).
+
+``batch`` runs every file even when some fail, ends with one summary row
+per file (status, peak off-level |c|, max |Q|, max |R|, max coupling
+ratio and the two regime flags) and exits with the highest code seen.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Optional
 
 from adiab.linalg import ConvergenceError
-from adiab.runner import RunResult, emit_csv, emit_report, run_scenario
+from adiab.runner import RunReport, RunResult, emit_csv, emit_report, run_scenario
 from adiab.scenario import ScenarioError, load_scenario
 from adiab.tracking import DegeneracyError, GaugeError, LevelCrossingError
 
@@ -26,6 +31,8 @@ EXIT_IDENTITY = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
+
+_STATUS = ("ok", "identity", "config", "numerical", "internal")  # indexed by exit code
 
 
 def _print_checks(result: RunResult) -> None:
@@ -51,7 +58,20 @@ def _finish(result: RunResult) -> int:
     return EXIT_OK
 
 
-def _run_one(path: Path, out_dir: Path) -> int:
+def _failure_code(exc: Exception) -> int:
+    """Report ``exc`` on one stderr line and return its exit code."""
+    if isinstance(exc, ScenarioError):
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if isinstance(exc, (DegeneracyError, LevelCrossingError, ConvergenceError, GaugeError)):
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    message = " ".join(str(exc).split())
+    print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+    return EXIT_INTERNAL
+
+
+def _run_one(path: Path, out_dir: Path) -> RunResult:
     scenario = load_scenario(path)
     result = run_scenario(scenario)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -62,11 +82,30 @@ def _run_one(path: Path, out_dir: Path) -> int:
         report_path = emit_report(result, out_dir / f"{scenario.name}.report.json")
         print(f"wrote {report_path}")
     _print_checks(result)
-    return _finish(result)
+    return result
 
 
 def _cmd_run(args) -> int:
-    return _run_one(Path(args.scenario), Path(args.out))
+    return _finish(_run_one(Path(args.scenario), Path(args.out)))
+
+
+_TABLE_COLUMNS = (
+    "scenario", "status", "max|c_off|", "max|Q|", "max|R|", "max ratio", "adiab", "ratio>thr"
+)
+_TABLE_WIDTHS = (10, 12, 10, 10, 11, 7, 11)  # after the left-aligned name
+
+
+def _summary_cells(name: str, code: int, report: Optional[RunReport]) -> list[str]:
+    if report is None:
+        return [name, _STATUS[code]] + ["-"] * 6
+    maxima = (
+        max(report.max_abs_c[label] for label in report.max_abs_q),  # off levels only
+        max(report.max_abs_q.values()),
+        max(report.max_abs_r.values()),
+        max(report.max_qac.values()),
+    )
+    flags = (report.adiabatic_approximation_holds, report.qac_violated)
+    return [name, _STATUS[code], *(f"{x:.5f}" for x in maxima), *(("no", "yes")[f] for f in flags)]
 
 
 def _cmd_batch(args) -> int:
@@ -76,13 +115,22 @@ def _cmd_batch(args) -> int:
     files = sorted(directory.glob("*.json"))
     if not files:
         raise ScenarioError(f"batch directory {directory} contains no *.json scenarios")
-    code = EXIT_OK
+    codes = []
+    rows = [_TABLE_COLUMNS]
     for path in files:
         print(f"== {path.name} ==")
-        status = _run_one(path, Path(args.out))
-        if status != EXIT_OK and code == EXIT_OK:
-            code = status
-    return code
+        try:
+            result = _run_one(path, Path(args.out))
+        except Exception as exc:  # one bad file must not stop the batch
+            code, report = _failure_code(exc), None
+        else:
+            code, report = _finish(result), result.report
+        codes.append(code)
+        rows.append(_summary_cells(path.stem, code, report))
+    print()
+    for name, *cells in rows:
+        print(f"{name:<20}" + "".join(f"{c:>{w}}" for c, w in zip(cells, _TABLE_WIDTHS)))
+    return max(codes)
 
 
 def _cmd_verify(args) -> int:
@@ -116,16 +164,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DegeneracyError, LevelCrossingError, ConvergenceError, GaugeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except Exception as exc:  # keeps exit 1 for identity failures only
-        message = " ".join(str(exc).split())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _failure_code(exc)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Per-sample adiabaticity diagnostics.
+"""Adiabaticity diagnostics over a whole time grid.
 
 For a tracked level n, every off-level amplitude c_m = <E_m|psi> splits as
 
@@ -14,231 +14,45 @@ coupling ratio coexists with small transition amplitudes (Q and R cancel)
 and when it does not.
 
 Ḋ is composed analytically from the equation of motion (-iH psi) and the
-eigenvector derivatives; differencing D itself is left to test oracles,
-keeping O(h) noise out of 1e-7 scale residuals.
+eigenvector derivatives,
+
+    Ḋ = -iH psi - e^{i beta_n}(|Ė_n> + i beta_dot |E_n>),
+    beta_dot = -E_n + i<E_n|Ė_n>;
+
+differencing D itself is left to test oracles, keeping O(h) noise out of
+1e-7 scale residuals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from adiab.linalg import inner, vector_norm
 from adiab.models import Model
 from adiab.propagate import Trajectory
 from adiab.tracking import SpectralPath, berry_phase, qac_ratios
 
-__all__ = [
-    "CriteriaCheck",
-    "DiagnosticsSample",
-    "DiagnosticsResult",
-    "amplitudes",
-    "adiabatic_state",
-    "difference_vector",
-    "difference_vector_derivative",
-    "q_term",
-    "r_term",
-    "decomposition_residual",
-    "lambda_residual",
-    "equivalence_residual",
-    "c_n_reconstruction",
-    "schiff_amplitude",
-    "criteria_check",
-    "run_diagnostics",
-]
+__all__ = ["DiagnosticsResult", "run_diagnostics"]
 
 _ZERO_ENERGY_ATOL = 1e-300
 
 
-def amplitudes(path: SpectralPath, k: int, psi: np.ndarray) -> np.ndarray:
-    """Expansion coefficients c_i = <E_i|psi> in the tracked eigenbasis."""
-    return path.eigenvectors[k].conj().T @ np.asarray(psi)
-
-
-def adiabatic_state(path: SpectralPath, k: int, beta_k: float, n: int) -> np.ndarray:
-    """Phase-dressed eigenstate e^{i beta_n}|E_n> at sample k."""
-    return np.exp(1j * beta_k) * path.eigenvectors[k, :, n]
-
-
-def difference_vector(psi: np.ndarray, adi: np.ndarray) -> np.ndarray:
-    """D = psi - adiabatic state; its norm lies in [0, 2]."""
-    return np.asarray(psi) - np.asarray(adi)
-
-
-def difference_vector_derivative(
-    model: Model, path: SpectralPath, k: int, psi: np.ndarray, beta_k: float, n: int
-) -> np.ndarray:
-    """Ḋ composed from the equation of motion, no differencing of D.
-
-    Ḋ = -iH psi - e^{i beta}(|Ė_n> + i beta_dot |E_n>) with
-    beta_dot = -E_n + i<E_n|Ė_n>.
-    """
-    if path.derivatives is None:
-        raise ValueError("path carries no eigenvector derivatives")
-    vn = path.eigenvectors[k, :, n]
-    vdot_n = path.derivatives[k, :, n]
-    e_n = path.eigenvalues[k, n]
-    beta_dot = -e_n + 1j * inner(vn, vdot_n)
-    phase = np.exp(1j * beta_k)
-    h_t = model.hamiltonian(float(path.times[k]))
-    return -1j * (h_t @ np.asarray(psi)) - phase * (vdot_n + 1j * beta_dot * vn)
-
-
-def q_term(path: SpectralPath, k: int, beta_k: float, m: int, n: int) -> complex:
-    """Q_m = i e^{i beta_n} <E_m|Ė_n>/(E_m - E_n); |Q_m| is the coupling ratio."""
-    if m == n:
-        raise ValueError("Q is defined for off levels only (m != n)")
-    if path.derivatives is None:
-        raise ValueError("path carries no eigenvector derivatives")
-    w = path.eigenvalues[k]
-    coupling = inner(path.eigenvectors[k, :, m], path.derivatives[k, :, n])
-    return 1j * np.exp(1j * beta_k) * coupling / (w[m] - w[n])
-
-
-def r_term(
-    path: SpectralPath, k: int, d: np.ndarray, ddot: np.ndarray, m: int, n: int
-) -> complex:
-    """R_m = -E_n <E_m|D>/(E_m - E_n) + i <E_m|Ḋ>/(E_m - E_n)."""
-    if m == n:
-        raise ValueError("R is defined for off levels only (m != n)")
-    w = path.eigenvalues[k]
-    vm = path.eigenvectors[k, :, m]
-    gap = w[m] - w[n]
-    return (-w[n] * inner(vm, d) + 1j * inner(vm, ddot)) / gap
-
-
-def decomposition_residual(c_m: complex, q_m: complex, r_m: complex) -> float:
-    """|c_m - Q_m - R_m|: zero up to numerics, since the split is exact."""
-    return abs(c_m - q_m - r_m)
-
-
-def lambda_residual(path: SpectralPath, k: int, d: np.ndarray, ddot: np.ndarray, n: int) -> float:
-    """|<E_n|Ḋ> + i E_n <E_n|D>|: the tracked-level projection identity."""
-    vn = path.eigenvectors[k, :, n]
-    e_n = path.eigenvalues[k, n]
-    return abs(inner(vn, ddot) + 1j * e_n * inner(vn, d))
-
-
-def equivalence_residual(d: np.ndarray, ddot: np.ndarray, e_n: float) -> float:
-    """||i Ḋ - E_n D||: vanishes exactly when every correction term R_m does."""
-    return vector_norm(1j * np.asarray(ddot) - e_n * np.asarray(d))
-
-
-def c_n_reconstruction(
-    path: SpectralPath, k: int, beta_k: float, ddot: np.ndarray, n: int
-) -> complex:
-    """c_n rebuilt as e^{i beta_n} + i<E_n|Ḋ>/E_n; undefined at E_n = 0."""
-    e_n = float(path.eigenvalues[k, n])
-    if abs(e_n) <= _ZERO_ENERGY_ATOL:
-        raise ZeroDivisionError("tracked-level energy is zero; reconstruction undefined")
-    vn = path.eigenvectors[k, :, n]
-    return complex(np.exp(1j * beta_k) + 1j * inner(vn, ddot) / e_n)
-
-
-def schiff_amplitude(path: SpectralPath, k: int, m: int, n: int) -> complex:
-    """Textbook first-order estimate i<E_m|Ė_n>/(E_m-E_n) (e^{i(E_m-E_n)t} - 1).
-
-    Uses instantaneous frame values and the raw time coordinate; emitted for
-    comparison only, its accuracy is regime-dependent.
-    """
-    if m == n:
-        raise ValueError("amplitude estimate is defined for off levels only")
-    if path.derivatives is None:
-        raise ValueError("path carries no eigenvector derivatives")
-    w = path.eigenvalues[k]
-    gap = w[m] - w[n]
-    coupling = inner(path.eigenvectors[k, :, m], path.derivatives[k, :, n])
-    t = float(path.times[k])
-    return 1j * coupling / gap * (np.exp(1j * gap * t) - 1.0)
-
-
-@dataclass(frozen=True)
-class CriteriaCheck:
-    """Smallness checks behind the validity of the coupling-ratio picture.
-
-    ratios, against a shared margin (default 0.1 for "much less than"):
-      a: ||D|| |E_n| / |E_m - E_n|
-      b: ||Ḋ|| / |E_m - E_n|
-      c: ||i Ḋ - E_n D|| / |E_m - E_n|
-    ``projected`` repeats them with the <E_m| projections instead of full
-    vector norms. Flags apply the margin to the full-norm ratios; flag a is
-    None when E_n = 0 (the test is undefined there).
-    """
-
-    ratios: tuple[float, float, float]
-    projected: tuple[float, float, float]
-    flags: tuple[Optional[bool], bool, bool]
-    margin: float
-
-
-def criteria_check(
-    path: SpectralPath,
-    k: int,
-    d: np.ndarray,
-    ddot: np.ndarray,
-    m: int,
-    n: int,
-    margin: float = 0.1,
-) -> CriteriaCheck:
-    if m == n:
-        raise ValueError("criteria are defined for off levels only")
-    w = path.eigenvalues[k]
-    vm = path.eigenvectors[k, :, m]
-    gap = abs(w[m] - w[n])
-    e_n = float(w[n])
-    d_norm = vector_norm(d)
-    ddot_norm = vector_norm(ddot)
-    combo = 1j * np.asarray(ddot) - e_n * np.asarray(d)
-    ratio_a = d_norm * abs(e_n) / gap
-    ratio_b = ddot_norm / gap
-    ratio_c = vector_norm(combo) / gap
-    proj_a = abs(inner(vm, d)) * abs(e_n) / gap
-    proj_b = abs(inner(vm, ddot)) / gap
-    proj_c = abs(inner(vm, combo)) / gap
-    flag_a = None if abs(e_n) <= _ZERO_ENERGY_ATOL else bool(ratio_a < margin)
-    return CriteriaCheck(
-        ratios=(ratio_a, ratio_b, ratio_c),
-        projected=(proj_a, proj_b, proj_c),
-        flags=(flag_a, bool(ratio_b < margin), bool(ratio_c < margin)),
-        margin=margin,
-    )
-
-
-@dataclass(frozen=True)
-class DiagnosticsSample:
-    """All per-sample quantities at one time, levels indexed from 0.
-
-    Off-level arrays (q, r, qac, residual, schiff, criteria) hold NaN on the
-    tracked column: the split has no meaning at m = n.
-    """
-
-    t: float
-    c: np.ndarray
-    beta_n: float
-    q: np.ndarray
-    r: np.ndarray
-    qac: np.ndarray
-    decomposition_residual: np.ndarray
-    d: np.ndarray
-    ddot: np.ndarray
-    d_norm: float
-    ddot_norm: float
-    lambda_residual: float
-    equivalence_residual: float
-    cn_residual: float
-    schiff: np.ndarray
-    criteria_ratios: np.ndarray
-    criteria_projected: np.ndarray
-    criteria_flags: tuple[Optional[bool], bool, bool]
-    norm_error: float
-    probability_defect: float
-
-
 @dataclass
 class DiagnosticsResult:
-    """Stacked diagnostics over a full run (K+1 samples, dim levels)."""
+    """Stacked diagnostics over a full run (K+1 samples, dim levels).
+
+    Levels are indexed from 0. Off-level arrays (q, r, qac, residual,
+    schiff, criteria_*) hold NaN on the tracked column, where the split has
+    no meaning. Besides the split: ``lam`` = |<E_n|Ḋ> + i E_n <E_n|D>|;
+    ``equivalence`` = ||i Ḋ - E_n D||, zero exactly when every R_m is;
+    ``cn_residual`` = |c_n - e^{i beta_n} - i<E_n|Ḋ>/E_n|, NaN at E_n = 0;
+    ``schiff`` = i<E_m|Ė_n>/(E_m - E_n) (e^{i(E_m - E_n)t} - 1), the
+    textbook first-order estimate, for comparison only. ``criteria_ratios``
+    holds (a) ||D|| |E_n|, (b) ||Ḋ||, (c) ||i Ḋ - E_n D||, each over
+    |E_m - E_n|; ``criteria_projected`` uses <E_m| projections in place of
+    norms; ``criteria_defined`` is False where E_n = 0 leaves (a) undefined.
+    """
 
     level: int
     margin: float
@@ -283,38 +97,6 @@ class DiagnosticsResult:
         """|c_n(t)|: overlap magnitude with the phase-dressed eigenstate."""
         return np.abs(self.c[:, self.level])
 
-    def sample(self, k: int) -> DiagnosticsSample:
-        n = self.level
-        flags = self.criteria_flags()[k]
-        off = [m for m in range(self.dim) if m != n]
-        worst = (
-            None if not self.criteria_defined[k] else bool(np.all(flags[off, 0])),
-            bool(np.all(flags[off, 1])),
-            bool(np.all(flags[off, 2])),
-        )
-        return DiagnosticsSample(
-            t=float(self.times[k]),
-            c=self.c[k],
-            beta_n=float(self.beta[k]),
-            q=self.q[k],
-            r=self.r[k],
-            qac=self.qac[k],
-            decomposition_residual=self.residual[k],
-            d=self.d_vectors[k],
-            ddot=self.ddot_vectors[k],
-            d_norm=float(self.d_norm[k]),
-            ddot_norm=float(self.ddot_norm[k]),
-            lambda_residual=float(self.lam[k]),
-            equivalence_residual=float(self.equivalence[k]),
-            cn_residual=float(self.cn_residual[k]),
-            schiff=self.schiff[k],
-            criteria_ratios=self.criteria_ratios[k],
-            criteria_projected=self.criteria_projected[k],
-            criteria_flags=worst,
-            norm_error=float(self.norm_error[k]),
-            probability_defect=float(self.probability_defect[k]),
-        )
-
 
 def run_diagnostics(
     model: Model,
@@ -327,8 +109,7 @@ def run_diagnostics(
 
     ``n`` is the zero-based tracked level. The accumulated phase is
     integrated once; every other quantity is a pure function of frame,
-    state and that phase, computed for all samples at once. The per-sample
-    helpers above state the same formulas for one sample.
+    state and that phase, computed for all samples at once.
     """
     if trajectory.states is None:
         raise ValueError("trajectory carries no states")
@@ -351,7 +132,7 @@ def run_diagnostics(
     phase = np.exp(1j * beta)
     hs = np.stack([model.hamiltonian(float(t)) for t in path.times])
 
-    # Ḋ from the equation of motion, as in difference_vector_derivative.
+    # Ḋ from the equation of motion, as in the module docstring.
     beta_dot = -e_n + 1j * np.einsum("kj,kj->k", vn.conj(), vdot_n)
     d_vectors = states - phase[:, np.newaxis] * vn
     ddot_vectors = -1j * np.einsum("kij,kj->ki", hs, states) - phase[:, np.newaxis] * (

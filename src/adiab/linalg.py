@@ -16,9 +16,6 @@ __all__ = [
     "HERMITIAN_ATOL",
     "UNITARY_ATOL",
     "NORMALIZED_ATOL",
-    "inner",
-    "vector_norm",
-    "frobenius_norm",
     "max_abs",
     "require_hermitian",
     "require_unitary",
@@ -32,28 +29,8 @@ UNITARY_ATOL = 1e-10
 NORMALIZED_ATOL = 1e-9
 
 
-
 class ConvergenceError(RuntimeError):
     """The Hermitian eigensolver failed to converge."""
-
-
-def inner(u, v) -> complex:
-    """Inner product <u|v>, conjugate-linear in the first argument."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.ndim != 1 or v.ndim != 1:
-        raise ValueError("inner expects 1-D vectors")
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return complex(np.vdot(u, v))
-
-
-def vector_norm(v) -> float:
-    return float(np.linalg.norm(np.asarray(v)))
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
 
 
 def max_abs(a) -> float:
@@ -110,7 +87,7 @@ def require_normalized(v, atol: float = NORMALIZED_ATOL) -> np.ndarray:
         raise ValueError("state must be a 1-D vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("state contains non-finite entries")
-    defect = abs(vector_norm(v) - 1.0)
+    defect = abs(np.linalg.norm(v) - 1.0)
     if defect > atol:
         raise ValueError(f"state is not normalized (defect {defect:.3e} > {atol:.1e})")
     return v

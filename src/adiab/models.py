@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "SchwingerParams",
-    "AnalyticSolution",
     "Model",
     "effective_rabi_frequency",
     "schwinger_hamiltonian",
@@ -24,7 +23,6 @@ __all__ = [
     "schwinger_analytic_eigensystem",
     "schwinger_analytic_eigensystem_derivative",
     "schwinger_analytic_amplitudes",
-    "schwinger_solution",
     "schwinger_model",
     "custom_model",
     "random_smooth_model",
@@ -140,24 +138,6 @@ def schwinger_analytic_amplitudes(p: SchwingerParams, t):
     if t.ndim == 0:
         return complex(c1), complex(c2)
     return c1, c2
-
-
-@dataclass(frozen=True)
-class AnalyticSolution:
-    """Callable closed-form amplitudes plus the effective frequency."""
-
-    params: SchwingerParams
-    omega_tilde: float
-
-    def c1(self, t):
-        return schwinger_analytic_amplitudes(self.params, t)[0]
-
-    def c2(self, t):
-        return schwinger_analytic_amplitudes(self.params, t)[1]
-
-
-def schwinger_solution(p: SchwingerParams) -> AnalyticSolution:
-    return AnalyticSolution(params=p, omega_tilde=effective_rabi_frequency(p))
 
 
 @dataclass(frozen=True)

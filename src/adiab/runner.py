@@ -202,16 +202,11 @@ def _criteria_fractions(diag: DiagnosticsResult) -> dict:
     off = _off_levels(diag.dim, diag.level)
     worst = np.all(flags[:, off, :], axis=1)  # (K+1, 3)
     defined = diag.criteria_defined
-    out = {}
-    for idx, label in enumerate(("a", "b", "c")):
-        if label == "a":
-            if not np.any(defined):
-                out[label] = None
-                continue
-            out[label] = float(np.mean(worst[defined, idx]))
-        else:
-            out[label] = float(np.mean(worst[:, idx]))
-    return out
+    return {
+        "a": float(np.mean(worst[defined, 0])) if np.any(defined) else None,
+        "b": float(np.mean(worst[:, 1])),
+        "c": float(np.mean(worst[:, 2])),
+    }
 
 
 def _build_report(

@@ -8,7 +8,7 @@ Schema (version 1), all keys lower-case, unknown keys rejected:
     theta       number in [0, pi]                        required
     t_end       number > t_start                         required
     steps       integer >= 10                            required
-    n           tracked level, 1-based, 1..dim           required
+    n           tracked level, 1-based, 1..2             required
     t_start     number, default 0
     name        string, default from the file stem
     gauge       "auto" | "analytic-reference", default "auto"
@@ -48,6 +48,7 @@ GAUGE_MODES = ("auto", "analytic-reference")
 OUTPUT_KINDS = ("csv", "report")
 
 _MIN_STEPS = 10
+_MODEL_DIM = 2  # both model kinds are two-level systems
 _KNOWN_KEYS = {
     "schema_version",
     "name",
@@ -92,10 +93,6 @@ class Scenario:
     thresholds: Thresholds = field(default_factory=Thresholds)
     outputs: tuple[str, ...] = OUTPUT_KINDS
 
-    @property
-    def dim(self) -> int:
-        return 2
-
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
             raise ScenarioError(f"model: unknown kind {self.model_kind!r}")
@@ -107,8 +104,8 @@ class Scenario:
             raise ScenarioError(
                 f"t_end: must exceed t_start ({self.t_start}), got {self.t_end}"
             )
-        if not 1 <= self.level <= self.dim:
-            raise ScenarioError(f"n: tracked level must lie in 1..{self.dim}, got {self.level}")
+        if not 1 <= self.level <= _MODEL_DIM:
+            raise ScenarioError(f"n: tracked level must lie in 1..{_MODEL_DIM}, got {self.level}")
 
 
 def _require(doc: dict, key: str):

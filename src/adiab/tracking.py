@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from adiab.linalg import hermitian_eigendecompose, inner
+from adiab.linalg import hermitian_eigendecompose
 from adiab.models import Model
 from adiab.propagate import TimeGrid
 
@@ -30,15 +30,11 @@ __all__ = [
     "DegeneracyError",
     "LevelCrossingError",
     "GaugeError",
-    "SpectralFrame",
     "SpectralPath",
     "BerryPhase",
     "track",
     "analytic_path",
-    "eigen_derivative_fd",
-    "eigen_derivative_pert",
     "berry_phase",
-    "qac_ratio",
     "qac_ratios",
     "rotate_gauge",
 ]
@@ -57,17 +53,6 @@ class LevelCrossingError(RuntimeError):
 
 class GaugeError(ValueError):
     """The accumulated phase came out complex: the gauge is not smooth."""
-
-
-@dataclass(frozen=True)
-class SpectralFrame:
-    """Eigensystem snapshot at one time sample (vectors are matrix columns)."""
-
-    t: float
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    eigenvector_derivatives: Optional[np.ndarray]
-    min_gap: float
 
 
 @dataclass
@@ -92,15 +77,6 @@ class SpectralPath:
     @property
     def n_samples(self) -> int:
         return self.times.shape[0]
-
-    def frame(self, k: int) -> SpectralFrame:
-        return SpectralFrame(
-            t=float(self.times[k]),
-            eigenvalues=self.eigenvalues[k],
-            eigenvectors=self.eigenvectors[k],
-            eigenvector_derivatives=None if self.derivatives is None else self.derivatives[k],
-            min_gap=float(self.min_gaps[k]),
-        )
 
 
 @dataclass(frozen=True)
@@ -309,41 +285,6 @@ def analytic_path(model: Model, grid: TimeGrid) -> SpectralPath:
     )
 
 
-def eigen_derivative_fd(path: SpectralPath, k: int, i: int) -> np.ndarray:
-    """Finite-difference d|E_i>/dt at sample k from the gauge-fixed vectors."""
-    v = path.eigenvectors
-    last = path.n_samples - 1
-    if not 0 <= k <= last:
-        raise IndexError(f"sample index {k} out of range 0..{last}")
-    h = path.grid.h
-    if k == 0:
-        return (-3.0 * v[0, :, i] + 4.0 * v[1, :, i] - v[2, :, i]) / (2.0 * h)
-    if k == last:
-        return (3.0 * v[last, :, i] - 4.0 * v[last - 1, :, i] + v[last - 2, :, i]) / (2.0 * h)
-    return (v[k + 1, :, i] - v[k - 1, :, i]) / (2.0 * h)
-
-
-def eigen_derivative_pert(path: SpectralPath, k: int, hdot: np.ndarray, i: int) -> np.ndarray:
-    """Off-level part of d|E_i>/dt from first-order perturbation theory.
-
-    Sum over m != i of <E_m|Hdot|E_i>/(E_i - E_m) |E_m>. The component along
-    |E_i> is pure gauge and is not determined by Hdot; callers that need the
-    full derivative take it from the finite-difference path.
-    """
-    v = path.eigenvectors[k]
-    w = path.eigenvalues[k]
-    hv = np.asarray(hdot) @ v[:, i]
-    out = np.zeros(path.dim, dtype=np.complex128)
-    for m in range(path.dim):
-        if m == i:
-            continue
-        gap = w[i] - w[m]
-        if abs(gap) <= _DEGENERACY_REL * max(float(np.max(np.abs(w))), 1e-300):
-            raise DegeneracyError(f"degenerate gap between levels {i} and {m} at sample {k}")
-        out += (inner(v[:, m], hv) / gap) * v[:, m]
-    return out
-
-
 def berry_phase(path: SpectralPath, n: int) -> BerryPhase:
     """Trapezoidal accumulation of -E_n + i<E_n|Ė_n> from t_start.
 
@@ -363,20 +304,6 @@ def berry_phase(path: SpectralPath, n: int) -> BerryPhase:
     if residue > 1e-6:
         raise GaugeError(f"accumulated phase has imaginary residue {residue:.3e}; gauge broken")
     return BerryPhase(level=n, values=raw.real.copy(), imag_residue=residue)
-
-
-def qac_ratio(path: SpectralPath, k: int, m: int, n: int) -> float:
-    """|<E_m|Ė_n>| / |E_m - E_n| at one sample, for m != n."""
-    if m == n:
-        raise ValueError("qac ratio is defined for distinct levels only")
-    if path.derivatives is None:
-        raise ValueError("path carries no eigenvector derivatives")
-    w = path.eigenvalues[k]
-    gap = w[m] - w[n]
-    if abs(gap) <= _DEGENERACY_REL * max(float(np.max(np.abs(w))), 1e-300):
-        raise DegeneracyError(f"degenerate gap between levels {m} and {n} at sample {k}")
-    coupling = inner(path.eigenvectors[k, :, m], path.derivatives[k, :, n])
-    return abs(coupling) / abs(gap)
 
 
 def qac_ratios(path: SpectralPath, n: int) -> np.ndarray:

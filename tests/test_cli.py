@@ -157,6 +157,56 @@ class TestCliCommands:
         assert (out_dir / "one.csv").exists()
         assert (out_dir / "two.csv").exists()
 
+    @staticmethod
+    def _summary_rows(out):
+        lines = out.splitlines()
+        start = max(i for i, line in enumerate(lines) if line.startswith("scenario "))
+        return [line.split() for line in lines[start + 1 :]]
+
+    def test_batch_isolates_a_bad_file(self, tmp_path, capsys):
+        batch_dir = tmp_path / "batch"
+        batch_dir.mkdir()
+        self._write(batch_dir, name="a_good")
+        self._write(batch_dir, name="b_bad", steps=5)
+        self._write(batch_dir, name="c_good", theta=0.3)
+        out_dir = tmp_path / "out"
+        assert cli.main(["batch", str(batch_dir), "--out", str(out_dir)]) == cli.EXIT_CONFIG
+        for name in ("a_good", "c_good"):
+            assert (out_dir / f"{name}.csv").exists()
+            assert (out_dir / f"{name}.report.json").exists()
+        captured = capsys.readouterr()
+        assert "steps" in captured.err
+        rows = self._summary_rows(captured.out)
+        assert [row[:2] for row in rows] == [
+            ["a_good", "ok"], ["b_bad", "config"], ["c_good", "ok"]
+        ]
+        assert rows[1][2:] == ["-"] * 6
+        assert rows[0][-2:] == ["yes", "no"]
+
+    def test_batch_exits_with_highest_code(self, tmp_path, capsys, monkeypatch):
+        batch_dir = tmp_path / "batch"
+        batch_dir.mkdir()
+        self._write(batch_dir, name="identity")
+        self._write(batch_dir, name="numerical")
+        real_run = cli.run_scenario
+
+        def run(scenario):
+            if scenario.name == "numerical":
+                raise DegeneracyError("near-degenerate spectrum at sample 3 (t=0.12)")
+            result = real_run(scenario)
+            result.report.checks["decomposition"] = {"value": 1.0, "tolerance": 1e-7, "pass": False}
+            result.report.passed = False
+            return result
+
+        monkeypatch.setattr(cli, "run_scenario", run)
+        code = cli.main(["batch", str(batch_dir), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert "decomposition" in captured.err
+        assert "sample 3" in captured.err
+        rows = self._summary_rows(captured.out)
+        assert [row[:2] for row in rows] == [["identity", "identity"], ["numerical", "numerical"]]
+
     def test_configuration_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(small_doc(steps=5)))

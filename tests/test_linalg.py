@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from adiab.linalg import (
     ConvergenceError,
     hermitian_eigendecompose,
-    inner,
     max_abs,
     require_hermitian,
     require_normalized,
     require_unitary,
     unitary_exponential,
-    vector_norm,
 )
 
 
@@ -34,48 +32,6 @@ def complex_vector(draw, dim=3):
         )
     )
     return np.array(parts[:dim]) + 1j * np.array(parts[dim:])
-
-
-class TestInner:
-    def test_orthonormal_basis(self):
-        e1 = np.array([1.0, 0.0], dtype=complex)
-        e2 = np.array([0.0, 1.0], dtype=complex)
-        assert inner(e1, e1) == 1.0
-        assert inner(e1, e2) == 0.0
-
-    def test_mixed_vector_against_hand_expansion(self):
-        u = np.array([1j, 0.0])
-        v = np.array([1.0, -1.0]) / math.sqrt(2.0)  # Hadamard column applied to e2
-        by_hand = np.conj(u[0]) * v[0] + np.conj(u[1]) * v[1]
-        assert inner(u, v) == pytest.approx(by_hand, abs=0)
-        assert inner(u, v) == pytest.approx(-1j / math.sqrt(2.0))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            inner(np.ones(2), np.ones(3))
-
-    def test_matrix_input_rejected(self):
-        with pytest.raises(ValueError, match="1-D"):
-            inner(np.ones((2, 2)), np.ones((2, 2)))
-
-    @given(complex_vector(), complex_vector())
-    @settings(max_examples=50, deadline=None)
-    def test_conjugate_symmetry(self, u, v):
-        assert inner(u, v) == np.conj(inner(v, u))
-
-    @given(complex_vector())
-    @settings(max_examples=50, deadline=None)
-    def test_self_inner_real_nonnegative(self, u):
-        z = inner(u, u)
-        assert z.imag == 0.0
-        assert z.real >= 0.0
-
-    @given(complex_vector(), complex_vector(), complex_vector())
-    @settings(max_examples=25, deadline=None)
-    def test_linear_in_second_argument(self, u, v, w):
-        lhs = inner(u, v + w)
-        rhs = inner(u, v) + inner(u, w)
-        assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(rhs)))
 
 
 class TestEigendecompose:
@@ -213,7 +169,8 @@ class TestUnitaryExponential:
     def test_norm_preservation(self, seed, v):
         u = unitary_exponential(random_hermitian(3, seed), 0.9)
         require_unitary(u)
-        assert vector_norm(u @ v) == pytest.approx(vector_norm(v), abs=1e-10 * (1 + vector_norm(v)))
+        norm = np.linalg.norm(v)
+        assert np.linalg.norm(u @ v) == pytest.approx(norm, abs=1e-10 * (1 + norm))
 
 
 class TestValidators:

@@ -19,7 +19,6 @@ from adiab.models import (
     schwinger_hamiltonian,
     schwinger_hamiltonian_derivative,
     schwinger_model,
-    schwinger_solution,
     transformed_hamiltonian,
     transformed_hamiltonian_derivative,
 )
@@ -171,13 +170,6 @@ class TestAnalyticAmplitudes:
         p = SchwingerParams(1.0, 3.0, 0.0)
         _, c2 = schwinger_analytic_amplitudes(p, np.linspace(0, 30, 500))
         assert np.max(np.abs(c2)) == 0.0
-
-    def test_solution_wrapper(self):
-        p = SchwingerParams(1.0, 0.2, 0.4)
-        sol = schwinger_solution(p)
-        assert sol.omega_tilde == effective_rabi_frequency(p)
-        assert sol.c1(0.0) == 1.0
-        assert sol.c2(0.0) == 0.0
 
 
 class TestTransformed:
