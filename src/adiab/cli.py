@@ -40,7 +40,7 @@ def _print_checks(result: RunResult) -> None:
     for name, entry in report.checks.items():
         status = "PASS" if entry["pass"] else "FAIL"
         print(f"check {name}: max {entry['value']:.3e} tol {entry['tolerance']:.1e} {status}")
-    print(f"regime: {report.regime_description}")
+    print(f"regime: {report.regime['description']}")
     if report.marzlin_sanders is not None:
         ms = report.marzlin_sanders
         print(
@@ -98,13 +98,14 @@ _TABLE_WIDTHS = (10, 12, 10, 10, 11, 7, 11)  # after the left-aligned name
 def _summary_cells(name: str, code: int, report: Optional[RunReport]) -> list[str]:
     if report is None:
         return [name, _STATUS[code]] + ["-"] * 6
+    summary, regime = report.summary, report.regime
     maxima = (
-        max(report.max_abs_c[label] for label in report.max_abs_q),  # off levels only
-        max(report.max_abs_q.values()),
-        max(report.max_abs_r.values()),
-        max(report.max_qac.values()),
+        max(summary["max_abs_c"][label] for label in summary["max_abs_q"]),  # off levels only
+        max(summary["max_abs_q"].values()),
+        max(summary["max_abs_r"].values()),
+        max(summary["max_qac"].values()),
     )
-    flags = (report.adiabatic_approximation_holds, report.qac_violated)
+    flags = (regime["adiabatic_approximation_holds"], regime["qac_violated"])
     return [name, _STATUS[code], *(f"{x:.5f}" for x in maxima), *(("no", "yes")[f] for f in flags)]
 
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from adiab.models import Model
 from adiab.propagate import Trajectory
 from adiab.tracking import SpectralPath, berry_phase, qac_ratios
 
@@ -99,7 +98,6 @@ class DiagnosticsResult:
 
 
 def run_diagnostics(
-    model: Model,
     trajectory: Trajectory,
     path: SpectralPath,
     n: int,
@@ -130,14 +128,12 @@ def run_diagnostics(
     vdot_n = path.derivatives[:, :, n]
     e_n = w[:, n]
     phase = np.exp(1j * beta)
-    hs = np.stack([model.hamiltonian(float(t)) for t in path.times])
 
     # Ḋ from the equation of motion, as in the module docstring.
     beta_dot = -e_n + 1j * np.einsum("kj,kj->k", vn.conj(), vdot_n)
     d_vectors = states - phase[:, np.newaxis] * vn
-    ddot_vectors = -1j * np.einsum("kij,kj->ki", hs, states) - phase[:, np.newaxis] * (
-        vdot_n + 1j * beta_dot[:, np.newaxis] * vn
-    )
+    h_psi = np.einsum("kij,kj->ki", path.hamiltonians, states)
+    ddot_vectors = -1j * h_psi - phase[:, np.newaxis] * (vdot_n + 1j * beta_dot[:, np.newaxis] * vn)
     combo = 1j * ddot_vectors - e_n[:, np.newaxis] * d_vectors
 
     # Projections <E_m|x> onto every level at every sample.

@@ -27,8 +27,9 @@ __all__ = [
     "custom_model",
     "random_smooth_model",
     "transformed_hamiltonian",
-    "transformed_hamiltonian_derivative",
 ]
+
+_FD_STEP = 1e-6  # central-difference step of custom_model's fallback derivative
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,6 @@ class Model:
     dim: int
     hamiltonian: Callable[[float], np.ndarray]
     derivative: Optional[Callable[[float], np.ndarray]] = None
-    kind: str = "custom"
     analytic_eigensystem: Optional[Callable[[float], tuple[np.ndarray, np.ndarray]]] = None
     analytic_eigensystem_derivative: Optional[Callable[[float], np.ndarray]] = field(
         default=None, repr=False
@@ -166,7 +166,6 @@ def schwinger_model(p: SchwingerParams) -> Model:
         dim=2,
         hamiltonian=lambda t: schwinger_hamiltonian(p, t),
         derivative=lambda t: schwinger_hamiltonian_derivative(p, t),
-        kind="schwinger",
         analytic_eigensystem=lambda t: schwinger_analytic_eigensystem(p, t),
         analytic_eigensystem_derivative=lambda t: schwinger_analytic_eigensystem_derivative(p, t),
     )
@@ -177,23 +176,20 @@ def custom_model(
     derivative: Optional[Callable[[float], np.ndarray]] = None,
     *,
     dim: int,
-    fd_step: float = 1e-6,
 ) -> Model:
     """Wrap a user-supplied H(t) callback.
 
-    When no analytic derivative is given, a central difference with the
-    user-set ``fd_step`` substitutes for it.
+    When no analytic derivative is given, a central difference with a fixed
+    step of 1e-6 substitutes for it.
     """
     if dim < 2:
         raise ValueError("model dimension must be at least 2")
     if derivative is None:
-        if not (fd_step > 0.0 and math.isfinite(fd_step)):
-            raise ValueError("fd_step must be positive and finite")
 
-        def derivative(t: float, _h=hamiltonian, _s=fd_step) -> np.ndarray:
-            return (_h(t + _s) - _h(t - _s)) / (2.0 * _s)
+        def derivative(t: float, _h=hamiltonian) -> np.ndarray:
+            return (_h(t + _FD_STEP) - _h(t - _FD_STEP)) / (2.0 * _FD_STEP)
 
-    return Model(dim=dim, hamiltonian=hamiltonian, derivative=derivative, kind="custom")
+    return Model(dim=dim, hamiltonian=hamiltonian, derivative=derivative)
 
 
 def random_smooth_model(
@@ -228,7 +224,7 @@ def random_smooth_model(
     def derivative(t: float) -> np.ndarray:
         return frequency * (-a * math.sin(frequency * t) + b * math.cos(frequency * t))
 
-    return Model(dim=dim, hamiltonian=hamiltonian, derivative=derivative, kind="custom")
+    return Model(dim=dim, hamiltonian=hamiltonian, derivative=derivative)
 
 
 def transformed_hamiltonian(u_at_t: np.ndarray, h_at_t: np.ndarray) -> np.ndarray:
@@ -244,18 +240,3 @@ def transformed_hamiltonian(u_at_t: np.ndarray, h_at_t: np.ndarray) -> np.ndarra
             f"dimension mismatch: propagator {u_at_t.shape} vs operator {h_at_t.shape}"
         )
     return -(u_at_t.conj().T @ h_at_t @ u_at_t)
-
-
-def transformed_hamiltonian_derivative(u_at_t: np.ndarray, hdot_at_t: np.ndarray) -> np.ndarray:
-    """-U† Hdot U: time derivative of the companion Hamiltonian.
-
-    The product-rule terms involving U̇ = -iHU cancel pairwise, leaving only
-    the transformed Hdot.
-    """
-    u_at_t = np.asarray(u_at_t)
-    hdot_at_t = np.asarray(hdot_at_t)
-    if u_at_t.shape != hdot_at_t.shape or u_at_t.ndim != 2:
-        raise ValueError(
-            f"dimension mismatch: propagator {u_at_t.shape} vs operator {hdot_at_t.shape}"
-        )
-    return -(u_at_t.conj().T @ hdot_at_t @ u_at_t)

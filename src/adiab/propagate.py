@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from adiab.linalg import require_normalized, unitary_exponential
-from adiab.models import Model, transformed_hamiltonian, transformed_hamiltonian_derivative
+from adiab.models import Model, transformed_hamiltonian
 
 __all__ = [
     "TimeGrid",
@@ -135,7 +135,8 @@ def marzlin_sanders_model(model_a: Model, grid: TimeGrid) -> tuple[Model, Trajec
     derivative = None
     if model_a.derivative is not None:
         def derivative(t: float) -> np.ndarray:
-            return transformed_hamiltonian_derivative(lookup(t), model_a.derivative(t))
+            # -U† Hdot U: the U̇ = -iHU product-rule terms cancel.
+            return transformed_hamiltonian(lookup(t), model_a.derivative(t))
 
     analytic_eigensystem = None
     analytic_derivative = None
@@ -160,7 +161,6 @@ def marzlin_sanders_model(model_a: Model, grid: TimeGrid) -> tuple[Model, Trajec
             dim=model_a.dim,
             hamiltonian=hamiltonian,
             derivative=derivative,
-            kind="transformed",
             analytic_eigensystem=analytic_eigensystem,
             analytic_eigensystem_derivative=analytic_derivative,
         ),

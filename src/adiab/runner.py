@@ -63,36 +63,17 @@ class PipelineResult:
 
 @dataclass
 class RunReport:
-    """Grid-wide maxima, regime flags and identity verdicts for one run."""
+    """One run's report document, held as its sections."""
 
-    scenario_name: str
-    model_kind: str
-    dim: int
-    level: int  # 1-based label
-    gauge: str
-    t_start: float
-    t_end: float
-    steps: int
-    max_decomposition_residual: float
-    max_lambda_residual: float
-    max_unitarity_drift: float
-    max_norm_error: float
-    max_probability_defect: float
-    max_cn_residual: float
-    max_perturbation_residual: Optional[float]
-    berry_imag_residue: float
-    max_abs_c: dict
-    max_abs_q: dict
-    max_abs_r: dict
-    max_qac: dict
-    min_fidelity: float
-    criteria_true_fraction: dict
-    adiabatic_approximation_holds: bool
-    qac_violated: bool
-    regime_description: str
+    scenario: dict
+    summary: dict
+    regime: dict
     checks: dict
-    passed: bool
     marzlin_sanders: Optional[dict] = None
+
+    @property
+    def passed(self) -> bool:
+        return all(entry["pass"] for entry in self.checks.values())
 
     def first_failure(self) -> Optional[str]:
         for name, entry in self.checks.items():
@@ -103,37 +84,9 @@ class RunReport:
     def to_dict(self) -> dict:
         doc = {
             "schema_version": SCHEMA_VERSION,
-            "scenario": {
-                "name": self.scenario_name,
-                "model": self.model_kind,
-                "dim": self.dim,
-                "n": self.level,
-                "gauge": self.gauge,
-                "t_start": self.t_start,
-                "t_end": self.t_end,
-                "steps": self.steps,
-            },
-            "summary": {
-                "max_decomposition_residual": self.max_decomposition_residual,
-                "max_lambda_residual": self.max_lambda_residual,
-                "max_unitarity_drift": self.max_unitarity_drift,
-                "max_norm_error": self.max_norm_error,
-                "max_probability_defect": self.max_probability_defect,
-                "max_cn_reconstruction_residual": self.max_cn_residual,
-                "max_perturbation_residual": self.max_perturbation_residual,
-                "berry_imag_residue": self.berry_imag_residue,
-                "max_abs_c": self.max_abs_c,
-                "max_abs_q": self.max_abs_q,
-                "max_abs_r": self.max_abs_r,
-                "max_qac": self.max_qac,
-                "min_fidelity": self.min_fidelity,
-                "criteria_true_fraction": self.criteria_true_fraction,
-            },
-            "regime": {
-                "adiabatic_approximation_holds": self.adiabatic_approximation_holds,
-                "qac_violated": self.qac_violated,
-                "description": self.regime_description,
-            },
+            "scenario": self.scenario,
+            "summary": self.summary,
+            "regime": self.regime,
             "checks": self.checks,
             "pass": self.passed,
         }
@@ -147,7 +100,6 @@ class RunResult:
     scenario: Scenario
     pipeline: PipelineResult
     report: RunReport
-    companion: Optional[PipelineResult] = None  # system A of a transformed pair
 
 
 def run_pipeline(
@@ -162,7 +114,7 @@ def run_pipeline(
     psi0 = path.eigenvectors[0, :, n].copy()
     psi0 /= np.linalg.norm(psi0)
     trajectory = evolve(model, require_normalized(psi0), grid, keep_propagators=True)
-    diagnostics = run_diagnostics(model, trajectory, path, n, margin=margin)
+    diagnostics = run_diagnostics(trajectory, path, n, margin=margin)
     return PipelineResult(
         model=model, grid=grid, path=path, trajectory=trajectory, diagnostics=diagnostics
     )
@@ -209,6 +161,19 @@ def _criteria_fractions(diag: DiagnosticsResult) -> dict:
     }
 
 
+# Identity checks in report order: name, the summary entry it gates, tolerance.
+# A check whose summary entry is None (nothing to measure) is left out.
+_CHECKS = (
+    ("decomposition", "max_decomposition_residual", DECOMPOSITION_TOL),
+    ("lambda", "max_lambda_residual", LAMBDA_TOL),
+    ("unitarity", "max_unitarity_drift", UNITARITY_TOL),
+    ("norm", "max_norm_error", NORM_TOL),
+    ("probability", "max_probability_defect", PROBABILITY_TOL),
+    ("cn_reconstruction", "max_cn_reconstruction_residual", CN_TOL),
+    ("perturbation", "max_perturbation_residual", PERTURBATION_TOL),
+)
+
+
 def _build_report(
     scenario: Scenario,
     pipeline: PipelineResult,
@@ -219,13 +184,28 @@ def _build_report(
     off = _off_levels(diag.dim, n)
     th = scenario.thresholds
 
-    max_abs_c = {str(i + 1): float(np.max(np.abs(diag.c[:, i]))) for i in range(diag.dim)}
-    max_abs_q = {str(m + 1): float(np.max(np.abs(diag.q[:, m]))) for m in off}
-    max_abs_r = {str(m + 1): float(np.max(np.abs(diag.r[:, m]))) for m in off}
-    max_qac = {str(m + 1): float(np.max(diag.qac[:, m])) for m in off}
+    summary = {
+        "max_decomposition_residual": float(np.nanmax(diag.residual)),
+        "max_lambda_residual": float(np.max(diag.lam)),
+        "max_unitarity_drift": _unitarity_drift(pipeline.trajectory),
+        "max_norm_error": float(np.max(diag.norm_error)),
+        "max_probability_defect": float(np.max(diag.probability_defect)),
+        # c_n is reconstructed only where E_n != 0, so the maximum may not exist.
+        "max_cn_reconstruction_residual": (
+            None if np.all(np.isnan(diag.cn_residual)) else float(np.nanmax(diag.cn_residual))
+        ),
+        "max_perturbation_residual": _perturbation_residual(pipeline.model, pipeline.path),
+        "berry_imag_residue": diag.beta_imag_residue,
+        "max_abs_c": {str(i + 1): float(np.max(np.abs(diag.c[:, i]))) for i in range(diag.dim)},
+        "max_abs_q": {str(m + 1): float(np.max(np.abs(diag.q[:, m]))) for m in off},
+        "max_abs_r": {str(m + 1): float(np.max(np.abs(diag.r[:, m]))) for m in off},
+        "max_qac": {str(m + 1): float(np.max(diag.qac[:, m])) for m in off},
+        "min_fidelity": float(np.min(diag.fidelity())),
+        "criteria_true_fraction": _criteria_fractions(diag),
+    }
 
-    max_off_c = max(max_abs_c[str(m + 1)] for m in off)
-    worst_qac = max(max_qac.values())
+    max_off_c = max(summary["max_abs_c"][str(m + 1)] for m in off)
+    worst_qac = max(summary["max_qac"].values())
     adiabatic_holds = max_off_c < th.adiabatic_max_c
     qac_violated = worst_qac > th.qac_violation
     description = (
@@ -235,53 +215,33 @@ def _build_report(
         f"(max ratio = {worst_qac:.5f}, threshold {th.qac_violation})"
     )
 
-    values = {
-        "decomposition": (float(np.nanmax(diag.residual)), DECOMPOSITION_TOL),
-        "lambda": (float(np.max(diag.lam)), LAMBDA_TOL),
-        "unitarity": (_unitarity_drift(pipeline.trajectory), UNITARITY_TOL),
-        "norm": (float(np.max(diag.norm_error)), NORM_TOL),
-        "probability": (float(np.max(diag.probability_defect)), PROBABILITY_TOL),
-        "cn_reconstruction": (float(np.nanmax(diag.cn_residual)), CN_TOL),
-    }
-    perturbation = _perturbation_residual(pipeline.model, pipeline.path)
-    if perturbation is not None:
-        values["perturbation"] = (perturbation, PERTURBATION_TOL)
-    if extras is not None and "max_inverse_residual" in extras:
-        values["propagator_inverse"] = (extras["max_inverse_residual"], INVERSE_TOL)
-
+    limits = [(name, summary[key], tol) for name, key, tol in _CHECKS]
+    if extras is not None:
+        limits.append(("propagator_inverse", extras["max_inverse_residual"], INVERSE_TOL))
     checks = {
         name: {"value": value, "tolerance": tol, "pass": bool(value <= tol)}
-        for name, (value, tol) in values.items()
+        for name, value, tol in limits
+        if value is not None
     }
 
     return RunReport(
-        scenario_name=scenario.name,
-        model_kind=scenario.model_kind,
-        dim=diag.dim,
-        level=n + 1,
-        gauge=scenario.gauge,
-        t_start=scenario.t_start,
-        t_end=scenario.t_end,
-        steps=scenario.steps,
-        max_decomposition_residual=values["decomposition"][0],
-        max_lambda_residual=values["lambda"][0],
-        max_unitarity_drift=values["unitarity"][0],
-        max_norm_error=values["norm"][0],
-        max_probability_defect=values["probability"][0],
-        max_cn_residual=values["cn_reconstruction"][0],
-        max_perturbation_residual=perturbation,
-        berry_imag_residue=diag.beta_imag_residue,
-        max_abs_c=max_abs_c,
-        max_abs_q=max_abs_q,
-        max_abs_r=max_abs_r,
-        max_qac=max_qac,
-        min_fidelity=float(np.min(diag.fidelity())),
-        criteria_true_fraction=_criteria_fractions(diag),
-        adiabatic_approximation_holds=adiabatic_holds,
-        qac_violated=qac_violated,
-        regime_description=description,
+        scenario={
+            "name": scenario.name,
+            "model": scenario.model_kind,
+            "dim": diag.dim,
+            "n": n + 1,
+            "gauge": scenario.gauge,
+            "t_start": scenario.t_start,
+            "t_end": scenario.t_end,
+            "steps": scenario.steps,
+        },
+        summary=summary,
+        regime={
+            "adiabatic_approximation_holds": adiabatic_holds,
+            "qac_violated": qac_violated,
+            "description": description,
+        },
         checks=checks,
-        passed=all(entry["pass"] for entry in checks.values()),
         marzlin_sanders=extras,
     )
 
@@ -320,7 +280,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
         "system_a_stays_adiabatic": bool(np.min(fidelity_a) > 0.99),
     }
     report = _build_report(scenario, pipeline_b, extras)
-    return RunResult(scenario=scenario, pipeline=pipeline_b, report=report, companion=pipeline_a)
+    return RunResult(scenario=scenario, pipeline=pipeline_b, report=report)
 
 
 def csv_header(dim: int, level: int) -> str:

@@ -61,14 +61,15 @@ class SpectralPath:
 
     Shapes: times (K+1,), eigenvalues (K+1, dim), eigenvectors and
     derivatives (K+1, dim, dim) with level i in column ``[..., i]``.
+    ``hamiltonians`` (K+1, dim, dim) is the H(t) stack the frames belong to.
     """
 
     grid: TimeGrid
     times: np.ndarray
+    hamiltonians: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     derivatives: Optional[np.ndarray]
-    min_gaps: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -208,8 +209,7 @@ def track(
     ts = grid.samples
     hs = np.stack([model.hamiltonian(float(t)) for t in ts])
     eigenvalues, raw = hermitian_eigendecompose(hs)
-    min_gaps = _min_gaps(eigenvalues)
-    gap = _gap_failure(min_gaps, np.linalg.norm(hs, axis=(1, 2)), ts)
+    gap = _gap_failure(_min_gaps(eigenvalues), np.linalg.norm(hs, axis=(1, 2)), ts)
 
     if gauge == "analytic":
         refs = np.stack([model.analytic_eigensystem(float(t))[1] for t in ts])
@@ -243,10 +243,10 @@ def track(
     return SpectralPath(
         grid=grid,
         times=ts,
+        hamiltonians=hs,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         derivatives=_fill_derivatives(eigenvectors, grid.h),
-        min_gaps=min_gaps,
     )
 
 
@@ -255,6 +255,8 @@ def analytic_path(model: Model, grid: TimeGrid) -> SpectralPath:
 
     Derivatives come from the closed-form expressions when the model supplies
     them, otherwise from the same finite-difference stencils as ``track``.
+    ``hamiltonians`` comes from ``model.hamiltonian``, not from the closed-form
+    eigensystem, so the identity checks still test the closed forms against H.
     """
     if model.analytic_eigensystem is None:
         raise ValueError("model does not provide a closed-form eigensystem")
@@ -270,18 +272,17 @@ def analytic_path(model: Model, grid: TimeGrid) -> SpectralPath:
         eigenvalues[k], eigenvectors[k] = model.analytic_eigensystem(t)
         if have_dv:
             derivatives[k] = model.analytic_eigensystem_derivative(t)
-    min_gaps = _min_gaps(eigenvalues)
     scales = np.max(np.abs(eigenvalues), axis=1)
-    _raise_first(_gap_failure(min_gaps, np.where(scales > 0.0, scales, 1.0), ts))
+    _raise_first(_gap_failure(_min_gaps(eigenvalues), np.where(scales > 0.0, scales, 1.0), ts))
     if not have_dv:
         derivatives = _fill_derivatives(eigenvectors, grid.h)
     return SpectralPath(
         grid=grid,
         times=ts,
+        hamiltonians=np.stack([model.hamiltonian(float(t)) for t in ts]),
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         derivatives=derivatives,
-        min_gaps=min_gaps,
     )
 
 

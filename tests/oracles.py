@@ -70,4 +70,4 @@ def analytic_diagnostics(p: SchwingerParams, t_end: float, steps: int):
         + path.eigenvectors[:, :, 1] * c2[:, np.newaxis]
     )
     trajectory = Trajectory(grid=grid, states=states)
-    return run_diagnostics(model, trajectory, path, 0)
+    return run_diagnostics(trajectory, path, 0)

@@ -95,28 +95,25 @@ def test_criterion_2_analytic_oracle_propagation_and_order():
 
 def test_criterion_3_fast_drive_regime(fast_run):
     report = fast_run.report
-    max_c2 = report.max_abs_c["2"]
-    ratio = report.max_qac["2"]
-    ok = (
-        abs(max_c2 - 0.11086) <= 1e-3
-        and abs(ratio - 0.49917) <= 1e-4
-        and report.adiabatic_approximation_holds
-        and report.qac_violated
-    )
+    max_c2 = report.summary["max_abs_c"]["2"]
+    ratio = report.summary["max_qac"]["2"]
+    holds = report.regime["adiabatic_approximation_holds"]
+    violated = report.regime["qac_violated"]
+    ok = abs(max_c2 - 0.11086) <= 1e-3 and abs(ratio - 0.49917) <= 1e-4 and holds and violated
     _check(
         "C3",
         "fast drive: coupling ratio large, amplitudes small",
         ok,
         f"max |c2| = {max_c2:.5f} (0.11086 +/- 1e-3), ratio = {ratio:.5f} "
         f"(0.49917 +/- 1e-4), report flags: adiabatic holds = "
-        f"{report.adiabatic_approximation_holds}, ratio condition violated = {report.qac_violated}",
+        f"{holds}, ratio condition violated = {violated}",
     )
 
 
 def test_criterion_4_slow_drive_regime(slow_run):
     report = slow_run.report
-    max_c2 = report.max_abs_c["2"]
-    max_q2 = report.max_abs_q["2"]
+    max_c2 = report.summary["max_abs_c"]["2"]
+    max_q2 = report.summary["max_abs_q"]["2"]
     ok = abs(max_c2 - 0.09950) <= 1e-3 and abs(max_q2 - 0.05) <= 1e-4
     _check(
         "C4",
@@ -150,7 +147,7 @@ def _perturbation_identity_residual(model: Model, path) -> float:
 
 
 def test_criterion_6_coupling_identity_both_models(slow_run):
-    schwinger_residual = slow_run.report.max_perturbation_residual
+    schwinger_residual = slow_run.report.summary["max_perturbation_residual"]
     random_model = random_smooth_model(4, seed=42)
     path = track(random_model, TimeGrid(0.0, 6.0, 3000))
     random_residual = _perturbation_identity_residual(random_model, path)
@@ -192,7 +189,6 @@ def _shifted_model(params: SchwingerParams, shift, shift_rate) -> Model:
         dim=2,
         hamiltonian=lambda t: base.hamiltonian(t) + shift(t) * eye,
         derivative=lambda t: base.derivative(t) + shift_rate(t) * eye,
-        kind="custom",
     )
 
 
@@ -234,7 +230,7 @@ def test_criterion_8b_gauge_rotation_invariance():
     rel = base.path.times - base.path.times[0]
     phases = np.stack([a * np.sin(f * rel) for a, f in zip(amps, freqs)], axis=1)
     rotated_path = rotate_gauge(base.path, phases)
-    rotated = run_diagnostics(model, base.trajectory, rotated_path, 0)
+    rotated = run_diagnostics(base.trajectory, rotated_path, 0)
     a, b = base.diagnostics, rotated
     worst = max(
         _magnitude_gap(a.c, b.c),
@@ -263,8 +259,8 @@ def test_criterion_8c_static_scenario_exact(static_run):
         float(np.max(diag.lam)),
         float(np.max(diag.equivalence)),
         float(np.nanmax(diag.cn_residual)),
-        static_run.report.max_unitarity_drift,
-        static_run.report.max_norm_error,
+        static_run.report.summary["max_unitarity_drift"],
+        static_run.report.summary["max_norm_error"],
     )
     d_max = float(np.max(diag.d_norm))
     flags = diag.criteria_flags()

@@ -195,7 +195,6 @@ class TestCliCommands:
                 raise DegeneracyError("near-degenerate spectrum at sample 3 (t=0.12)")
             result = real_run(scenario)
             result.report.checks["decomposition"] = {"value": 1.0, "tolerance": 1e-7, "pass": False}
-            result.report.passed = False
             return result
 
         monkeypatch.setattr(cli, "run_scenario", run)
@@ -271,7 +270,7 @@ class TestCliCommands:
         scenario_path = self._write(tmp_path)
         real = run_scenario(load_scenario(scenario_path))
         real.report.checks["decomposition"] = {"value": 1.0, "tolerance": 1e-7, "pass": False}
-        real.report.passed = False
+        assert real.report.to_dict()["pass"] is False
         monkeypatch.setattr(cli, "run_scenario", lambda scenario: real)
         assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_IDENTITY
         assert "decomposition" in capsys.readouterr().err

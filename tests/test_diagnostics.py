@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from adiab.diagnostics import run_diagnostics
 from adiab.linalg import max_abs
 from adiab.models import SchwingerParams, custom_model, schwinger_model
 from adiab.propagate import TimeGrid, evolve
-from adiab.runner import _criteria_fractions
+from adiab.runner import RunResult, _build_report, _criteria_fractions, run_pipeline
+from adiab.scenario import Scenario
 from adiab.tracking import track
 
 SLOW = SchwingerParams(1.0, 0.1, math.pi / 2)
@@ -17,13 +19,26 @@ FAST = SchwingerParams(1.0, 10.0, 0.1)
 
 @pytest.fixture(scope="module")
 def zero_energy_run():
-    """A static model whose tracked level sits exactly at zero energy."""
+    """A static model whose tracked level sits exactly at zero energy, with its report.
+
+    Any warning while the report is built fails the fixture.
+    """
     h = np.diag([0.0, 1.0]).astype(complex)
     model = custom_model(lambda t: h, lambda t: np.zeros_like(h), dim=2)
-    grid = TimeGrid(0.0, 2.0, 50)
-    path = track(model, grid)
-    traj = evolve(model, path.eigenvectors[0, :, 0], grid)
-    return run_diagnostics(model, traj, path, 0)
+    scenario = Scenario(
+        name="zero_energy",
+        model_kind="schwinger",  # the report's label only; the model above is what runs
+        params=SchwingerParams(1.0, 0.0, 0.0),
+        t_start=0.0,
+        t_end=2.0,
+        steps=50,
+        level=1,
+    )
+    pipe = run_pipeline(model, TimeGrid(0.0, 2.0, 50), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = _build_report(scenario, pipe)
+    return RunResult(scenario=scenario, pipeline=pipe, report=report)
 
 
 class TestAmplitudes:
@@ -161,10 +176,10 @@ class TestCriteria:
         ratios_c = diag.criteria_ratios[:, 1, 2]
         assert np.any(ratios_c >= 0.1)
         assert np.max(np.abs(diag.c[:, 1])) <= 0.12
-        assert fast_run.report.criteria_true_fraction["c"] < 1.0
+        assert fast_run.report.summary["criteria_true_fraction"]["c"] < 1.0
 
     def test_zero_tracked_energy_reported_undefined(self, zero_energy_run):
-        diag = zero_energy_run
+        diag = zero_energy_run.pipeline.diagnostics
         assert not np.any(diag.criteria_defined)
         flags = diag.criteria_flags()
         assert not np.any(flags[:, :, 0])
@@ -217,7 +232,14 @@ class TestReconstruction:
             assert np.nanmax(run.pipeline.diagnostics.cn_residual) <= 1e-7
 
     def test_zero_energy_undefined(self, zero_energy_run):
-        assert np.all(np.isnan(zero_energy_run.cn_residual))
+        assert np.all(np.isnan(zero_energy_run.pipeline.diagnostics.cn_residual))
+
+    def test_zero_energy_check_left_out(self, zero_energy_run):
+        report = zero_energy_run.report
+        assert "cn_reconstruction" not in report.checks
+        assert report.summary["max_cn_reconstruction_residual"] is None
+        assert report.passed
+        assert report.first_failure() is None
 
 
 class TestSchiff:
@@ -247,7 +269,7 @@ class TestStillnessConsequence:
         grid = TimeGrid(0.0, 10.0, 2000)
         path = track(model, grid, gauge="analytic")
         traj = evolve(model, path.eigenvectors[0, :, 0], grid)
-        diag = run_diagnostics(model, traj, path, 0)
+        diag = run_diagnostics(traj, path, 0)
         eps = np.max(diag.ddot_norm)
         span = grid.t_end - grid.t_start
         assert 10.0 * eps * span < 2.0  # the bound is not vacuous here
@@ -258,7 +280,6 @@ class TestStillnessConsequence:
 class TestDriverSurface:
     def test_four_level_pipeline(self):
         from adiab.models import random_smooth_model
-        from adiab.runner import run_pipeline
 
         model = random_smooth_model(4, seed=5)
         pipe = run_pipeline(model, TimeGrid(0.0, 2.0, 400), n=0)
@@ -273,14 +294,27 @@ class TestDriverSurface:
             assert not np.any(np.isnan(off_level[:, 1:]))
         assert diag.criteria_ratios.shape == (401, 4, 3)
 
+    def test_pipeline_evaluates_h_once_per_sample_and_midpoint(self):
+        base = schwinger_model(SLOW)
+        calls = []
+
+        def hamiltonian(t):
+            calls.append(t)
+            return base.hamiltonian(t)
+
+        grid = TimeGrid(0.0, 3.0, 60)
+        run_pipeline(custom_model(hamiltonian, base.derivative, dim=2), grid, n=0)
+        # track reads every sample, evolve every midpoint; diagnostics reuse the path's stack
+        assert len(calls) == (grid.steps + 1) + grid.steps
+
     def test_requires_states(self, slow_run):
         from adiab.propagate import Trajectory
 
         pipe = slow_run.pipeline
         with pytest.raises(ValueError, match="states"):
-            run_diagnostics(pipe.model, Trajectory(grid=pipe.grid), pipe.path, 0)
+            run_diagnostics(Trajectory(grid=pipe.grid), pipe.path, 0)
 
     def test_level_range_checked(self, slow_run):
         pipe = slow_run.pipeline
         with pytest.raises(ValueError, match="level"):
-            run_diagnostics(pipe.model, pipe.trajectory, pipe.path, 5)
+            run_diagnostics(pipe.trajectory, pipe.path, 5)

@@ -20,7 +20,6 @@ from adiab.models import (
     schwinger_hamiltonian_derivative,
     schwinger_model,
     transformed_hamiltonian,
-    transformed_hamiltonian_derivative,
 )
 
 params_strategy = st.builds(
@@ -188,32 +187,28 @@ class TestTransformed:
 
     def test_derivative_zero_when_static(self):
         u = np.eye(2, dtype=complex)
-        assert max_abs(transformed_hamiltonian_derivative(u, np.zeros((2, 2)))) == 0.0
+        assert max_abs(transformed_hamiltonian(u, np.zeros((2, 2)))) == 0.0
 
     def test_derivative_at_start(self):
         p = SchwingerParams(1.0, 0.5, 1.0)
         hdot = schwinger_hamiltonian_derivative(p, 0.0)
-        assert max_abs(transformed_hamiltonian_derivative(np.eye(2), hdot) + hdot) == 0.0
+        assert max_abs(transformed_hamiltonian(np.eye(2), hdot) + hdot) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             transformed_hamiltonian(np.eye(3), np.eye(2))
-        with pytest.raises(ValueError, match="mismatch"):
-            transformed_hamiltonian_derivative(np.eye(3), np.eye(2))
 
 
 class TestModelWrappers:
     def test_custom_model_fd_fallback(self):
         p = SchwingerParams(1.0, 0.2, 0.8)
-        model = custom_model(lambda t: schwinger_hamiltonian(p, t), dim=2, fd_step=1e-6)
+        model = custom_model(lambda t: schwinger_hamiltonian(p, t), dim=2)
         exact = schwinger_hamiltonian_derivative(p, 1.7)
         assert max_abs(model.derivative(1.7) - exact) < 1e-8
 
     def test_custom_model_validation(self):
         with pytest.raises(ValueError, match="dimension"):
             custom_model(lambda t: np.eye(1), dim=1)
-        with pytest.raises(ValueError, match="fd_step"):
-            custom_model(lambda t: np.eye(2), dim=2, fd_step=0.0)
 
     def test_random_smooth_model_is_hermitian_and_reproducible(self):
         m1 = random_smooth_model(4, seed=42)
@@ -231,6 +226,5 @@ class TestModelWrappers:
     def test_schwinger_model_bundles_closed_forms(self):
         model = schwinger_model(SchwingerParams(1.0, 0.1, 0.5))
         assert model.dim == 2
-        assert model.kind == "schwinger"
         assert model.analytic_eigensystem is not None
         assert model.analytic_eigensystem_derivative is not None
