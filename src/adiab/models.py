@@ -4,6 +4,9 @@ The rotating-field two-level model is exactly solvable; its eigensystem,
 eigenvector derivatives and transition amplitudes ship alongside the matrix
 form and act as oracles for the numerical pipeline. Natural units are used
 throughout (hbar = 1), so every frequency is an energy.
+
+Every function of time takes a scalar or an array of times and stacks one
+result per time in front (see ``Model``), so a whole grid is one call.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
     "SchwingerParams",
@@ -70,25 +74,37 @@ def _half_sin_sq(theta: float) -> float:
     return s * s
 
 
-def schwinger_hamiltonian(p: SchwingerParams, t: float) -> np.ndarray:
+def _phase(x) -> np.ndarray:
+    """e^{-ix} elementwise, built from real cosines and sines."""
+    ph = np.empty(np.shape(x), dtype=np.complex128)
+    ph.real = np.cos(x)
+    ph.imag = -np.sin(x)
+    return ph
+
+
+def _two_by_two(a00, a01, a10, a11) -> np.ndarray:
+    """Stack of 2x2 matrices [[a00, a01], [a10, a11]], broadcasting the entries."""
+    entries = np.broadcast_arrays(a00, a01, a10, a11)
+    return np.stack(entries, axis=-1, dtype=np.complex128).reshape(entries[0].shape + (2, 2))
+
+
+def schwinger_hamiltonian(p: SchwingerParams, t) -> np.ndarray:
     """(omega0/2) * [[cos θ, sin θ e^{-iωt}], [sin θ e^{iωt}, -cos θ]]."""
     half = 0.5 * p.omega0
-    wt = p.omega * t
-    # e^{-iωt} from real sines: cheaper per call than a numpy scalar exp.
-    off = half * math.sin(p.theta) * complex(math.cos(wt), -math.sin(wt))
+    off = half * math.sin(p.theta) * _phase(p.omega * t)
     diag = half * math.cos(p.theta)
-    return np.array([[diag, off], [off.conjugate(), -diag]], dtype=np.complex128)
+    return _two_by_two(diag, off, off.conj(), -diag)
 
 
-def schwinger_hamiltonian_derivative(p: SchwingerParams, t: float) -> np.ndarray:
+def schwinger_hamiltonian_derivative(p: SchwingerParams, t) -> np.ndarray:
     """Elementwise time derivative of the rotating-field Hamiltonian."""
     half = 0.5 * p.omega0
-    wt = p.omega * t
-    doff = -1j * p.omega * half * math.sin(p.theta) * complex(math.cos(wt), -math.sin(wt))
-    return np.array([[0.0, doff], [doff.conjugate(), 0.0]], dtype=np.complex128)
+    rate = -1j * p.omega * half * math.sin(p.theta)
+    doff = rate * _phase(p.omega * t)
+    return _two_by_two(0.0, doff, doff.conj(), 0.0)
 
 
-def schwinger_analytic_eigensystem(p: SchwingerParams, t: float) -> tuple[np.ndarray, np.ndarray]:
+def schwinger_analytic_eigensystem(p: SchwingerParams, t) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenvalues (-omega0/2, +omega0/2) and eigenvector columns.
 
     The eigenvector phases carry e^{∓iωt/2} factors; this is the fixed gauge
@@ -96,26 +112,22 @@ def schwinger_analytic_eigensystem(p: SchwingerParams, t: float) -> tuple[np.nda
     """
     half_sin = math.sin(0.5 * p.theta)
     half_cos = math.cos(0.5 * p.theta)
-    half_wt = 0.5 * p.omega * t
-    up = complex(math.cos(half_wt), -math.sin(half_wt))
-    dn = up.conjugate()
-    w = np.array([-0.5 * p.omega0, 0.5 * p.omega0])
-    v = np.array(
-        [[up * half_sin, up * half_cos], [-dn * half_cos, dn * half_sin]], dtype=np.complex128
-    )
-    return w, v
+    up = _phase(0.5 * p.omega * t)
+    dn = up.conj()
+    w = np.broadcast_to(np.array([-0.5 * p.omega0, 0.5 * p.omega0]), np.shape(t) + (2,)).copy()
+    return w, _two_by_two(up * half_sin, up * half_cos, -dn * half_cos, dn * half_sin)
 
 
-def schwinger_analytic_eigensystem_derivative(p: SchwingerParams, t: float) -> np.ndarray:
+def schwinger_analytic_eigensystem_derivative(p: SchwingerParams, t) -> np.ndarray:
     """Time derivatives of the closed-form eigenvector columns (same gauge)."""
     half_sin = math.sin(0.5 * p.theta)
     half_cos = math.cos(0.5 * p.theta)
     up = np.exp(-0.5j * p.omega * t)
     dn = np.exp(0.5j * p.omega * t)
     rate = 0.5j * p.omega
-    d1 = np.array([-rate * up * half_sin, -rate * dn * half_cos], dtype=np.complex128)
-    d2 = np.array([-rate * up * half_cos, rate * dn * half_sin], dtype=np.complex128)
-    return np.column_stack([d1, d2])
+    return _two_by_two(
+        -rate * up * half_sin, -rate * up * half_cos, -rate * dn * half_cos, rate * dn * half_sin
+    )
 
 
 def schwinger_analytic_amplitudes(p: SchwingerParams, t):
@@ -145,17 +157,20 @@ def schwinger_analytic_amplitudes(p: SchwingerParams, t):
 class Model:
     """A time-dependent Hamiltonian with optional extras.
 
-    ``hamiltonian(t)`` returns the dim x dim Hermitian matrix; ``derivative``
-    returns its elementwise time derivative when available. Models with a
-    closed-form eigensystem expose it through ``analytic_eigensystem`` (and
-    its derivative), which the tracker can use as a phase reference.
+    Every callable takes a scalar or an array of times ``t`` and returns one
+    result per time, shaped ``np.shape(t) + (dim, dim)``. ``hamiltonian``
+    gives the Hermitian matrices and ``derivative``, when available, their
+    elementwise time derivatives. Models with a closed-form eigensystem
+    expose it through ``analytic_eigensystem`` (eigenvalues shaped
+    ``np.shape(t) + (dim,)``) and its derivative, which the tracker can use
+    as a phase reference.
     """
 
     dim: int
-    hamiltonian: Callable[[float], np.ndarray]
-    derivative: Optional[Callable[[float], np.ndarray]] = None
-    analytic_eigensystem: Optional[Callable[[float], tuple[np.ndarray, np.ndarray]]] = None
-    analytic_eigensystem_derivative: Optional[Callable[[float], np.ndarray]] = field(
+    hamiltonian: Callable[[ArrayLike], np.ndarray]
+    derivative: Optional[Callable[[ArrayLike], np.ndarray]] = None
+    analytic_eigensystem: Optional[Callable[[ArrayLike], tuple[np.ndarray, np.ndarray]]] = None
+    analytic_eigensystem_derivative: Optional[Callable[[ArrayLike], np.ndarray]] = field(
         default=None, repr=False
     )
 
@@ -171,25 +186,47 @@ def schwinger_model(p: SchwingerParams) -> Model:
     )
 
 
+def _stacked(callback: Callable[[float], np.ndarray], dim: int) -> Callable[..., np.ndarray]:
+    """Lift a one-time callback t -> (dim, dim) to a time array, checking each shape."""
+
+    def stacked(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        mats = []
+        for s in t.ravel().tolist():
+            m = np.asarray(callback(s))
+            if m.shape != (dim, dim):
+                raise ValueError(
+                    f"model callback returned shape {m.shape} at t={s!r}; expected ({dim}, {dim})"
+                )
+            mats.append(m)
+        return np.stack(mats).reshape(t.shape + (dim, dim))
+
+    return stacked
+
+
 def custom_model(
     hamiltonian: Callable[[float], np.ndarray],
     derivative: Optional[Callable[[float], np.ndarray]] = None,
     *,
     dim: int,
 ) -> Model:
-    """Wrap a user-supplied H(t) callback.
+    """Wrap a user-supplied H(t) callback that takes one time.
 
-    When no analytic derivative is given, a central difference with a fixed
-    step of 1e-6 substitutes for it.
+    The model calls it once per requested time. When no analytic derivative
+    is given, a central difference with a fixed step of 1e-6 substitutes for
+    it. A callback result that is not (dim, dim) raises ``ValueError``.
     """
     if dim < 2:
         raise ValueError("model dimension must be at least 2")
+    h_stacked = _stacked(hamiltonian, dim)
     if derivative is None:
 
-        def derivative(t: float, _h=hamiltonian) -> np.ndarray:
-            return (_h(t + _FD_STEP) - _h(t - _FD_STEP)) / (2.0 * _FD_STEP)
+        def hdot_stacked(t) -> np.ndarray:
+            return (h_stacked(t + _FD_STEP) - h_stacked(t - _FD_STEP)) / (2.0 * _FD_STEP)
 
-    return Model(dim=dim, hamiltonian=hamiltonian, derivative=derivative)
+    else:
+        hdot_stacked = _stacked(derivative, dim)
+    return Model(dim=dim, hamiltonian=h_stacked, derivative=hdot_stacked)
 
 
 def random_smooth_model(
@@ -218,11 +255,17 @@ def random_smooth_model(
     a = draw_hermitian(drive)
     b = draw_hermitian(drive)
 
-    def hamiltonian(t: float) -> np.ndarray:
-        return static + a * math.cos(frequency * t) + b * math.sin(frequency * t)
+    def cos_sin(t) -> tuple[np.ndarray, np.ndarray]:
+        ft = (frequency * np.asarray(t, dtype=float))[..., np.newaxis, np.newaxis]
+        return np.cos(ft), np.sin(ft)
 
-    def derivative(t: float) -> np.ndarray:
-        return frequency * (-a * math.sin(frequency * t) + b * math.cos(frequency * t))
+    def hamiltonian(t) -> np.ndarray:
+        c, s = cos_sin(t)
+        return static + a * c + b * s
+
+    def derivative(t) -> np.ndarray:
+        c, s = cos_sin(t)
+        return frequency * (-a * s + b * c)
 
     return Model(dim=dim, hamiltonian=hamiltonian, derivative=derivative)
 
@@ -230,13 +273,14 @@ def random_smooth_model(
 def transformed_hamiltonian(u_at_t: np.ndarray, h_at_t: np.ndarray) -> np.ndarray:
     """-U† H U: the companion system driven by the propagator of H.
 
-    The result is Hermitian whenever H is, regardless of how accurately U is
-    unitary, since (U† H U)† = U† H U.
+    ``u_at_t`` and ``h_at_t`` are one (d, d) matrix each or equal-shape
+    stacks of them. The result is Hermitian whenever H is, regardless of how
+    accurately U is unitary, since (U† H U)† = U† H U.
     """
     u_at_t = np.asarray(u_at_t)
     h_at_t = np.asarray(h_at_t)
-    if u_at_t.shape != h_at_t.shape or u_at_t.ndim != 2:
+    if u_at_t.shape != h_at_t.shape or u_at_t.ndim < 2:
         raise ValueError(
             f"dimension mismatch: propagator {u_at_t.shape} vs operator {h_at_t.shape}"
         )
-    return -(u_at_t.conj().T @ h_at_t @ u_at_t)
+    return -(np.swapaxes(u_at_t.conj(), -2, -1) @ h_at_t @ u_at_t)

@@ -73,7 +73,7 @@ def _step_unitaries(model: Model, grid: TimeGrid) -> np.ndarray:
     """(K, dim, dim) midpoint unitaries exp(-i h H(t_k + h/2)), one batched solve."""
     h = grid.h
     mids = grid.samples[:-1] + 0.5 * h
-    return unitary_exponential(np.stack([model.hamiltonian(float(t)) for t in mids]), h)
+    return unitary_exponential(model.hamiltonian(mids), h)
 
 
 def _accumulate(unitaries: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -119,42 +119,45 @@ def marzlin_sanders_model(model_a: Model, grid: TimeGrid) -> tuple[Model, Trajec
     us = traj_a.propagators
     t0 = fine.t_start
     hf = fine.h
-    tol = 1e-6 * hf
 
-    def lookup(t: float) -> np.ndarray:
-        j = int(round((t - t0) / hf))
-        if j < 0 or j >= us.shape[0] or abs(t0 + j * hf - t) > tol:
+    def propagators_at(t) -> np.ndarray:
+        """U_a at each time of ``t``; every time must lie on the lattice."""
+        t = np.asarray(t, dtype=float)
+        j = np.rint((t - t0) / hf)
+        on = (j >= 0) & (j < us.shape[0]) & (np.abs(t0 + j * hf - t) <= 1e-6 * hf)
+        if not np.all(on):
             raise ValueError(
-                f"transformed model is defined only on its construction lattice; got t={t!r}"
+                "transformed model is defined only on its construction lattice; "
+                f"got t={float(t[~on].flat[0])!r}"
             )
-        return us[j]
+        return us[j.astype(np.intp)]
 
-    def hamiltonian(t: float) -> np.ndarray:
-        return transformed_hamiltonian(lookup(t), model_a.hamiltonian(t))
+    def hamiltonian(t) -> np.ndarray:
+        return transformed_hamiltonian(propagators_at(t), model_a.hamiltonian(t))
 
     derivative = None
     if model_a.derivative is not None:
-        def derivative(t: float) -> np.ndarray:
+        def derivative(t) -> np.ndarray:
             # -U† Hdot U: the U̇ = -iHU product-rule terms cancel.
-            return transformed_hamiltonian(lookup(t), model_a.derivative(t))
+            return transformed_hamiltonian(propagators_at(t), model_a.derivative(t))
 
     analytic_eigensystem = None
     analytic_derivative = None
     if model_a.analytic_eigensystem is not None:
         # Eigenpairs of -U†HU are (-E_i, U† v_i); ascending order reverses.
-        def analytic_eigensystem(t: float) -> tuple[np.ndarray, np.ndarray]:
+        def analytic_eigensystem(t) -> tuple[np.ndarray, np.ndarray]:
             w, v = model_a.analytic_eigensystem(t)
-            udag = lookup(t).conj().T
-            return -w[::-1], (udag @ v)[:, ::-1]
+            udag = np.swapaxes(propagators_at(t).conj(), -2, -1)
+            return -w[..., ::-1], (udag @ v)[..., ::-1]
 
         if model_a.analytic_eigensystem_derivative is not None:
-            def analytic_derivative(t: float) -> np.ndarray:
+            def analytic_derivative(t) -> np.ndarray:
                 w, v = model_a.analytic_eigensystem(t)
                 vdot = model_a.analytic_eigensystem_derivative(t)
-                udag = lookup(t).conj().T
+                udag = np.swapaxes(propagators_at(t).conj(), -2, -1)
                 # d/dt (U† v_i) = U† (i E_i v_i + v̇_i) since dU†/dt = iU†H.
-                cols = udag @ (1j * v * w[np.newaxis, :] + vdot)
-                return cols[:, ::-1]
+                cols = udag @ (1j * v * w[..., np.newaxis, :] + vdot)
+                return cols[..., ::-1]
 
     return (
         Model(

@@ -136,7 +136,7 @@ def _perturbation_residual(model: Model, path: SpectralPath) -> Optional[float]:
     v = path.eigenvectors[1:-1]
     dv = path.derivatives[1:-1]
     w = path.eigenvalues[1:-1]
-    hdots = np.stack([model.derivative(float(t)) for t in path.times[1:-1]])
+    hdots = model.derivative(path.times[1:-1])
     mats = np.einsum("kjm,kjl,kli->kmi", v.conj(), hdots, v)
     couplings = np.einsum("kjm,kji->kmi", v.conj(), dv)
     gaps = w[:, :, np.newaxis] - w[:, np.newaxis, :]

@@ -207,12 +207,12 @@ def track(
             raise ValueError(f"reference frame must be {dim}x{dim}, got {reference.shape}")
 
     ts = grid.samples
-    hs = np.stack([model.hamiltonian(float(t)) for t in ts])
+    hs = model.hamiltonian(ts)
     eigenvalues, raw = hermitian_eigendecompose(hs)
     gap = _gap_failure(_min_gaps(eigenvalues), np.linalg.norm(hs, axis=(1, 2)), ts)
 
     if gauge == "analytic":
-        refs = np.stack([model.analytic_eigensystem(float(t))[1] for t in ts])
+        refs = model.analytic_eigensystem(ts)[1]
         overlaps = np.einsum("kji,kji->ki", refs.conj(), raw)
         _raise_first(gap, _floor_failure(overlaps, "vs closed form", ts))
         phases = _unit(overlaps).conj()
@@ -261,25 +261,17 @@ def analytic_path(model: Model, grid: TimeGrid) -> SpectralPath:
     if model.analytic_eigensystem is None:
         raise ValueError("model does not provide a closed-form eigensystem")
     ts = grid.samples
-    n_samples = ts.shape[0]
-    dim = model.dim
-    eigenvalues = np.empty((n_samples, dim))
-    eigenvectors = np.empty((n_samples, dim, dim), dtype=np.complex128)
-    derivatives = np.empty((n_samples, dim, dim), dtype=np.complex128)
-    have_dv = model.analytic_eigensystem_derivative is not None
-    for k in range(n_samples):
-        t = float(ts[k])
-        eigenvalues[k], eigenvectors[k] = model.analytic_eigensystem(t)
-        if have_dv:
-            derivatives[k] = model.analytic_eigensystem_derivative(t)
+    eigenvalues, eigenvectors = model.analytic_eigensystem(ts)
     scales = np.max(np.abs(eigenvalues), axis=1)
     _raise_first(_gap_failure(_min_gaps(eigenvalues), np.where(scales > 0.0, scales, 1.0), ts))
-    if not have_dv:
+    if model.analytic_eigensystem_derivative is not None:
+        derivatives = model.analytic_eigensystem_derivative(ts)
+    else:
         derivatives = _fill_derivatives(eigenvectors, grid.h)
     return SpectralPath(
         grid=grid,
         times=ts,
-        hamiltonians=np.stack([model.hamiltonian(float(t)) for t in ts]),
+        hamiltonians=model.hamiltonian(ts),
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         derivatives=derivatives,

@@ -6,6 +6,8 @@ values (only the eigenvector columns, whose correctness is established by
 residual checks against H itself).
 """
 
+import math
+
 import numpy as np
 
 from adiab.diagnostics import run_diagnostics
@@ -43,6 +45,14 @@ def r2(p: SchwingerParams, t):
     return p.omega * np.sin(p.theta) * (
         1j * np.sin(wt * t / 2) / wt - np.exp(1j * beta1(p, t)) / (2.0 * p.omega0)
     )
+
+
+def hamiltonian(p: SchwingerParams, t: float) -> np.ndarray:
+    """The rotating-field H at one time, entry by entry with real sines."""
+    half = 0.5 * p.omega0
+    off = half * math.sin(p.theta) * complex(math.cos(p.omega * t), -math.sin(p.omega * t))
+    diag = half * math.cos(p.theta)
+    return np.array([[diag, off], [off.conjugate(), -diag]], dtype=np.complex128)
 
 
 def lower_eigvec_derivative(p: SchwingerParams, t: float) -> np.ndarray:

@@ -138,7 +138,7 @@ def _perturbation_identity_residual(model: Model, path) -> float:
     v = path.eigenvectors[1:-1]
     dv = path.derivatives[1:-1]
     w = path.eigenvalues[1:-1]
-    hdots = np.stack([model.derivative(float(t)) for t in path.times[1:-1]])
+    hdots = model.derivative(path.times[1:-1])
     mats = np.einsum("kjm,kjl,kli->kmi", v.conj(), hdots, v)
     couplings = np.einsum("kjm,kji->kmi", v.conj(), dv)
     gaps = w[:, :, np.newaxis] - w[:, np.newaxis, :]
@@ -187,8 +187,8 @@ def _shifted_model(params: SchwingerParams, shift, shift_rate) -> Model:
     eye = np.eye(2, dtype=complex)
     return Model(
         dim=2,
-        hamiltonian=lambda t: base.hamiltonian(t) + shift(t) * eye,
-        derivative=lambda t: base.derivative(t) + shift_rate(t) * eye,
+        hamiltonian=lambda t: base.hamiltonian(t) + np.asarray(shift(t))[..., None, None] * eye,
+        derivative=lambda t: base.derivative(t) + np.asarray(shift_rate(t))[..., None, None] * eye,
     )
 
 

@@ -7,9 +7,15 @@ import pytest
 import oracles
 from adiab.diagnostics import run_diagnostics
 from adiab.linalg import max_abs
-from adiab.models import SchwingerParams, custom_model, schwinger_model
+from adiab.models import Model, SchwingerParams, custom_model, schwinger_model
 from adiab.propagate import TimeGrid, evolve
-from adiab.runner import RunResult, _build_report, _criteria_fractions, run_pipeline
+from adiab.runner import (
+    RunResult,
+    _build_report,
+    _criteria_fractions,
+    _perturbation_residual,
+    run_pipeline,
+)
 from adiab.scenario import Scenario
 from adiab.tracking import track
 
@@ -306,6 +312,24 @@ class TestDriverSurface:
         run_pipeline(custom_model(hamiltonian, base.derivative, dim=2), grid, n=0)
         # track reads every sample, evolve every midpoint; diagnostics reuse the path's stack
         assert len(calls) == (grid.steps + 1) + grid.steps
+
+    def test_pipeline_calls_each_model_callable_once_per_stack(self):
+        base = schwinger_model(SLOW)
+        calls = {}
+
+        def counted(name):
+            def f(t):
+                calls[name] = calls.get(name, 0) + 1
+                return getattr(base, name)(t)
+
+            return f
+
+        names = ("hamiltonian", "derivative", "analytic_eigensystem")
+        model = Model(dim=2, **{n: counted(n) for n in names})
+        pipe = run_pipeline(model, TimeGrid(0.0, 3.0, 60), n=0, gauge="analytic")
+        _perturbation_residual(model, pipe.path)
+        # samples and midpoints; the closed forms and Hdot each over one stack
+        assert calls == {"hamiltonian": 2, "analytic_eigensystem": 1, "derivative": 1}
 
     def test_requires_states(self, slow_run):
         from adiab.propagate import Trajectory

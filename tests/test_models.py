@@ -21,6 +21,8 @@ from adiab.models import (
     schwinger_model,
     transformed_hamiltonian,
 )
+from adiab.propagate import TimeGrid, marzlin_sanders_model
+from adiab.runner import run_pipeline
 
 params_strategy = st.builds(
     SchwingerParams,
@@ -210,6 +212,13 @@ class TestModelWrappers:
         with pytest.raises(ValueError, match="dimension"):
             custom_model(lambda t: np.eye(1), dim=1)
 
+    def test_custom_model_rejects_wrong_callback_shape(self):
+        model = custom_model(lambda t: np.eye(3, dtype=complex), dim=2)
+        with pytest.raises(ValueError, match=r"shape \(3, 3\) at t=0\.25; expected \(2, 2\)"):
+            model.hamiltonian(0.25)
+        with pytest.raises(ValueError, match=r"shape \(3, 3\) at t=0\.0; expected \(2, 2\)"):
+            run_pipeline(model, TimeGrid(0.0, 1.0, 10), n=0)
+
     def test_random_smooth_model_is_hermitian_and_reproducible(self):
         m1 = random_smooth_model(4, seed=42)
         m2 = random_smooth_model(4, seed=42)
@@ -228,3 +237,65 @@ class TestModelWrappers:
         assert model.dim == 2
         assert model.analytic_eigensystem is not None
         assert model.analytic_eigensystem_derivative is not None
+
+
+def _pair_on_lattice():
+    grid = TimeGrid(0.0, 2.0, 40)
+    model_b, _ = marzlin_sanders_model(schwinger_model(SchwingerParams(1.0, 0.1, 0.7)), grid)
+    return model_b, grid.refined(2).samples
+
+
+def _custom_with_fd_fallback():
+    p = SchwingerParams(1.0, 0.3, 1.1)
+    return custom_model(lambda t: schwinger_hamiltonian(p, t), dim=2), np.linspace(0.0, 3.0, 31)
+
+
+PROTOCOL_MODELS = {
+    "schwinger": lambda: (schwinger_model(SchwingerParams(1.0, 0.3, 1.1)), np.linspace(-2, 9, 45)),
+    "random_smooth": lambda: (random_smooth_model(5, seed=3), np.linspace(0.0, 7.0, 29)),
+    "custom": _custom_with_fd_fallback,
+    "marzlin_sanders": _pair_on_lattice,
+}
+
+
+class TestStackedProtocol:
+    """Every Model callable maps a time array to the stack of its per-time results."""
+
+    @staticmethod
+    def _callables(model):
+        out = {"hamiltonian": model.hamiltonian, "derivative": model.derivative}
+        if model.analytic_eigensystem is not None:
+            out["eigenvalues"] = lambda t: model.analytic_eigensystem(t)[0]
+            out["eigenvectors"] = lambda t: model.analytic_eigensystem(t)[1]
+            out["eigenvector_derivative"] = model.analytic_eigensystem_derivative
+        return out
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_MODELS))
+    def test_array_call_equals_stacked_scalar_calls(self, name):
+        model, ts = PROTOCOL_MODELS[name]()
+        for what, f in self._callables(model).items():
+            per_time = np.stack([f(float(t)) for t in ts])
+            stacked = f(ts)
+            assert stacked.shape == per_time.shape, what
+            assert stacked.dtype == per_time.dtype, what
+            # bitwise, signed zeros included
+            assert np.ascontiguousarray(stacked).tobytes() == per_time.tobytes(), what
+
+    def test_rotating_field_matches_one_time_reference(self):
+        # the midpoints of the fast_theta_pi4 panel, bit for bit
+        p = SchwingerParams(1.0, 10.0, math.pi / 4)
+        grid = TimeGrid(0.0, 4.0, 40000)
+        mids = grid.samples[:-1] + 0.5 * grid.h
+        reference = np.stack([oracles.hamiltonian(p, float(t)) for t in mids])
+        assert schwinger_hamiltonian(p, mids).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_MODELS))
+    def test_result_shapes(self, name):
+        model, ts = PROTOCOL_MODELS[name]()
+        d = model.dim
+        grid2d = ts[: 2 * (len(ts) // 2)].reshape(2, -1)
+        for what, f in self._callables(model).items():
+            tail = (d,) if what == "eigenvalues" else (d, d)
+            assert f(float(ts[3])).shape == tail, what
+            assert f(ts).shape == ts.shape + tail, what
+            assert f(grid2d).shape == grid2d.shape + tail, what

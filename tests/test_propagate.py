@@ -150,6 +150,10 @@ class TestTransformedPair:
         model_b, _ = marzlin_sanders_model(schwinger_model(SLOW), TimeGrid(0.0, 1.0, 100))
         with pytest.raises(ValueError, match="lattice"):
             model_b.hamiltonian(0.0012345)
+        ts = TimeGrid(0.0, 1.0, 200).samples  # the half-step lattice
+        ts[37] = 0.18612345
+        with pytest.raises(ValueError, match=r"lattice; got t=0\.18612345$"):
+            model_b.hamiltonian(ts)
 
     def test_attached_closed_forms(self):
         model_a = schwinger_model(SLOW)
