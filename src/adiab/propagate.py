@@ -3,11 +3,19 @@
 One step maps psi(t) to exp(-i h H(t + h/2)) psi(t): a midpoint exponential
 rule, second order in h, with every step exactly unitary up to rounding.
 States are never rescaled; norm conservation is by construction.
+
+Each propagation makes one product pass: the running propagators U(t_k) are
+accumulated once, and the states are read off that stack as U(t_k) psi0. At
+dim <= ``_SCAN_MAX_DIM`` the pass is a log-depth pairwise prefix product
+(Blelloch, "Prefix sums and their applications", 1990), a few batched
+``matmul`` calls per level; above it, a sequential loop, since the scan does
+twice the flops and loses once the arithmetic outweighs the Python overhead.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +32,16 @@ __all__ = [
     "marzlin_sanders_model",
 ]
 
+# Largest dim at which the pairwise scan beats the sequential product loop.
+# Measured (us/step, scan against loop): it wins at dims 2, 4 and 8 for every
+# K from 16 to 10 000, is mixed at 16 and loses from 32 up.
+_SCAN_MAX_DIM = 8
+
+
+def _is_integral(value) -> bool:
+    """Any integer type (Python or numpy) except ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -34,8 +52,9 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not isinstance(self.steps, int) or self.steps < 1:
+        if not _is_integral(self.steps) or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
+        object.__setattr__(self, "steps", int(self.steps))
         if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
             raise ValueError("grid endpoints must be finite")
         if not self.t_end > self.t_start:
@@ -51,7 +70,7 @@ class TimeGrid:
 
     def refined(self, factor: int = 2) -> "TimeGrid":
         """Same span with ``factor`` times as many steps."""
-        if not isinstance(factor, int) or factor < 1:
+        if not _is_integral(factor) or factor < 1:
             raise ValueError("refinement factor must be a positive integer")
         return TimeGrid(self.t_start, self.t_end, self.steps * factor)
 
@@ -60,8 +79,10 @@ class TimeGrid:
 class Trajectory:
     """Propagated samples along a grid.
 
-    ``states[k]`` is psi(t_k) when a state was evolved; ``propagators[k]``
-    is the accumulated U(t_k) when requested, with ``propagators[0] = I``.
+    ``propagators[k]`` is the accumulated U(t_k), with ``propagators[0] = I``;
+    ``states[k]`` is psi(t_k) = U(t_k) psi0 when a state was evolved, read off
+    that one stack. The stack is a pairwise prefix product at
+    dim <= ``_SCAN_MAX_DIM`` and a sequential loop above it.
     """
 
     grid: TimeGrid
@@ -76,32 +97,50 @@ def _step_unitaries(model: Model, grid: TimeGrid) -> np.ndarray:
     return unitary_exponential(model.hamiltonian(mids), h)
 
 
-def _accumulate(unitaries: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Running products out[k + 1] = U_k out[k] from out[0] = first."""
-    out = np.empty((unitaries.shape[0] + 1,) + first.shape, dtype=np.complex128)
-    out[0] = first
-    for k, u in enumerate(unitaries):
-        np.matmul(u, out[k], out=out[k + 1])
+def _prefix_products(us: np.ndarray, out: np.ndarray) -> None:
+    """Write the inclusive products out[k] = us[k] ... us[0] in log2(K) levels.
+
+    Neighbours pair into one batched product, the scan of the pairs gives the
+    odd prefixes, and one more batched product fills the even ones.
+    """
+    n = us.shape[0]
+    out[0] = us[0]
+    if n == 1:
+        return
+    _prefix_products(us[1::2] @ us[0 : n - 1 : 2], out[1::2])
+    np.matmul(us[2::2], out[1 : n - 1 : 2], out=out[2::2])
+
+
+def _accumulate(unitaries: np.ndarray) -> np.ndarray:
+    """Running propagators out[0] = I, out[k + 1] = U_k out[k]."""
+    dim = unitaries.shape[-1]
+    out = np.empty((unitaries.shape[0] + 1, dim, dim), dtype=np.complex128)
+    out[0] = np.eye(dim)
+    if dim <= _SCAN_MAX_DIM:
+        _prefix_products(unitaries, out[1:])
+    else:
+        for k, u in enumerate(unitaries):
+            np.matmul(u, out[k], out=out[k + 1])
     return out
 
 
-def evolve(model: Model, psi0, grid: TimeGrid, keep_propagators: bool = False) -> Trajectory:
+def evolve(model: Model, psi0, grid: TimeGrid) -> Trajectory:
     """Propagate a normalized state over the grid.
 
-    Global error is O(h^2) against the exact flow. Raises for a
-    non-normalized initial state or a dimension mismatch.
+    Returns the running propagators and the states read off them. Global
+    error is O(h^2) against the exact flow. Raises for a non-normalized
+    initial state or a dimension mismatch.
     """
     psi0 = require_normalized(psi0)
     if psi0.shape[0] != model.dim:
         raise ValueError(f"state dimension {psi0.shape[0]} does not match model dim {model.dim}")
-    unitaries = _step_unitaries(model, grid)
-    propagators = _accumulate(unitaries, np.eye(model.dim)) if keep_propagators else None
-    return Trajectory(grid=grid, states=_accumulate(unitaries, psi0), propagators=propagators)
+    propagators = _accumulate(_step_unitaries(model, grid))
+    return Trajectory(grid=grid, states=propagators @ psi0, propagators=propagators)
 
 
 def propagator_matrix(model: Model, grid: TimeGrid) -> Trajectory:
     """Accumulate the full propagator over the grid, U[0] = identity."""
-    propagators = _accumulate(_step_unitaries(model, grid), np.eye(model.dim))
+    propagators = _accumulate(_step_unitaries(model, grid))
     return Trajectory(grid=grid, states=None, propagators=propagators)
 
 

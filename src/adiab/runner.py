@@ -113,7 +113,7 @@ def run_pipeline(
     path = track(model, grid, gauge=gauge)
     psi0 = path.eigenvectors[0, :, n].copy()
     psi0 /= np.linalg.norm(psi0)
-    trajectory = evolve(model, require_normalized(psi0), grid, keep_propagators=True)
+    trajectory = evolve(model, require_normalized(psi0), grid)
     diagnostics = run_diagnostics(trajectory, path, n, margin=margin)
     return PipelineResult(
         model=model, grid=grid, path=path, trajectory=trajectory, diagnostics=diagnostics
@@ -122,8 +122,6 @@ def run_pipeline(
 
 def _unitarity_drift(trajectory: Trajectory) -> float:
     us = trajectory.propagators
-    if us is None:
-        return 0.0
     grams = np.einsum("kji,kjl->kil", us.conj(), us)
     grams -= np.eye(us.shape[1])
     return float(np.max(np.abs(grams)))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +280,18 @@ class TestCliCommands:
         assert "decomposition" in capsys.readouterr().err
 
 
+class TestModuleEntryPoint:
+    def test_python_m_adiab_verify(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "adiab", "verify", "scenarios/static_field.json"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "PASS" in done.stdout
+
+
 class TestShippedScenarios:
     def test_session_runs_pass_their_own_gate(self, panel_runs, static_run, ms_run):
         for run in (*panel_runs.values(), static_run, ms_run):
@@ -283,8 +299,6 @@ class TestShippedScenarios:
             assert run.report.passed, f"{run.scenario.name}: {failing} check failed"
 
     def test_all_shipped_documents_parse(self):
-        from pathlib import Path
-
         shipped = sorted((Path(__file__).parent.parent / "scenarios").glob("*.json"))
         assert len(shipped) == 8
         for path in shipped:

@@ -6,7 +6,14 @@ import pytest
 import oracles
 from adiab.linalg import max_abs
 from adiab.models import SchwingerParams, custom_model, schwinger_model
-from adiab.propagate import TimeGrid, evolve, marzlin_sanders_model, propagator_matrix
+from adiab.propagate import (
+    _SCAN_MAX_DIM,
+    TimeGrid,
+    _accumulate,
+    evolve,
+    marzlin_sanders_model,
+    propagator_matrix,
+)
 from adiab.tracking import track
 
 SLOW = SchwingerParams(1.0, 0.1, math.pi / 2)
@@ -34,6 +41,18 @@ class TestTimeGrid:
     def test_invalid_rejected(self, args):
         with pytest.raises(ValueError):
             TimeGrid(*args)
+
+    def test_numpy_integers_accepted_as_plain_int(self):
+        grid = TimeGrid(0.0, 1.0, np.int64(10))
+        assert grid.steps == 10 and type(grid.steps) is int
+        fine = grid.refined(np.int32(3))
+        assert fine.steps == 30 and type(fine.steps) is int
+
+    def test_booleans_rejected(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            TimeGrid(0.0, 1.0, True)
+        with pytest.raises(ValueError, match="positive integer"):
+            TimeGrid(0.0, 1.0, 10).refined(True)
 
 
 class TestEvolve:
@@ -76,6 +95,45 @@ class TestEvolve:
         assert max_abs(full.states[-1] - second.states[-1]) <= 1e-12
 
 
+def _random_unitaries(k, dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((k, dim, dim)) + 1j * rng.standard_normal((k, dim, dim))
+    q, _ = np.linalg.qr(a)
+    return q
+
+
+def _sequential_products(unitaries):
+    """Reference: out[0] = I, out[k + 1] = U_k out[k], one product at a time."""
+    out = [np.eye(unitaries.shape[-1], dtype=complex)]
+    for u in unitaries:
+        out.append(u @ out[-1])
+    return np.array(out)
+
+
+class TestAccumulate:
+    @pytest.mark.parametrize("dim", [2, 8, _SCAN_MAX_DIM + 1])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33])
+    def test_matches_sequential_product(self, k, dim):
+        us = _random_unitaries(k, dim, seed=100 * k + dim)
+        out = _accumulate(us)
+        assert out.shape == (k + 1, dim, dim)
+        assert np.array_equal(out[0], np.eye(dim))
+        assert max_abs(out - _sequential_products(us)) <= 1e-13
+        grams = np.swapaxes(out.conj(), -2, -1) @ out
+        assert max_abs(grams - np.eye(dim)) <= 1e-12
+
+    def test_single_step_grid(self):
+        model = schwinger_model(SLOW)
+        grid = TimeGrid(0.0, 1.0, 1)
+        psi0 = _ground(model)
+        traj = evolve(model, psi0, grid)
+        step = propagator_matrix(model, grid).propagators[1]
+        assert traj.states.shape == (2, 2)
+        assert np.array_equal(traj.propagators[0], np.eye(2))
+        assert max_abs(traj.states[0] - psi0) == 0.0
+        assert max_abs(traj.states[1] - step @ psi0) <= 1e-15
+
+
 def _ground(model):
     _, v = model.analytic_eigensystem(0.0)
     return v[:, 0].copy()
@@ -98,6 +156,12 @@ class TestPropagatorMatrix:
         props = propagator_matrix(model, grid)
         applied = np.einsum("kij,j->ki", props.propagators, psi0)
         assert max_abs(traj.states - applied) <= 1e-12
+
+    def test_states_read_off_propagators(self):
+        model = schwinger_model(SLOW)
+        psi0 = _ground(model)
+        traj = evolve(model, psi0, TimeGrid(0.0, 6.0, 600))
+        assert np.array_equal(traj.states, traj.propagators @ psi0)
 
     def test_unitarity_drift(self, slow_run):
         us = slow_run.pipeline.trajectory.propagators
@@ -127,8 +191,8 @@ class TestTransformedPair:
         model_b, fine = marzlin_sanders_model(model_a, grid)
 
         psi0 = track(model_b, grid).eigenvectors[0, :, 0]
-        traj_b = evolve(model_b, psi0, grid, keep_propagators=True)
-        traj_a = evolve(model_a, _ground(model_a), grid, keep_propagators=True)
+        traj_b = evolve(model_b, psi0, grid)
+        traj_a = evolve(model_a, _ground(model_a), grid)
 
         products = np.einsum("kij,kjl->kil", traj_b.propagators, traj_a.propagators)
         assert np.max(np.abs(products - np.eye(2))) <= 1e-6
