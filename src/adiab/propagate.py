@@ -5,11 +5,9 @@ rule, second order in h, with every step exactly unitary up to rounding.
 States are never rescaled; norm conservation is by construction.
 
 Each propagation makes one product pass: the running propagators U(t_k) are
-accumulated once, and the states are read off that stack as U(t_k) psi0. At
-dim <= ``_SCAN_MAX_DIM`` the pass is a log-depth pairwise prefix product
-(Blelloch, "Prefix sums and their applications", 1990), a few batched
-``matmul`` calls per level; above it, a sequential loop, since the scan does
-twice the flops and loses once the arithmetic outweighs the Python overhead.
+accumulated once, and the states are read off that stack as U(t_k) psi0. The
+pass is a log-depth pairwise prefix product (Blelloch, "Prefix sums and their
+applications", 1990), a few batched ``matmul`` calls per level.
 """
 
 from __future__ import annotations
@@ -31,11 +29,6 @@ __all__ = [
     "propagator_matrix",
     "marzlin_sanders_model",
 ]
-
-# Largest dim at which the pairwise scan beats the sequential product loop.
-# Measured (us/step, scan against loop): it wins at dims 2, 4 and 8 for every
-# K from 16 to 10 000, is mixed at 16 and loses from 32 up.
-_SCAN_MAX_DIM = 8
 
 
 def _is_integral(value) -> bool:
@@ -81,8 +74,7 @@ class Trajectory:
 
     ``propagators[k]`` is the accumulated U(t_k), with ``propagators[0] = I``;
     ``states[k]`` is psi(t_k) = U(t_k) psi0 when a state was evolved, read off
-    that one stack. The stack is a pairwise prefix product at
-    dim <= ``_SCAN_MAX_DIM`` and a sequential loop above it.
+    that one stack.
     """
 
     grid: TimeGrid
@@ -116,11 +108,7 @@ def _accumulate(unitaries: np.ndarray) -> np.ndarray:
     dim = unitaries.shape[-1]
     out = np.empty((unitaries.shape[0] + 1, dim, dim), dtype=np.complex128)
     out[0] = np.eye(dim)
-    if dim <= _SCAN_MAX_DIM:
-        _prefix_products(unitaries, out[1:])
-    else:
-        for k, u in enumerate(unitaries):
-            np.matmul(u, out[k], out=out[k + 1])
+    _prefix_products(unitaries, out[1:])
     return out
 
 
