@@ -42,19 +42,17 @@ class DiagnosticsResult:
     """Stacked diagnostics over a full run (K+1 samples, dim levels).
 
     Levels are indexed from 0. Off-level arrays (q, r, qac, residual,
-    schiff, criteria_*) hold NaN on the tracked column, where the split has
+    criteria_ratios) hold NaN on the tracked column, where the split has
     no meaning. Besides the split: ``lam`` = |<E_n|Ḋ> + i E_n <E_n|D>|;
     ``equivalence`` = ||i Ḋ - E_n D||, zero exactly when every R_m is;
-    ``cn_residual`` = |c_n - e^{i beta_n} - i<E_n|Ḋ>/E_n|, NaN at E_n = 0;
-    ``schiff`` = i<E_m|Ė_n>/(E_m - E_n) (e^{i(E_m - E_n)t} - 1), the
-    textbook first-order estimate, for comparison only. ``criteria_ratios``
-    holds (a) ||D|| |E_n|, (b) ||Ḋ||, (c) ||i Ḋ - E_n D||, each over
-    |E_m - E_n|; ``criteria_projected`` uses <E_m| projections in place of
-    norms; ``criteria_defined`` is False where E_n = 0 leaves (a) undefined.
+    ``cn_residual`` = |c_n - e^{i beta_n} - i<E_n|Ḋ>/E_n|, NaN at E_n = 0.
+    ``criteria_ratios`` holds (a) ||D|| |E_n|, (b) ||Ḋ||, (c) ||i Ḋ - E_n D||,
+    each over |E_m - E_n|; ``criteria_defined`` is False where E_n = 0 leaves
+    (a) undefined. The margin that reads the ratios as "much less than" is a
+    report threshold, passed to ``criteria_flags``.
     """
 
     level: int
-    margin: float
     times: np.ndarray
     c: np.ndarray
     beta: np.ndarray
@@ -70,9 +68,7 @@ class DiagnosticsResult:
     lam: np.ndarray
     equivalence: np.ndarray
     cn_residual: np.ndarray
-    schiff: np.ndarray
     criteria_ratios: np.ndarray
-    criteria_projected: np.ndarray
     criteria_defined: np.ndarray
     norm_error: np.ndarray
     probability_defect: np.ndarray
@@ -85,10 +81,10 @@ class DiagnosticsResult:
     def dim(self) -> int:
         return self.c.shape[1]
 
-    def criteria_flags(self) -> np.ndarray:
-        """(K+1, dim, 3) booleans; NaN ratios and undefined checks are False."""
+    def criteria_flags(self, margin: float) -> np.ndarray:
+        """(K+1, dim, 3) booleans: ratio < ``margin``. NaN ratios and undefined checks are False."""
         with np.errstate(invalid="ignore"):
-            flags = self.criteria_ratios < self.margin
+            flags = self.criteria_ratios < margin
         flags[:, :, 0] &= self.criteria_defined[:, np.newaxis]
         return flags
 
@@ -101,7 +97,6 @@ def run_diagnostics(
     trajectory: Trajectory,
     path: SpectralPath,
     n: int,
-    margin: float = 0.1,
 ) -> DiagnosticsResult:
     """Compute the full diagnostic set along a propagated trajectory.
 
@@ -152,35 +147,20 @@ def run_diagnostics(
 
     off = np.arange(dim) != n
     gap = w[:, off] - e_n[:, np.newaxis]
-    abs_gap = np.abs(gap)
     q = np.full((n_samples, dim), np.nan, dtype=np.complex128)
     r = np.full((n_samples, dim), np.nan, dtype=np.complex128)
-    schiff = np.full((n_samples, dim), np.nan, dtype=np.complex128)
     residual = np.full((n_samples, dim), np.nan)
     ratios = np.full((n_samples, dim, 3), np.nan)
-    projected = np.full((n_samples, dim, 3), np.nan)
     q[:, off] = 1j * phase[:, np.newaxis] * coupling[:, off] / gap
     r[:, off] = (-e_n[:, np.newaxis] * proj_d[:, off] + 1j * proj_ddot[:, off]) / gap
     residual[:, off] = np.abs(c[:, off] - q[:, off] - r[:, off])
-    schiff[:, off] = (
-        1j * coupling[:, off] / gap * (np.exp(1j * gap * path.times[:, np.newaxis]) - 1.0)
-    )
     ratios[:, off] = np.stack(
         [d_norm * np.abs(e_n), ddot_norm, equivalence], axis=1
-    )[:, np.newaxis, :] / abs_gap[:, :, np.newaxis]
-    projected[:, off] = np.stack(
-        [
-            np.abs(proj_d[:, off]) * np.abs(e_n)[:, np.newaxis],
-            np.abs(proj_ddot[:, off]),
-            np.abs(1j * proj_ddot[:, off] - e_n[:, np.newaxis] * proj_d[:, off]),
-        ],
-        axis=2,
-    ) / abs_gap[:, :, np.newaxis]
+    )[:, np.newaxis, :] / np.abs(gap)[:, :, np.newaxis]
     norm_error = np.abs(np.linalg.norm(states, axis=1) - 1.0)
     probability_defect = np.abs(np.einsum("km->k", np.abs(c) ** 2) - 1.0)
     return DiagnosticsResult(
         level=n,
-        margin=margin,
         times=path.times,
         c=c,
         beta=beta,
@@ -196,9 +176,7 @@ def run_diagnostics(
         lam=lam,
         equivalence=equivalence,
         cn_residual=cn_res,
-        schiff=schiff,
         criteria_ratios=ratios,
-        criteria_projected=projected,
         criteria_defined=defined,
         norm_error=norm_error,
         probability_defect=probability_defect,

@@ -38,13 +38,13 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(np.asarray(a))))
 
 
-def require_hermitian(h, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def require_hermitian(h) -> np.ndarray:
     """Validate that ``h`` is a finite square Hermitian matrix, or a stack.
 
     ``h`` is one (d, d) matrix or a (K, d, d) stack, each checked on its own:
-    elementwise |h[i,j] - conj(h[j,i])| must stay within ``atol``, which also
-    bounds imaginary parts on the diagonal. An error about a stack names the
-    first failing matrix. Returns ``h`` as an ndarray.
+    elementwise |h[i,j] - conj(h[j,i])| must stay within ``HERMITIAN_ATOL``,
+    which also bounds imaginary parts on the diagonal. An error about a stack
+    names the first failing matrix. Returns ``h`` as an ndarray.
     """
     h = np.asarray(h)
     if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
@@ -54,11 +54,12 @@ def require_hermitian(h, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     if not np.all(finite):
         raise ValueError(f"operator{_which(h, finite)} contains non-finite entries")
     defects = np.max(np.abs(stack - np.swapaxes(stack.conj(), 1, 2)), axis=(1, 2), initial=0.0)
-    ok = defects <= atol
+    ok = defects <= HERMITIAN_ATOL
     if not np.all(ok):
         defect = defects[np.argmin(ok)]
         raise ValueError(
-            f"operator{_which(h, ok)} is not Hermitian (defect {defect:.3e} > {atol:.1e})"
+            f"operator{_which(h, ok)} is not Hermitian "
+            f"(defect {defect:.3e} > {HERMITIAN_ATOL:.1e})"
         )
     return h
 
@@ -68,28 +69,28 @@ def _which(h: np.ndarray, ok: np.ndarray) -> str:
     return f" {int(np.argmin(ok))} of the stack" if h.ndim == 3 else ""
 
 
-def require_unitary(u, atol: float = UNITARY_ATOL) -> np.ndarray:
-    """Validate that U†U stays within ``atol`` of the identity (max-norm)."""
+def require_unitary(u) -> np.ndarray:
+    """Validate that U†U stays within ``UNITARY_ATOL`` of the identity (max-norm)."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("operator must be a square matrix")
     if not np.all(np.isfinite(u)):
         raise ValueError("operator contains non-finite entries")
     defect = max_abs(u.conj().T @ u - np.eye(u.shape[0]))
-    if defect > atol:
-        raise ValueError(f"operator is not unitary (defect {defect:.3e} > {atol:.1e})")
+    if defect > UNITARY_ATOL:
+        raise ValueError(f"operator is not unitary (defect {defect:.3e} > {UNITARY_ATOL:.1e})")
     return u
 
 
-def require_normalized(v, atol: float = NORMALIZED_ATOL) -> np.ndarray:
+def require_normalized(v) -> np.ndarray:
     v = np.asarray(v)
     if v.ndim != 1:
         raise ValueError("state must be a 1-D vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("state contains non-finite entries")
     defect = abs(np.linalg.norm(v) - 1.0)
-    if defect > atol:
-        raise ValueError(f"state is not normalized (defect {defect:.3e} > {atol:.1e})")
+    if defect > NORMALIZED_ATOL:
+        raise ValueError(f"state is not normalized (defect {defect:.3e} > {NORMALIZED_ATOL:.1e})")
     return v
 
 

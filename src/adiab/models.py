@@ -51,11 +51,11 @@ class SchwingerParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.omega0) and self.omega0 > 0.0):
-            raise ValueError(f"omega0 must be positive and finite, got {self.omega0}")
+            raise ValueError(f"omega0: must be positive and finite, got {self.omega0}")
         if not (math.isfinite(self.omega) and self.omega >= 0.0):
-            raise ValueError(f"omega must be nonnegative and finite, got {self.omega}")
+            raise ValueError(f"omega: must be nonnegative and finite, got {self.omega}")
         if not (math.isfinite(self.theta) and 0.0 <= self.theta <= math.pi):
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+            raise ValueError(f"theta: must lie in [0, pi], got {self.theta}")
 
 
 def effective_rabi_frequency(p: SchwingerParams) -> float:

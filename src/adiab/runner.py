@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from adiab.diagnostics import DiagnosticsResult, run_diagnostics
-from adiab.linalg import require_normalized
 from adiab.models import Model, schwinger_model
 from adiab.propagate import TimeGrid, Trajectory, evolve, marzlin_sanders_model
 from adiab.scenario import SCHEMA_VERSION, Scenario
@@ -107,14 +106,13 @@ def run_pipeline(
     grid: TimeGrid,
     n: int,
     gauge: str = "transport",
-    margin: float = 0.1,
 ) -> PipelineResult:
     """Track the eigensystem, start in level ``n`` (0-based), propagate, diagnose."""
     path = track(model, grid, gauge=gauge)
     psi0 = path.eigenvectors[0, :, n].copy()
     psi0 /= np.linalg.norm(psi0)
-    trajectory = evolve(model, require_normalized(psi0), grid)
-    diagnostics = run_diagnostics(trajectory, path, n, margin=margin)
+    trajectory = evolve(model, psi0, grid)
+    diagnostics = run_diagnostics(trajectory, path, n)
     return PipelineResult(
         model=model, grid=grid, path=path, trajectory=trajectory, diagnostics=diagnostics
     )
@@ -147,8 +145,8 @@ def _off_levels(dim: int, n: int) -> list[int]:
     return [m for m in range(dim) if m != n]
 
 
-def _criteria_fractions(diag: DiagnosticsResult) -> dict:
-    flags = diag.criteria_flags()
+def _criteria_fractions(diag: DiagnosticsResult, margin: float) -> dict:
+    flags = diag.criteria_flags(margin)
     off = _off_levels(diag.dim, diag.level)
     worst = np.all(flags[:, off, :], axis=1)  # (K+1, 3)
     defined = diag.criteria_defined
@@ -199,7 +197,7 @@ def _build_report(
         "max_abs_r": {str(m + 1): float(np.max(np.abs(diag.r[:, m]))) for m in off},
         "max_qac": {str(m + 1): float(np.max(diag.qac[:, m])) for m in off},
         "min_fidelity": float(np.min(diag.fidelity())),
-        "criteria_true_fraction": _criteria_fractions(diag),
+        "criteria_true_fraction": _criteria_fractions(diag, th.margin),
     }
 
     max_off_c = max(summary["max_abs_c"][str(m + 1)] for m in off)
@@ -254,16 +252,15 @@ def run_scenario(scenario: Scenario) -> RunResult:
     grid = TimeGrid(scenario.t_start, scenario.t_end, scenario.steps)
     gauge = "analytic" if scenario.gauge == "analytic-reference" else "transport"
     n = scenario.level - 1
-    margin = scenario.thresholds.margin
 
     if scenario.model_kind == "schwinger":
-        pipeline = run_pipeline(schwinger_model(scenario.params), grid, n, gauge, margin)
+        pipeline = run_pipeline(schwinger_model(scenario.params), grid, n, gauge)
         return RunResult(scenario=scenario, pipeline=pipeline, report=_build_report(scenario, pipeline))
 
     model_a = schwinger_model(scenario.params)
     model_b, _ = marzlin_sanders_model(model_a, grid)
-    pipeline_b = run_pipeline(model_b, grid, n, gauge, margin)
-    pipeline_a = run_pipeline(model_a, grid, n, gauge, margin)
+    pipeline_b = run_pipeline(model_b, grid, n, gauge)
+    pipeline_a = run_pipeline(model_a, grid, n, gauge)
     products = np.einsum(
         "kij,kjl->kil", pipeline_b.trajectory.propagators, pipeline_a.trajectory.propagators
     )

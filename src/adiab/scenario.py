@@ -10,10 +10,10 @@ Schema (version 1), all keys lower-case, unknown keys rejected:
     steps       integer >= 10                            required
     n           tracked level, 1-based, 1..2             required
     t_start     number, default 0
-    name        string, default from the file stem
+    name        plain file name (no '/' or NUL, not '.' or '..'), default from the file stem
     gauge       "auto" | "analytic-reference", default "auto"
     outputs     subset of ["csv", "report"], default both
-    thresholds  {"margin", "adiabatic_max_c", "qac_violation"}, all > 0
+    thresholds  {"margin", "adiabatic_max_c", "qac_violation"}, finite, all > 0
     schema_version   1 when present
 
 Levels are labeled 1-based in configs, CSV headers and reports, matching
@@ -95,9 +95,9 @@ class Scenario:
 
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
-            raise ScenarioError(f"model: unknown kind {self.model_kind!r}")
+            raise ScenarioError(f"model: expected one of {list(MODEL_KINDS)}, got {self.model_kind!r}")
         if self.gauge not in GAUGE_MODES:
-            raise ScenarioError(f"gauge: unknown mode {self.gauge!r}")
+            raise ScenarioError(f"gauge: expected one of {list(GAUGE_MODES)}, got {self.gauge!r}")
         if self.steps < _MIN_STEPS:
             raise ScenarioError(f"steps: must be at least {_MIN_STEPS}, got {self.steps}")
         if not self.t_end > self.t_start:
@@ -114,11 +114,13 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _number(doc: dict, key: str, default=None) -> float:
-    value = doc.get(key, default) if default is not None or key in doc else _require(doc, key)
+def _number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{key}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ScenarioError(f"{key}: must be finite, got an integer too large for a float") from None
     if not math.isfinite(value):
         raise ScenarioError(f"{key}: must be finite, got {value!r}")
     return value
@@ -132,10 +134,15 @@ def _integer(doc: dict, key: str) -> int:
 
 
 def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
-    """Parse and validate a JSON scenario document."""
+    """Parse and validate a JSON scenario document.
+
+    Types, the name and the thresholds are checked here; the model, grid,
+    level and gauge ranges are checked once, by ``Scenario`` and
+    ``SchwingerParams``.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past Python's digit limit
         raise ScenarioError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("document: top level must be a JSON object")
@@ -150,36 +157,19 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
         )
 
     model_kind = _require(doc, "model")
-    if model_kind not in MODEL_KINDS:
-        raise ScenarioError(f"model: expected one of {list(MODEL_KINDS)}, got {model_kind!r}")
-
-    omega0 = _number(doc, "omega0")
-    omega = _number(doc, "omega")
-    theta = _number(doc, "theta")
-    if omega0 <= 0.0:
-        raise ScenarioError(f"omega0: must be positive, got {omega0}")
-    if omega < 0.0:
-        raise ScenarioError(f"omega: must be nonnegative, got {omega}")
-    if not 0.0 <= theta <= math.pi:
-        raise ScenarioError(f"theta: must lie in [0, pi], got {theta}")
-
-    t_start = _number(doc, "t_start", default=0.0)
-    t_end = _number(doc, "t_end")
+    omega0 = _number("omega0", _require(doc, "omega0"))
+    omega = _number("omega", _require(doc, "omega"))
+    theta = _number("theta", _require(doc, "theta"))
+    t_start = _number("t_start", doc.get("t_start", 0.0))
+    t_end = _number("t_end", _require(doc, "t_end"))
     steps = _integer(doc, "steps")
-    if steps < _MIN_STEPS:
-        raise ScenarioError(f"steps: must be at least {_MIN_STEPS}, got {steps}")
-    if not t_end > t_start:
-        raise ScenarioError(f"t_end: must exceed t_start ({t_start}), got {t_end}")
-
     level = _integer(doc, "n")
-
-    gauge = doc.get("gauge", "auto")
-    if gauge not in GAUGE_MODES:
-        raise ScenarioError(f"gauge: expected one of {list(GAUGE_MODES)}, got {gauge!r}")
 
     name = doc.get("name", default_name)
     if not isinstance(name, str) or not name:
         raise ScenarioError(f"name: expected a nonempty string, got {name!r}")
+    if "/" in name or "\0" in name or name in (".", ".."):
+        raise ScenarioError(f"name: expected a plain file name, got {name!r}")
 
     outputs = doc.get("outputs", list(OUTPUT_KINDS))
     if not isinstance(outputs, list) or not outputs:
@@ -196,10 +186,10 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
         raise ScenarioError(f"thresholds.{bad[0]}: unknown key")
     values = {}
     for key in sorted(thresholds_doc):
-        value = thresholds_doc[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+        value = _number(f"thresholds.{key}", thresholds_doc[key])
+        if not value > 0:
             raise ScenarioError(f"thresholds.{key}: expected a positive number, got {value!r}")
-        values[key] = float(value)
+        values[key] = value
     thresholds = Thresholds(**values)
 
     try:
@@ -215,7 +205,7 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
         t_end=t_end,
         steps=steps,
         level=level,
-        gauge=gauge,
+        gauge=doc.get("gauge", "auto"),
         thresholds=thresholds,
         outputs=tuple(outputs),
     )

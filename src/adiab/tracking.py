@@ -5,8 +5,7 @@ down in one of two ways:
 
 * ``transport``: successive frames are phase-rotated so the overlap with
   the previous frame is real and positive (discrete parallel transport).
-  Frame 0 follows an optional reference frame, or makes the first nonzero
-  component of each vector real positive.
+  Frame 0 makes the first nonzero component of each vector real positive.
 * ``analytic``: every frame is phase-aligned to the model's closed-form
   eigensystem. Only available for models that provide one; this is the
   gauge in which the rotating-field closed-form amplitudes are stated.
@@ -185,26 +184,22 @@ def track(
     model: Model,
     grid: TimeGrid,
     gauge: str = "transport",
-    reference: Optional[np.ndarray] = None,
 ) -> SpectralPath:
     """Eigendecompose H(t) on every grid sample and fix a smooth gauge.
 
     H(t) is evaluated once per sample and the whole stack is solved in one
     call; the checks run as masks over the grid and raise at the earliest
-    failing sample. ``reference`` (dim x dim, columns ordered by level) pins
-    frame 0 in transport mode. Raises ``DegeneracyError`` on a vanishing gap
-    and ``LevelCrossingError`` when consecutive frames cannot be identified
-    level-by-level (overlap below 0.5 or eigenvalue order breaking).
+    failing sample. In transport mode frame 0 makes the first nonzero
+    component of each eigenvector real positive. Raises ``DegeneracyError``
+    on a vanishing gap and ``LevelCrossingError`` when consecutive frames
+    cannot be identified level-by-level (overlap below 0.5 or eigenvalue
+    order breaking).
     """
     if gauge not in ("transport", "analytic"):
         raise ValueError(f"unknown gauge {gauge!r}; expected 'transport' or 'analytic'")
     if gauge == "analytic" and model.analytic_eigensystem is None:
         raise ValueError("model does not provide a closed-form eigensystem")
     dim = model.dim
-    if gauge == "transport" and reference is not None:
-        reference = np.asarray(reference)
-        if reference.shape != (dim, dim):
-            raise ValueError(f"reference frame must be {dim}x{dim}, got {reference.shape}")
 
     ts = grid.samples
     hs = model.hamiltonian(ts)
@@ -217,25 +212,17 @@ def track(
         _raise_first(gap, _floor_failure(overlaps, "vs closed form", ts))
         phases = _unit(overlaps).conj()
     else:
-        start = None
-        if reference is not None:
-            ref_overlaps = np.einsum("ji,ji->i", reference.conj(), raw[0])[np.newaxis]
-            start = _floor_failure(ref_overlaps, "vs reference", ts)
         pairs = np.einsum("kji,kjl->kil", raw[:-1].conj(), raw[1:])
         steps = np.diagonal(pairs, axis1=1, axis2=2)
         _raise_first(
             gap,
-            start,
             _order_failure(pairs, ts),
             _floor_failure(steps, "continuity", ts, offset=1),
         )
         # Discrete parallel transport: each frame takes the phase that makes
         # its overlap with the already-fixed previous frame real positive.
         phases = np.empty((ts.shape[0], dim), dtype=np.complex128)
-        if reference is not None:
-            phases[0] = _unit(ref_overlaps[0]).conj()
-        else:
-            phases[0] = _default_phases(raw[0])
+        phases[0] = _default_phases(raw[0])
         phases[1:] = phases[0] * np.cumprod(_unit(steps).conj(), axis=0)
         phases = _unit(phases)
 

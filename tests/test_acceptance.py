@@ -263,7 +263,7 @@ def test_criterion_8c_static_scenario_exact(static_run):
         static_run.report.summary["max_norm_error"],
     )
     d_max = float(np.max(diag.d_norm))
-    flags = diag.criteria_flags()
+    flags = diag.criteria_flags(static_run.scenario.thresholds.margin)
     all_true = bool(np.all(flags[:, 1, :]))
     ok = worst_residual <= 1e-10 and d_max <= 1e-10 and all_true
     _check(

@@ -216,6 +216,36 @@ class TestCliCommands:
         assert cli.main(["run", str(bad), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert "steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [
+            ("omega0", 10**400, "omega0"),
+            ("t_end", 10**400, "t_end"),
+            ("thresholds", {"margin": 10**400}, "thresholds.margin"),
+            ("thresholds", {"qac_violation": float("inf")}, "thresholds.qac_violation"),
+        ],
+        ids=["omega0", "t_end", "margin", "qac_violation"],
+    )
+    def test_numbers_beyond_a_finite_float_exit_config(self, tmp_path, capsys, field, value, key):
+        scenario_path = self._write(tmp_path, **{field: value})
+        assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_CONFIG
+        assert f"configuration error: {key}:" in capsys.readouterr().err
+
+    def test_integer_past_the_digit_limit_exits_config(self, tmp_path):
+        text = json.dumps(small_doc()).replace('"omega0": 1,', '"omega0": 1' + "0" * 5000 + ",")
+        scenario_path = tmp_path / "long.json"
+        scenario_path.write_text(text)
+        assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("name", ["../escaped", "sub/x", ".", "..", "nul\x00byte"])
+    def test_name_must_be_a_plain_file_name(self, tmp_path, capsys, name):
+        scenario_path = tmp_path / "doc.json"
+        scenario_path.write_text(json.dumps(small_doc(name=name)))
+        out_dir = tmp_path / "nest" / "out"
+        assert cli.main(["run", str(scenario_path), "--out", str(out_dir)]) == cli.EXIT_CONFIG
+        assert "configuration error: name:" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [scenario_path]
+
     def test_empty_batch_directory_is_config_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -304,6 +334,18 @@ class TestShippedScenarios:
         for path in shipped:
             sc = load_scenario(path)
             assert sc.steps >= 10
+
+    def test_report_follows_the_margin_threshold(self):
+        shipped = Path(__file__).parent.parent / "scenarios" / "slow_theta_pi2.json"
+        doc = json.loads(shipped.read_text())
+        default = run_scenario(parse_scenario(json.dumps(doc)))
+        doc["thresholds"] = {"margin": 1e-3}
+        strict = run_scenario(parse_scenario(json.dumps(doc)))
+        assert default.scenario.thresholds.margin == 0.1
+        loose = default.report.summary["criteria_true_fraction"]
+        tight = strict.report.summary["criteria_true_fraction"]
+        assert loose == {"a": 1.0, "b": 1.0, "c": 1.0}
+        assert all(tight[key] < loose[key] for key in "abc")
 
     def test_report_serialization_round_trip(self, tmp_path):
         sc = parse_scenario(json.dumps(small_doc(name="round")))

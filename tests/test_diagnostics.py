@@ -167,7 +167,8 @@ class TestDecomposition:
 
 class TestCriteria:
     def test_static_case_all_true(self, static_run):
-        flags = static_run.pipeline.diagnostics.criteria_flags()
+        diag = static_run.pipeline.diagnostics
+        flags = diag.criteria_flags(static_run.scenario.thresholds.margin)
         assert np.all(flags[:, 1, :])
 
     def test_conjunction_implies_combined(self, slow_run, fast_run, static_run):
@@ -187,20 +188,15 @@ class TestCriteria:
     def test_zero_tracked_energy_reported_undefined(self, zero_energy_run):
         diag = zero_energy_run.pipeline.diagnostics
         assert not np.any(diag.criteria_defined)
-        flags = diag.criteria_flags()
+        margin = zero_energy_run.scenario.thresholds.margin
+        flags = diag.criteria_flags(margin)
         assert not np.any(flags[:, :, 0])
         assert np.all(flags[:, 1, 1])
-        fractions = _criteria_fractions(diag)
+        fractions = _criteria_fractions(diag, margin)
         assert fractions["a"] is None
         assert fractions["b"] == 1.0
         # ratios are still emitted
         assert np.isfinite(diag.criteria_ratios[5, 1, 1])
-
-    def test_projected_ratios_not_larger_than_full(self, slow_run):
-        diag = slow_run.pipeline.diagnostics
-        full = diag.criteria_ratios[:, 1, :]
-        proj = diag.criteria_projected[:, 1, :]
-        assert np.all(proj <= full + 1e-12)
 
 
 class TestEquivalence:
@@ -248,18 +244,6 @@ class TestReconstruction:
         assert report.first_failure() is None
 
 
-class TestSchiff:
-    def test_vanishes_at_start(self, slow_run):
-        assert abs(slow_run.pipeline.diagnostics.schiff[0, 1]) <= 1e-12
-
-    def test_bounded_by_twice_coupling_ratio(self, slow_run, fast_run):
-        for run in (slow_run, fast_run):
-            diag = run.pipeline.diagnostics
-            assert np.all(
-                np.abs(diag.schiff[:, 1]) <= 2.0 * diag.qac[:, 1] + 1e-12
-            )
-
-
 class TestStillnessConsequence:
     def test_static_run_bound(self, static_run):
         # max ||Ḋ|| <= eps forces ||D|| and off-level |c| under 10 eps t_span
@@ -295,7 +279,7 @@ class TestDriverSurface:
         assert np.max(diag.lam) <= 1e-7
         assert np.max(diag.probability_defect) <= 1e-8
         # the tracked column carries the not-applicable marker, and only it
-        for off_level in (diag.q, diag.r, diag.qac, diag.schiff):
+        for off_level in (diag.q, diag.r, diag.qac):
             assert np.all(np.isnan(off_level[:, 0]))
             assert not np.any(np.isnan(off_level[:, 1:]))
         assert diag.criteria_ratios.shape == (401, 4, 3)
