@@ -4,7 +4,8 @@
     adiab batch <dir> [--out DIR]             run every *.json in a directory
     adiab verify <scenario.json>              identity checks only, no files
 
-Exit codes: 0 all checks pass, 1 identity failure, 2 configuration error,
+Exit codes: 0 all checks pass, 1 identity failure, 2 configuration error
+(a rejected scenario document, or an ``--out`` that cannot be written),
 3 numerical failure (degeneracy, lost level identity, eigensolver
 non-convergence, broken gauge), 4 internal error (any other exception,
 reported on one stderr line).
@@ -74,13 +75,17 @@ def _failure_code(exc: Exception) -> int:
 def _run_one(path: Path, out_dir: Path) -> RunResult:
     scenario = load_scenario(path)
     result = run_scenario(scenario)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if "csv" in scenario.outputs:
-        csv_path = emit_csv(result, out_dir / f"{scenario.name}.csv")
-        print(f"wrote {csv_path}")
-    if "report" in scenario.outputs:
-        report_path = emit_report(result, out_dir / f"{scenario.name}.report.json")
-        print(f"wrote {report_path}")
+    written = []
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if "csv" in scenario.outputs:
+            written.append(emit_csv(result, out_dir / f"{scenario.name}.csv"))
+        if "report" in scenario.outputs:
+            written.append(emit_report(result, out_dir / f"{scenario.name}.report.json"))
+    except OSError as exc:  # a bad --out is a configuration error, not an internal one
+        raise ScenarioError(f"--out: cannot write {out_dir}: {exc}") from exc
+    for out_path in written:
+        print(f"wrote {out_path}")
     _print_checks(result)
     return result
 

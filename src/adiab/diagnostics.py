@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from adiab.propagate import Trajectory
-from adiab.tracking import SpectralPath, berry_phase, qac_ratios
+from adiab.tracking import SpectralPath, berry_phase
 
 __all__ = ["DiagnosticsResult", "run_diagnostics"]
 
@@ -43,7 +42,10 @@ class DiagnosticsResult:
 
     Levels are indexed from 0. Off-level arrays (q, r, qac, residual,
     criteria_ratios) hold NaN on the tracked column, where the split has
-    no meaning. Besides the split: ``lam`` = |<E_n|Ḋ> + i E_n <E_n|D>|;
+    no meaning. ``qac`` = |<E_m|Ė_n>|/|E_m - E_n| is the gap-weighted
+    coupling ratio, equal to |Q_m|. ``d_vectors`` and ``ddot_vectors`` are
+    D and Ḋ themselves, (K+1, dim) each. Besides the split:
+    ``lam`` = |<E_n|Ḋ> + i E_n <E_n|D>|;
     ``equivalence`` = ||i Ḋ - E_n D||, zero exactly when every R_m is;
     ``cn_residual`` = |c_n - e^{i beta_n} - i<E_n|Ḋ>/E_n|, NaN at E_n = 0.
     ``criteria_ratios`` holds (a) ||D|| |E_n|, (b) ||Ḋ||, (c) ||i Ḋ - E_n D||,
@@ -94,25 +96,25 @@ class DiagnosticsResult:
 
 
 def run_diagnostics(
-    trajectory: Trajectory,
+    states: np.ndarray,
     path: SpectralPath,
     n: int,
 ) -> DiagnosticsResult:
-    """Compute the full diagnostic set along a propagated trajectory.
+    """Compute the full diagnostic set along a propagated state stack.
 
+    ``states`` is the (K+1, dim) stack psi(t_k) on the grid of ``path``;
     ``n`` is the zero-based tracked level. The accumulated phase is
     integrated once; every other quantity is a pure function of frame,
-    state and that phase, computed for all samples at once.
+    state and that phase, computed for all samples at once. The coupling
+    <E_m|Ė_n> and the gaps E_m - E_n are formed once and feed both Q and
+    the coupling ratio ``qac``.
     """
-    if trajectory.states is None:
-        raise ValueError("trajectory carries no states")
     if not 0 <= n < path.dim:
         raise ValueError(f"tracked level {n} out of range for dim {path.dim}")
-    states = trajectory.states
     n_samples = path.n_samples
     dim = path.dim
     if states.shape[0] != n_samples:
-        raise ValueError("trajectory and spectral path use different grids")
+        raise ValueError("state stack and spectral path use different grids")
 
     acc = berry_phase(path, n)
     beta = acc.values
@@ -150,8 +152,10 @@ def run_diagnostics(
     q = np.full((n_samples, dim), np.nan, dtype=np.complex128)
     r = np.full((n_samples, dim), np.nan, dtype=np.complex128)
     residual = np.full((n_samples, dim), np.nan)
+    qac = np.full((n_samples, dim), np.nan)
     ratios = np.full((n_samples, dim, 3), np.nan)
     q[:, off] = 1j * phase[:, np.newaxis] * coupling[:, off] / gap
+    qac[:, off] = np.abs(coupling[:, off]) / np.abs(gap)
     r[:, off] = (-e_n[:, np.newaxis] * proj_d[:, off] + 1j * proj_ddot[:, off]) / gap
     residual[:, off] = np.abs(c[:, off] - q[:, off] - r[:, off])
     ratios[:, off] = np.stack(
@@ -167,7 +171,7 @@ def run_diagnostics(
         beta_imag_residue=acc.imag_residue,
         q=q,
         r=r,
-        qac=qac_ratios(path, n),
+        qac=qac,
         residual=residual,
         d_vectors=d_vectors,
         ddot_vectors=ddot_vectors,

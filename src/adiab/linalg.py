@@ -14,18 +14,15 @@ import numpy as np
 __all__ = [
     "ConvergenceError",
     "HERMITIAN_ATOL",
-    "UNITARY_ATOL",
     "NORMALIZED_ATOL",
     "max_abs",
     "require_hermitian",
-    "require_unitary",
     "require_normalized",
     "hermitian_eigendecompose",
     "unitary_exponential",
 ]
 
 HERMITIAN_ATOL = 1e-12
-UNITARY_ATOL = 1e-10
 NORMALIZED_ATOL = 1e-9
 
 
@@ -67,19 +64,6 @@ def require_hermitian(h) -> np.ndarray:
 def _which(h: np.ndarray, ok: np.ndarray) -> str:
     # Names the first failing matrix of a stack; a single matrix needs no name.
     return f" {int(np.argmin(ok))} of the stack" if h.ndim == 3 else ""
-
-
-def require_unitary(u) -> np.ndarray:
-    """Validate that U†U stays within ``UNITARY_ATOL`` of the identity (max-norm)."""
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("operator must be a square matrix")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("operator contains non-finite entries")
-    defect = max_abs(u.conj().T @ u - np.eye(u.shape[0]))
-    if defect > UNITARY_ATOL:
-        raise ValueError(f"operator is not unitary (defect {defect:.3e} > {UNITARY_ATOL:.1e})")
-    return u
 
 
 def require_normalized(v) -> np.ndarray:

@@ -70,16 +70,15 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Propagated samples along a grid.
+    """Propagated samples along a grid, one per grid sample.
 
     ``propagators[k]`` is the accumulated U(t_k), with ``propagators[0] = I``;
     ``states[k]`` is psi(t_k) = U(t_k) psi0 when a state was evolved, read off
-    that one stack.
+    that one stack, and None otherwise.
     """
 
-    grid: TimeGrid
+    propagators: np.ndarray
     states: Optional[np.ndarray] = None
-    propagators: Optional[np.ndarray] = None
 
 
 def _step_unitaries(model: Model, grid: TimeGrid) -> np.ndarray:
@@ -123,13 +122,12 @@ def evolve(model: Model, psi0, grid: TimeGrid) -> Trajectory:
     if psi0.shape[0] != model.dim:
         raise ValueError(f"state dimension {psi0.shape[0]} does not match model dim {model.dim}")
     propagators = _accumulate(_step_unitaries(model, grid))
-    return Trajectory(grid=grid, states=propagators @ psi0, propagators=propagators)
+    return Trajectory(propagators=propagators, states=propagators @ psi0)
 
 
 def propagator_matrix(model: Model, grid: TimeGrid) -> Trajectory:
     """Accumulate the full propagator over the grid, U[0] = identity."""
-    propagators = _accumulate(_step_unitaries(model, grid))
-    return Trajectory(grid=grid, states=None, propagators=propagators)
+    return Trajectory(propagators=_accumulate(_step_unitaries(model, grid)))
 
 
 def marzlin_sanders_model(model_a: Model, grid: TimeGrid) -> tuple[Model, Trajectory]:

@@ -34,7 +34,6 @@ __all__ = [
     "RunResult",
     "run_pipeline",
     "run_scenario",
-    "csv_header",
     "emit_csv",
     "emit_report",
 ]
@@ -54,7 +53,6 @@ class PipelineResult:
     """Everything one propagate-track-diagnose pass produces."""
 
     model: Model
-    grid: TimeGrid
     path: SpectralPath
     trajectory: Trajectory
     diagnostics: DiagnosticsResult
@@ -112,10 +110,8 @@ def run_pipeline(
     psi0 = path.eigenvectors[0, :, n].copy()
     psi0 /= np.linalg.norm(psi0)
     trajectory = evolve(model, psi0, grid)
-    diagnostics = run_diagnostics(trajectory, path, n)
-    return PipelineResult(
-        model=model, grid=grid, path=path, trajectory=trajectory, diagnostics=diagnostics
-    )
+    diagnostics = run_diagnostics(trajectory.states, path, n)
+    return PipelineResult(model=model, path=path, trajectory=trajectory, diagnostics=diagnostics)
 
 
 def _unitarity_drift(trajectory: Trajectory) -> float:
@@ -278,32 +274,21 @@ def run_scenario(scenario: Scenario) -> RunResult:
     return RunResult(scenario=scenario, pipeline=pipeline_b, report=report)
 
 
-def csv_header(dim: int, level: int) -> str:
-    """Column schema; ``level`` is the 1-based tracked label."""
-    cols = ["t"]
-    for i in range(1, dim + 1):
-        cols += [f"re_c_{i}", f"im_c_{i}", f"abs_c_{i}"]
-    for m in range(1, dim + 1):
-        if m == level:
-            continue
-        cols += [f"abs_Q_{m}", f"abs_R_{m}", f"qac_{m}", f"residual_{m}"]
-    cols += [f"beta_{level}", "D_norm", "Ddot_norm", "lambda_residual", "norm_error"]
-    return ",".join(cols)
-
-
 def emit_csv(result: RunResult, path) -> Path:
     """One row per grid sample, fixed column order, deterministic bytes."""
     diag = result.pipeline.diagnostics
     n = diag.level
-    columns = [diag.times]
-    for i in range(diag.dim):
-        columns += [diag.c[:, i].real, diag.c[:, i].imag, np.abs(diag.c[:, i])]
+    table = {"t": diag.times}  # header name -> column, in column order
+    for i, c in enumerate(diag.c.T, 1):
+        table |= {f"re_c_{i}": c.real, f"im_c_{i}": c.imag, f"abs_c_{i}": np.abs(c)}
     for m in _off_levels(diag.dim, n):
-        columns += [np.abs(diag.q[:, m]), np.abs(diag.r[:, m]), diag.qac[:, m], diag.residual[:, m]]
-    columns += [diag.beta, diag.d_norm, diag.ddot_norm, diag.lam, diag.norm_error]
-    rows = np.column_stack(columns).tolist()
-    lines = [csv_header(diag.dim, n + 1)]
-    lines += [",".join(map(repr, row)) for row in rows]
+        k = m + 1
+        table |= {f"abs_Q_{k}": np.abs(diag.q[:, m]), f"abs_R_{k}": np.abs(diag.r[:, m])}
+        table |= {f"qac_{k}": diag.qac[:, m], f"residual_{k}": diag.residual[:, m]}
+    table |= {f"beta_{n + 1}": diag.beta, "D_norm": diag.d_norm, "Ddot_norm": diag.ddot_norm}
+    table |= {"lambda_residual": diag.lam, "norm_error": diag.norm_error}
+    lines = [",".join(table)]
+    lines += [",".join(map(repr, row)) for row in np.column_stack(list(table.values())).tolist()]
     path = Path(path)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path

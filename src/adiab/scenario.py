@@ -6,8 +6,8 @@ Schema (version 1), all keys lower-case, unknown keys rejected:
     omega0      positive number                          required
     omega       nonnegative number                       required
     theta       number in [0, pi]                        required
-    t_end       number > t_start                         required
-    steps       integer >= 10                            required
+    t_end       number > t_start, finite span            required
+    steps       integer in 10..1_000_000                 required
     n           tracked level, 1-based, 1..2             required
     t_start     number, default 0
     name        plain file name (no '/' or NUL, not '.' or '..'), default from the file stem
@@ -48,6 +48,7 @@ GAUGE_MODES = ("auto", "analytic-reference")
 OUTPUT_KINDS = ("csv", "report")
 
 _MIN_STEPS = 10
+_MAX_STEPS = 1_000_000  # whole-grid stacks take about 1-2 KB per step
 _MODEL_DIM = 2  # both model kinds are two-level systems
 _KNOWN_KEYS = {
     "schema_version",
@@ -100,9 +101,15 @@ class Scenario:
             raise ScenarioError(f"gauge: expected one of {list(GAUGE_MODES)}, got {self.gauge!r}")
         if self.steps < _MIN_STEPS:
             raise ScenarioError(f"steps: must be at least {_MIN_STEPS}, got {self.steps}")
+        if self.steps > _MAX_STEPS:
+            raise ScenarioError(f"steps: must be at most {_MAX_STEPS}, got {self.steps}")
         if not self.t_end > self.t_start:
             raise ScenarioError(
                 f"t_end: must exceed t_start ({self.t_start}), got {self.t_end}"
+            )
+        if not math.isfinite(self.t_end - self.t_start):
+            raise ScenarioError(
+                f"t_end: the span t_end - t_start must be finite, got {self.t_end - self.t_start}"
             )
         if not 1 <= self.level <= _MODEL_DIM:
             raise ScenarioError(f"n: tracked level must lie in 1..{_MODEL_DIM}, got {self.level}")

@@ -10,8 +10,12 @@ down in one of two ways:
   eigensystem. Only available for models that provide one; this is the
   gauge in which the rotating-field closed-form amplitudes are stated.
 
-Phase-sensitive quantities (accumulated phase, coupling terms) depend on
-this choice; all magnitudes reported downstream are gauge-free.
+Every path carries the eigenvector derivatives Ė_i, from closed forms or
+from second-order stencils. ``berry_phase`` accumulates the phase of one
+level along it; the couplings <E_m|Ė_n> and their gap-weighted ratios are
+formed once, in ``adiab.diagnostics``. Phase-sensitive quantities
+(accumulated phase, coupling terms) depend on the gauge; all magnitudes
+reported downstream are gauge-free.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ __all__ = [
     "track",
     "analytic_path",
     "berry_phase",
-    "qac_ratios",
     "rotate_gauge",
 ]
 
@@ -68,7 +71,7 @@ class SpectralPath:
     hamiltonians: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    derivatives: Optional[np.ndarray]
+    derivatives: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -88,7 +91,6 @@ class BerryPhase:
     quadrature strayed.
     """
 
-    level: int
     values: np.ndarray
     imag_residue: float
 
@@ -271,8 +273,6 @@ def berry_phase(path: SpectralPath, n: int) -> BerryPhase:
     The result starts at zero and is real under a smooth gauge; an imaginary
     residue above 1e-6 raises ``GaugeError``, since it signals a broken gauge.
     """
-    if path.derivatives is None:
-        raise ValueError("path carries no eigenvector derivatives")
     vn = path.eigenvectors[:, :, n]
     dn = path.derivatives[:, :, n]
     geometric = np.einsum("kj,kj->k", vn.conj(), dn)
@@ -283,19 +283,7 @@ def berry_phase(path: SpectralPath, n: int) -> BerryPhase:
     residue = float(np.max(np.abs(raw.imag)))
     if residue > 1e-6:
         raise GaugeError(f"accumulated phase has imaginary residue {residue:.3e}; gauge broken")
-    return BerryPhase(level=n, values=raw.real.copy(), imag_residue=residue)
-
-
-def qac_ratios(path: SpectralPath, n: int) -> np.ndarray:
-    """(K+1, dim) array of |<E_m|Ė_n>|/|E_m - E_n|, NaN on the m == n column."""
-    if path.derivatives is None:
-        raise ValueError("path carries no eigenvector derivatives")
-    couplings = np.einsum("kjm,kj->km", path.eigenvectors.conj(), path.derivatives[:, :, n])
-    gaps = path.eigenvalues - path.eigenvalues[:, n][:, np.newaxis]
-    out = np.full(couplings.shape, np.nan)
-    mask = np.arange(path.dim) != n
-    out[:, mask] = np.abs(couplings[:, mask]) / np.abs(gaps[:, mask])
-    return out
+    return BerryPhase(values=raw.real.copy(), imag_residue=residue)
 
 
 def rotate_gauge(path: SpectralPath, phases: np.ndarray) -> SpectralPath:

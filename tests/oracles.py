@@ -12,7 +12,7 @@ import numpy as np
 
 from adiab.diagnostics import run_diagnostics
 from adiab.models import SchwingerParams, schwinger_model
-from adiab.propagate import Trajectory
+from adiab.propagate import TimeGrid
 from adiab.tracking import analytic_path
 
 
@@ -69,8 +69,6 @@ def lower_eigvec_derivative(p: SchwingerParams, t: float) -> np.ndarray:
 
 def analytic_diagnostics(p: SchwingerParams, t_end: float, steps: int):
     """Full diagnostics fed purely with closed forms: no integrator, no solver."""
-    from adiab.propagate import TimeGrid
-
     model = schwinger_model(p)
     grid = TimeGrid(0.0, t_end, steps)
     path = analytic_path(model, grid)
@@ -79,5 +77,4 @@ def analytic_diagnostics(p: SchwingerParams, t_end: float, steps: int):
         path.eigenvectors[:, :, 0] * c1[:, np.newaxis]
         + path.eigenvectors[:, :, 1] * c2[:, np.newaxis]
     )
-    trajectory = Trajectory(grid=grid, states=states)
-    return run_diagnostics(trajectory, path, 0)
+    return run_diagnostics(states, path, 0)

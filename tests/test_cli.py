@@ -9,7 +9,9 @@ import pytest
 
 import adiab.diagnostics
 from adiab import cli
-from adiab.runner import csv_header, emit_csv, run_scenario
+from adiab.models import random_smooth_model
+from adiab.propagate import TimeGrid
+from adiab.runner import RunReport, RunResult, emit_csv, run_pipeline, run_scenario
 from adiab.scenario import ScenarioError, Thresholds, load_scenario, parse_scenario
 from adiab.tracking import DegeneracyError, berry_phase, rotate_gauge
 
@@ -87,17 +89,38 @@ class TestParseScenario:
             load_scenario(tmp_path / "absent.json")
 
 
+def _emitted_header(tmp_path, **overrides) -> str:
+    sc = parse_scenario(json.dumps(small_doc(name="hdr", **overrides)))
+    return emit_csv(run_scenario(sc), tmp_path / "hdr.csv").read_text().split("\n", 1)[0]
+
+
 class TestCsvSchema:
-    def test_header_matches_documented_layout(self):
-        assert csv_header(2, 1) == (
+    def test_header_matches_documented_layout(self, tmp_path):
+        assert _emitted_header(tmp_path) == (
             "t,re_c_1,im_c_1,abs_c_1,re_c_2,im_c_2,abs_c_2,"
             "abs_Q_2,abs_R_2,qac_2,residual_2,beta_1,D_norm,Ddot_norm,lambda_residual,norm_error"
         )
 
-    def test_header_for_other_tracked_level(self):
-        assert csv_header(2, 2).startswith("t,re_c_1")
-        assert "abs_Q_1" in csv_header(2, 2)
-        assert "beta_2" in csv_header(2, 2)
+    def test_header_for_other_tracked_level(self, tmp_path):
+        header = _emitted_header(tmp_path, n=2)
+        assert header.startswith("t,re_c_1")
+        assert "abs_Q_1" in header
+        assert "beta_2" in header
+
+    def test_four_level_columns(self, tmp_path):
+        pipe = run_pipeline(random_smooth_model(4, seed=5), TimeGrid(0.0, 1.0, 100), n=1)
+        sc = parse_scenario(json.dumps(small_doc(name="dense")))
+        result = RunResult(scenario=sc, pipeline=pipe, report=RunReport({}, {}, {}, {}))
+        lines = emit_csv(result, tmp_path / "dense.csv").read_text().splitlines()
+        expected = ["t"]
+        expected += [f"{part}_c_{i}" for i in range(1, 5) for part in ("re", "im", "abs")]
+        for m in (1, 3, 4):
+            expected += [f"abs_Q_{m}", f"abs_R_{m}", f"qac_{m}", f"residual_{m}"]
+        expected += ["beta_2", "D_norm", "Ddot_norm", "lambda_residual", "norm_error"]
+        assert lines[0].split(",") == expected
+        assert len(lines) == 1 + 101
+        assert all(len(line.split(",")) == len(expected) for line in lines[1:])
+        assert "nan" not in "\n".join(lines)
 
     def test_row_count_and_width(self, tmp_path):
         sc = parse_scenario(json.dumps(small_doc(name="tiny")))
@@ -215,6 +238,44 @@ class TestCliCommands:
         bad.write_text(json.dumps(small_doc(steps=5)))
         assert cli.main(["run", str(bad), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert "steps" in capsys.readouterr().err
+
+    def test_overflowing_span_exits_config(self, tmp_path, capsys):
+        scenario_path = self._write(tmp_path, t_start=-1e308, t_end=1e308)
+        assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_CONFIG
+        assert "configuration error: t_end:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", [1_000_001, 10**400], ids=["bound_plus_one", "400_digits"])
+    def test_steps_past_the_bound_exit_config(self, tmp_path, capsys, monkeypatch, steps):
+        scenario_path = self._write(tmp_path, steps=steps)
+
+        def no_run(scenario):
+            raise AssertionError("the scenario was run")
+
+        monkeypatch.setattr(cli, "run_scenario", no_run)
+        assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_CONFIG
+        assert "configuration error: steps: must be at most 1000000" in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_config(self, tmp_path, capsys):
+        scenario_path = self._write(tmp_path)
+        blocker = tmp_path / "afile"
+        blocker.write_text("keep")
+        assert cli.main(["run", str(scenario_path), "--out", str(blocker)]) == cli.EXIT_CONFIG
+        assert "configuration error: --out: cannot write" in capsys.readouterr().err
+        assert blocker.read_text() == "keep"
+
+    def test_batch_out_naming_a_file_exits_config(self, tmp_path, capsys):
+        batch_dir = tmp_path / "batch"
+        batch_dir.mkdir()
+        self._write(batch_dir, name="one")
+        self._write(batch_dir, name="two", theta=0.3)
+        blocker = tmp_path / "afile"
+        blocker.write_text("keep")
+        assert cli.main(["batch", str(batch_dir), "--out", str(blocker)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.count("configuration error: --out: cannot write") == 2
+        assert [row[:2] for row in self._summary_rows(captured.out)] == [
+            ["one", "config"], ["two", "config"]
+        ]
 
     @pytest.mark.parametrize(
         "field, value, key",

@@ -109,7 +109,7 @@ class TestDifferenceVectorDerivative:
 
     def test_matches_finite_difference_of_d(self, slow_run):
         diag = slow_run.pipeline.diagnostics
-        h = slow_run.pipeline.grid.h
+        h = slow_run.pipeline.path.grid.h
         fd = (diag.d_vectors[2:] - diag.d_vectors[:-2]) / (2.0 * h)
         assert np.max(np.abs(fd - diag.ddot_vectors[1:-1])) <= 1e-5
 
@@ -259,7 +259,7 @@ class TestStillnessConsequence:
         grid = TimeGrid(0.0, 10.0, 2000)
         path = track(model, grid, gauge="analytic")
         traj = evolve(model, path.eigenvectors[0, :, 0], grid)
-        diag = run_diagnostics(traj, path, 0)
+        diag = run_diagnostics(traj.states, path, 0)
         eps = np.max(diag.ddot_norm)
         span = grid.t_end - grid.t_start
         assert 10.0 * eps * span < 2.0  # the bound is not vacuous here
@@ -315,14 +315,7 @@ class TestDriverSurface:
         # samples and midpoints; the closed forms and Hdot each over one stack
         assert calls == {"hamiltonian": 2, "analytic_eigensystem": 1, "derivative": 1}
 
-    def test_requires_states(self, slow_run):
-        from adiab.propagate import Trajectory
-
-        pipe = slow_run.pipeline
-        with pytest.raises(ValueError, match="states"):
-            run_diagnostics(Trajectory(grid=pipe.grid), pipe.path, 0)
-
     def test_level_range_checked(self, slow_run):
         pipe = slow_run.pipeline
         with pytest.raises(ValueError, match="level"):
-            run_diagnostics(pipe.trajectory, pipe.path, 5)
+            run_diagnostics(pipe.trajectory.states, pipe.path, 5)

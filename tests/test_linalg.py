@@ -11,7 +11,6 @@ from adiab.linalg import (
     max_abs,
     require_hermitian,
     require_normalized,
-    require_unitary,
     unitary_exponential,
 )
 
@@ -168,7 +167,7 @@ class TestUnitaryExponential:
     @settings(max_examples=30, deadline=None)
     def test_norm_preservation(self, seed, v):
         u = unitary_exponential(random_hermitian(3, seed), 0.9)
-        require_unitary(u)
+        assert max_abs(u.conj().T @ u - np.eye(3)) <= 1e-10
         norm = np.linalg.norm(v)
         assert np.linalg.norm(u @ v) == pytest.approx(norm, abs=1e-10 * (1 + norm))
 
@@ -177,10 +176,6 @@ class TestValidators:
     def test_require_hermitian_accepts_and_returns(self):
         h = random_hermitian(3, 1)
         assert require_hermitian(h) is not None
-
-    def test_require_unitary_rejects_scaled(self):
-        with pytest.raises(ValueError, match="unitary"):
-            require_unitary(2.0 * np.eye(2))
 
     def test_require_normalized(self):
         require_normalized(np.array([1.0, 0.0], dtype=complex))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from adiab.diagnostics import run_diagnostics
 from adiab.linalg import max_abs
 from adiab.models import (
     SchwingerParams,
@@ -19,7 +20,6 @@ from adiab.tracking import (
     LevelCrossingError,
     analytic_path,
     berry_phase,
-    qac_ratios,
     rotate_gauge,
     track,
 )
@@ -256,22 +256,27 @@ class TestBerryPhase:
             berry_phase(jagged, 0)
 
 
+def diagnosed_qac(path, n):
+    """The diagnostics' coupling ratios; they read no state, so any stack serves."""
+    return run_diagnostics(path.eigenvectors[:, :, n], path, n).qac
+
+
 class TestCouplingRatio:
     def test_static_ratio_zero(self, static_path):
-        assert qac_ratios(static_path, 0)[10, 1] == 0.0
+        assert diagnosed_qac(static_path, 0)[10, 1] == 0.0
 
     def test_slow_equatorial_value(self, slow_analytic_path):
-        ratios = qac_ratios(slow_analytic_path, 0)[:, 1]
+        ratios = diagnosed_qac(slow_analytic_path, 0)[:, 1]
         assert np.max(np.abs(ratios - 0.05)) <= 1e-8
 
     def test_fast_small_angle_value(self):
         p = SchwingerParams(1.0, 10.0, 0.1)
         path = track(schwinger_model(p), TimeGrid(0.0, 2.0, 4000), gauge="analytic")
-        interior = qac_ratios(path, 0)[1:-1, 1]
+        interior = diagnosed_qac(path, 0)[1:-1, 1]
         assert np.max(np.abs(interior - 0.499167)) <= 1e-4
 
     def test_nan_on_tracked_column(self, slow_analytic_path):
-        ratios = qac_ratios(slow_analytic_path, 0)
+        ratios = diagnosed_qac(slow_analytic_path, 0)
         assert np.all(np.isnan(ratios[:, 0]))
         assert not np.any(np.isnan(ratios[:, 1]))
 
@@ -285,8 +290,8 @@ class TestCouplingRatio:
         rel = path.times - path.times[0]
         phases = np.stack([a * np.sin(f * rel) for a, f in zip(amps, freqs)], axis=1)
         rotated = rotate_gauge(path, phases)
-        base = qac_ratios(path, 0)[:, 1]
-        turned = qac_ratios(rotated, 0)[:, 1]
+        base = diagnosed_qac(path, 0)[:, 1]
+        turned = diagnosed_qac(rotated, 0)[:, 1]
         assert np.max(np.abs(base - turned)) <= 1e-9
 
 
