@@ -18,7 +18,6 @@ import numpy as np
 
 from adiab.models import SchwingerParams, schwinger_analytic_amplitudes, schwinger_model
 from adiab.propagate import TimeGrid, evolve
-from adiab.tracking import analytic_path
 
 
 def amplitude_error(params: SchwingerParams, t_end: float, steps: int) -> float:
@@ -26,8 +25,8 @@ def amplitude_error(params: SchwingerParams, t_end: float, steps: int) -> float:
     grid = TimeGrid(0.0, t_end, steps)
     _, v0 = model.analytic_eigensystem(0.0)
     traj = evolve(model, v0[:, 0], grid)
-    path = analytic_path(model, grid)
-    c = np.einsum("kji,kj->ki", path.eigenvectors.conj(), traj.states)
+    vectors = model.analytic_eigensystem(grid.samples)[1]
+    c = np.einsum("kji,kj->ki", vectors.conj(), traj.states)
     c1, c2 = schwinger_analytic_amplitudes(params, grid.samples)
     return max(float(np.max(np.abs(c[:, 0] - c1))), float(np.max(np.abs(c[:, 1] - c2))))
 

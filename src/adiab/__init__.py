@@ -19,15 +19,8 @@ from adiab.models import (
     schwinger_model,
 )
 from adiab.propagate import TimeGrid, Trajectory, evolve, marzlin_sanders_model, propagator_matrix
-from adiab.tracking import (
-    DegeneracyError,
-    GaugeError,
-    LevelCrossingError,
-    SpectralPath,
-    berry_phase,
-    track,
-)
-from adiab.diagnostics import DiagnosticsResult, run_diagnostics
+from adiab.tracking import DegeneracyError, LevelCrossingError, SpectralPath, track
+from adiab.diagnostics import DiagnosticsResult, GaugeError, run_diagnostics
 from adiab.scenario import Scenario, ScenarioError, Thresholds, load_scenario, parse_scenario
 from adiab.runner import RunReport, RunResult, emit_csv, emit_report, run_pipeline, run_scenario
 
@@ -49,7 +42,6 @@ __all__ = [
     "Thresholds",
     "TimeGrid",
     "Trajectory",
-    "berry_phase",
     "custom_model",
     "emit_csv",
     "emit_report",

@@ -22,10 +22,11 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+from adiab.diagnostics import GaugeError
 from adiab.linalg import ConvergenceError
 from adiab.runner import RunReport, RunResult, emit_csv, emit_report, run_scenario
 from adiab.scenario import ScenarioError, load_scenario
-from adiab.tracking import DegeneracyError, GaugeError, LevelCrossingError
+from adiab.tracking import DegeneracyError, LevelCrossingError
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1

@@ -20,7 +20,9 @@ eigenvector derivatives,
     beta_dot = -E_n + i<E_n|Ė_n>;
 
 differencing D itself is left to test oracles, keeping O(h) noise out of
-1e-7 scale residuals.
+1e-7 scale residuals. The accumulated phase beta_n is the trapezoid
+integral of that same beta_dot from t_start. It is real under a smooth
+gauge; an imaginary residue above 1e-6 raises ``GaugeError``.
 """
 
 from __future__ import annotations
@@ -29,11 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from adiab.tracking import SpectralPath, berry_phase
+from adiab.tracking import SpectralPath
 
-__all__ = ["DiagnosticsResult", "run_diagnostics"]
+__all__ = ["GaugeError", "DiagnosticsResult", "run_diagnostics"]
 
 _ZERO_ENERGY_ATOL = 1e-300
+_PHASE_IMAG_ATOL = 1e-6
+
+
+class GaugeError(ValueError):
+    """The accumulated phase came out complex: the gauge is not smooth."""
 
 
 @dataclass
@@ -104,10 +111,11 @@ def run_diagnostics(
 
     ``states`` is the (K+1, dim) stack psi(t_k) on the grid of ``path``;
     ``n`` is the zero-based tracked level. The accumulated phase is
-    integrated once; every other quantity is a pure function of frame,
-    state and that phase, computed for all samples at once. The coupling
-    <E_m|Ė_n> and the gaps E_m - E_n are formed once and feed both Q and
-    the coupling ratio ``qac``.
+    integrated once, from the beta_dot that also composes Ḋ; every other
+    quantity is a pure function of frame, state and that phase, computed
+    for all samples at once. Raises ``GaugeError`` when the phase comes
+    out complex. The coupling <E_m|Ė_n> and the gaps E_m - E_n are formed
+    once and feed both Q and the coupling ratio ``qac``.
     """
     if not 0 <= n < path.dim:
         raise ValueError(f"tracked level {n} out of range for dim {path.dim}")
@@ -116,18 +124,23 @@ def run_diagnostics(
     if states.shape[0] != n_samples:
         raise ValueError("state stack and spectral path use different grids")
 
-    acc = berry_phase(path, n)
-    beta = acc.values
-
     v = path.eigenvectors
     w = path.eigenvalues
     vn = v[:, :, n]
     vdot_n = path.derivatives[:, :, n]
     e_n = w[:, n]
+
+    # beta_n: trapezoid sums of beta_dot from zero, real under a smooth gauge.
+    beta_dot = -e_n + 1j * np.einsum("kj,kj->k", vn.conj(), vdot_n)
+    increments = 0.5 * path.grid.h * (beta_dot[1:] + beta_dot[:-1])
+    raw = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
+    imag_residue = float(np.max(np.abs(raw.imag)))
+    if imag_residue > _PHASE_IMAG_ATOL:
+        raise GaugeError(f"accumulated phase has imaginary residue {imag_residue:.3e}; gauge broken")
+    beta = raw.real.copy()
     phase = np.exp(1j * beta)
 
     # Ḋ from the equation of motion, as in the module docstring.
-    beta_dot = -e_n + 1j * np.einsum("kj,kj->k", vn.conj(), vdot_n)
     d_vectors = states - phase[:, np.newaxis] * vn
     h_psi = np.einsum("kij,kj->ki", path.hamiltonians, states)
     ddot_vectors = -1j * h_psi - phase[:, np.newaxis] * (vdot_n + 1j * beta_dot[:, np.newaxis] * vn)
@@ -168,7 +181,7 @@ def run_diagnostics(
         times=path.times,
         c=c,
         beta=beta,
-        beta_imag_residue=acc.imag_residue,
+        beta_imag_residue=imag_residue,
         q=q,
         r=r,
         qac=qac,

@@ -15,7 +15,6 @@ __all__ = [
     "ConvergenceError",
     "HERMITIAN_ATOL",
     "NORMALIZED_ATOL",
-    "max_abs",
     "require_hermitian",
     "require_normalized",
     "hermitian_eigendecompose",
@@ -28,11 +27,6 @@ NORMALIZED_ATOL = 1e-9
 
 class ConvergenceError(RuntimeError):
     """The Hermitian eigensolver failed to converge."""
-
-
-def max_abs(a) -> float:
-    """Largest elementwise magnitude."""
-    return float(np.max(np.abs(np.asarray(a))))
 
 
 def require_hermitian(h) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Concrete time-dependent Hamiltonians and their closed-form companions.
 
-The rotating-field two-level model is exactly solvable; its eigensystem,
-eigenvector derivatives and transition amplitudes ship alongside the matrix
-form and act as oracles for the numerical pipeline. Natural units are used
-throughout (hbar = 1), so every frequency is an energy.
+The rotating-field two-level model is exactly solvable. Its closed-form
+eigensystem ships alongside the matrix form as the tracker's phase
+reference in the analytic gauge, and its closed-form transition amplitudes
+serve the step-size study. Eigenvector derivatives are not shipped: the
+tracker takes them from stencils. Natural units are used throughout
+(hbar = 1), so every frequency is an energy.
 
 Every function of time takes a scalar or an array of times and stacks one
 result per time in front (see ``Model``), so a whole grid is one call.
@@ -12,7 +14,7 @@ result per time in front (see ``Model``), so a whole grid is one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +27,6 @@ __all__ = [
     "schwinger_hamiltonian",
     "schwinger_hamiltonian_derivative",
     "schwinger_analytic_eigensystem",
-    "schwinger_analytic_eigensystem_derivative",
     "schwinger_analytic_amplitudes",
     "schwinger_model",
     "custom_model",
@@ -118,18 +119,6 @@ def schwinger_analytic_eigensystem(p: SchwingerParams, t) -> tuple[np.ndarray, n
     return w, _two_by_two(up * half_sin, up * half_cos, -dn * half_cos, dn * half_sin)
 
 
-def schwinger_analytic_eigensystem_derivative(p: SchwingerParams, t) -> np.ndarray:
-    """Time derivatives of the closed-form eigenvector columns (same gauge)."""
-    half_sin = math.sin(0.5 * p.theta)
-    half_cos = math.cos(0.5 * p.theta)
-    up = np.exp(-0.5j * p.omega * t)
-    dn = np.exp(0.5j * p.omega * t)
-    rate = 0.5j * p.omega
-    return _two_by_two(
-        -rate * up * half_sin, -rate * up * half_cos, -rate * dn * half_cos, rate * dn * half_sin
-    )
-
-
 def schwinger_analytic_amplitudes(p: SchwingerParams, t):
     """Closed-form (c1, c2) for a run started in the lower eigenstate.
 
@@ -162,27 +151,23 @@ class Model:
     gives the Hermitian matrices and ``derivative``, when available, their
     elementwise time derivatives. Models with a closed-form eigensystem
     expose it through ``analytic_eigensystem`` (eigenvalues shaped
-    ``np.shape(t) + (dim,)``) and its derivative, which the tracker can use
-    as a phase reference.
+    ``np.shape(t) + (dim,)``), which the tracker can use as a phase
+    reference.
     """
 
     dim: int
     hamiltonian: Callable[[ArrayLike], np.ndarray]
     derivative: Optional[Callable[[ArrayLike], np.ndarray]] = None
     analytic_eigensystem: Optional[Callable[[ArrayLike], tuple[np.ndarray, np.ndarray]]] = None
-    analytic_eigensystem_derivative: Optional[Callable[[ArrayLike], np.ndarray]] = field(
-        default=None, repr=False
-    )
 
 
 def schwinger_model(p: SchwingerParams) -> Model:
-    """Rotating-field two-level model with all closed forms attached."""
+    """Rotating-field two-level model with its closed-form eigensystem attached."""
     return Model(
         dim=2,
         hamiltonian=lambda t: schwinger_hamiltonian(p, t),
         derivative=lambda t: schwinger_hamiltonian_derivative(p, t),
         analytic_eigensystem=lambda t: schwinger_analytic_eigensystem(p, t),
-        analytic_eigensystem_derivative=lambda t: schwinger_analytic_eigensystem_derivative(p, t),
     )
 
 

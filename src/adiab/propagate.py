@@ -30,6 +30,8 @@ __all__ = [
     "marzlin_sanders_model",
 ]
 
+_RESOLUTION = 1e-8  # largest float spacing at the endpoints, as a fraction of h
+
 
 def _is_integral(value) -> bool:
     """Any integer type (Python or numpy) except ``bool``."""
@@ -38,7 +40,11 @@ def _is_integral(value) -> bool:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid with inclusive endpoints: steps + 1 samples."""
+    """Uniform time grid with inclusive endpoints: steps + 1 samples.
+
+    The step h must be finite and at least 1e8 float spacings (ulps) of the
+    larger endpoint, so samples, midpoints and half-step lattices resolve.
+    """
 
     t_start: float
     t_end: float
@@ -52,6 +58,13 @@ class TimeGrid:
             raise ValueError("grid endpoints must be finite")
         if not self.t_end > self.t_start:
             raise ValueError(f"t_end ({self.t_end}) must exceed t_start ({self.t_start})")
+        h = self.h
+        ulp = math.ulp(max(abs(self.t_start), abs(self.t_end)))
+        if not (math.isfinite(h) and ulp <= _RESOLUTION * h):
+            raise ValueError(
+                f"grid step {h!r} must be finite and at least 1e8 times the float "
+                f"spacing {ulp!r} at the endpoints"
+            )
 
     @property
     def h(self) -> float:
@@ -167,7 +180,6 @@ def marzlin_sanders_model(model_a: Model, grid: TimeGrid) -> tuple[Model, Trajec
             return transformed_hamiltonian(propagators_at(t), model_a.derivative(t))
 
     analytic_eigensystem = None
-    analytic_derivative = None
     if model_a.analytic_eigensystem is not None:
         # Eigenpairs of -U†HU are (-E_i, U† v_i); ascending order reverses.
         def analytic_eigensystem(t) -> tuple[np.ndarray, np.ndarray]:
@@ -175,22 +187,12 @@ def marzlin_sanders_model(model_a: Model, grid: TimeGrid) -> tuple[Model, Trajec
             udag = np.swapaxes(propagators_at(t).conj(), -2, -1)
             return -w[..., ::-1], (udag @ v)[..., ::-1]
 
-        if model_a.analytic_eigensystem_derivative is not None:
-            def analytic_derivative(t) -> np.ndarray:
-                w, v = model_a.analytic_eigensystem(t)
-                vdot = model_a.analytic_eigensystem_derivative(t)
-                udag = np.swapaxes(propagators_at(t).conj(), -2, -1)
-                # d/dt (U† v_i) = U† (i E_i v_i + v̇_i) since dU†/dt = iU†H.
-                cols = udag @ (1j * v * w[..., np.newaxis, :] + vdot)
-                return cols[..., ::-1]
-
     return (
         Model(
             dim=model_a.dim,
             hamiltonian=hamiltonian,
             derivative=derivative,
             analytic_eigensystem=analytic_eigensystem,
-            analytic_eigensystem_derivative=analytic_derivative,
         ),
         traj_a,
     )

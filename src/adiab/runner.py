@@ -106,6 +106,8 @@ def run_pipeline(
     gauge: str = "transport",
 ) -> PipelineResult:
     """Track the eigensystem, start in level ``n`` (0-based), propagate, diagnose."""
+    if not 0 <= n < model.dim:
+        raise ValueError(f"tracked level {n} out of range for dim {model.dim}")
     path = track(model, grid, gauge=gauge)
     psi0 = path.eigenvectors[0, :, n].copy()
     psi0 /= np.linalg.norm(psi0)

@@ -6,7 +6,7 @@ Schema (version 1), all keys lower-case, unknown keys rejected:
     omega0      positive number                          required
     omega       nonnegative number                       required
     theta       number in [0, pi]                        required
-    t_end       number > t_start, finite span            required
+    t_end       number > t_start, h >= 1e8 ulps, finite  required
     steps       integer in 10..1_000_000                 required
     n           tracked level, 1-based, 1..2             required
     t_start     number, default 0
@@ -18,7 +18,9 @@ Schema (version 1), all keys lower-case, unknown keys rejected:
 
 Levels are labeled 1-based in configs, CSV headers and reports, matching
 the ascending-energy convention (level 1 is the ground level); library
-internals use zero-based indices.
+internals use zero-based indices. The step h = (t_end - t_start)/steps
+must be finite and at least 1e8 float spacings (ulps) of the larger
+endpoint, the rule of ``TimeGrid``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from adiab.models import SchwingerParams
+from adiab.propagate import TimeGrid
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -103,14 +106,10 @@ class Scenario:
             raise ScenarioError(f"steps: must be at least {_MIN_STEPS}, got {self.steps}")
         if self.steps > _MAX_STEPS:
             raise ScenarioError(f"steps: must be at most {_MAX_STEPS}, got {self.steps}")
-        if not self.t_end > self.t_start:
-            raise ScenarioError(
-                f"t_end: must exceed t_start ({self.t_start}), got {self.t_end}"
-            )
-        if not math.isfinite(self.t_end - self.t_start):
-            raise ScenarioError(
-                f"t_end: the span t_end - t_start must be finite, got {self.t_end - self.t_start}"
-            )
+        try:
+            TimeGrid(self.t_start, self.t_end, self.steps)
+        except ValueError as exc:
+            raise ScenarioError(f"t_end: {exc}") from exc
         if not 1 <= self.level <= _MODEL_DIM:
             raise ScenarioError(f"n: tracked level must lie in 1..{_MODEL_DIM}, got {self.level}")
 

@@ -10,12 +10,11 @@ down in one of two ways:
   eigensystem. Only available for models that provide one; this is the
   gauge in which the rotating-field closed-form amplitudes are stated.
 
-Every path carries the eigenvector derivatives Ė_i, from closed forms or
-from second-order stencils. ``berry_phase`` accumulates the phase of one
-level along it; the couplings <E_m|Ė_n> and their gap-weighted ratios are
-formed once, in ``adiab.diagnostics``. Phase-sensitive quantities
-(accumulated phase, coupling terms) depend on the gauge; all magnitudes
-reported downstream are gauge-free.
+Every path carries the eigenvector derivatives Ė_i from second-order
+stencils, in either gauge. The accumulated phase, the couplings <E_m|Ė_n>
+and their gap-weighted ratios are formed once, in ``adiab.diagnostics``.
+Phase-sensitive quantities (accumulated phase, coupling terms) depend on
+the gauge; all magnitudes reported downstream are gauge-free.
 """
 
 from __future__ import annotations
@@ -32,12 +31,8 @@ from adiab.propagate import TimeGrid
 __all__ = [
     "DegeneracyError",
     "LevelCrossingError",
-    "GaugeError",
     "SpectralPath",
-    "BerryPhase",
     "track",
-    "analytic_path",
-    "berry_phase",
     "rotate_gauge",
 ]
 
@@ -51,10 +46,6 @@ class DegeneracyError(RuntimeError):
 
 class LevelCrossingError(RuntimeError):
     """Level identity could not be followed between consecutive frames."""
-
-
-class GaugeError(ValueError):
-    """The accumulated phase came out complex: the gauge is not smooth."""
 
 
 @dataclass
@@ -80,19 +71,6 @@ class SpectralPath:
     @property
     def n_samples(self) -> int:
         return self.times.shape[0]
-
-
-@dataclass(frozen=True)
-class BerryPhase:
-    """Accumulated phase -∫E_n dt + i∫<E_n|Ė_n> dt along the grid.
-
-    ``values`` is real (the integrand's i<E_n|Ė_n> part is real under a
-    smooth gauge); ``imag_residue`` records how far from real the raw
-    quadrature strayed.
-    """
-
-    values: np.ndarray
-    imag_residue: float
 
 
 def _unit(z: np.ndarray) -> np.ndarray:
@@ -237,53 +215,6 @@ def track(
         eigenvectors=eigenvectors,
         derivatives=_fill_derivatives(eigenvectors, grid.h),
     )
-
-
-def analytic_path(model: Model, grid: TimeGrid) -> SpectralPath:
-    """SpectralPath built purely from a model's closed forms (no eigensolver).
-
-    Derivatives come from the closed-form expressions when the model supplies
-    them, otherwise from the same finite-difference stencils as ``track``.
-    ``hamiltonians`` comes from ``model.hamiltonian``, not from the closed-form
-    eigensystem, so the identity checks still test the closed forms against H.
-    """
-    if model.analytic_eigensystem is None:
-        raise ValueError("model does not provide a closed-form eigensystem")
-    ts = grid.samples
-    eigenvalues, eigenvectors = model.analytic_eigensystem(ts)
-    scales = np.max(np.abs(eigenvalues), axis=1)
-    _raise_first(_gap_failure(_min_gaps(eigenvalues), np.where(scales > 0.0, scales, 1.0), ts))
-    if model.analytic_eigensystem_derivative is not None:
-        derivatives = model.analytic_eigensystem_derivative(ts)
-    else:
-        derivatives = _fill_derivatives(eigenvectors, grid.h)
-    return SpectralPath(
-        grid=grid,
-        times=ts,
-        hamiltonians=model.hamiltonian(ts),
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        derivatives=derivatives,
-    )
-
-
-def berry_phase(path: SpectralPath, n: int) -> BerryPhase:
-    """Trapezoidal accumulation of -E_n + i<E_n|Ė_n> from t_start.
-
-    The result starts at zero and is real under a smooth gauge; an imaginary
-    residue above 1e-6 raises ``GaugeError``, since it signals a broken gauge.
-    """
-    vn = path.eigenvectors[:, :, n]
-    dn = path.derivatives[:, :, n]
-    geometric = np.einsum("kj,kj->k", vn.conj(), dn)
-    integrand = -path.eigenvalues[:, n] + 1j * geometric
-    h = path.grid.h
-    increments = 0.5 * h * (integrand[1:] + integrand[:-1])
-    raw = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
-    residue = float(np.max(np.abs(raw.imag)))
-    if residue > 1e-6:
-        raise GaugeError(f"accumulated phase has imaginary residue {residue:.3e}; gauge broken")
-    return BerryPhase(values=raw.real.copy(), imag_residue=residue)
 
 
 def rotate_gauge(path: SpectralPath, phases: np.ndarray) -> SpectralPath:

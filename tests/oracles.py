@@ -3,7 +3,9 @@
 Everything here is spelled out from the two-level rotating-field solution so
 the library's own helpers are never used to generate their own expected
 values (only the eigenvector columns, whose correctness is established by
-residual checks against H itself).
+residual checks against H itself). No library path builder is used either:
+``closed_form_path`` assembles its spectral path from those columns and
+hand-written derivatives, with no eigensolver and no stencil.
 """
 
 import math
@@ -11,9 +13,14 @@ import math
 import numpy as np
 
 from adiab.diagnostics import run_diagnostics
-from adiab.models import SchwingerParams, schwinger_model
+from adiab.models import SchwingerParams, schwinger_analytic_eigensystem, schwinger_hamiltonian
 from adiab.propagate import TimeGrid
-from adiab.tracking import analytic_path
+from adiab.tracking import SpectralPath
+
+
+def max_abs(a) -> float:
+    """Largest elementwise magnitude."""
+    return float(np.max(np.abs(np.asarray(a))))
 
 
 def rabi_frequency(p: SchwingerParams) -> float:
@@ -55,24 +62,39 @@ def hamiltonian(p: SchwingerParams, t: float) -> np.ndarray:
     return np.array([[diag, off], [off.conjugate(), -diag]], dtype=np.complex128)
 
 
-def lower_eigvec_derivative(p: SchwingerParams, t: float) -> np.ndarray:
-    """d/dt of the lower eigenvector in the fixed-phase gauge, by hand."""
+def eigvec_derivatives(p: SchwingerParams, t) -> np.ndarray:
+    """d/dt of both eigenvector columns in the fixed-phase gauge, by hand.
+
+    The columns are (e^{-iωt/2} sin(θ/2), -e^{iωt/2} cos(θ/2)) for the lower
+    level and (e^{-iωt/2} cos(θ/2), e^{iωt/2} sin(θ/2)) for the upper one.
+    """
+    t = np.asarray(t, dtype=float)
     s = np.sin(p.theta / 2)
     c = np.cos(p.theta / 2)
-    return np.array(
-        [
-            -0.5j * p.omega * np.exp(-0.5j * p.omega * t) * s,
-            -0.5j * p.omega * np.exp(0.5j * p.omega * t) * c,
-        ]
+    up = -0.5j * p.omega * np.exp(-0.5j * p.omega * t)  # d/dt e^{-iωt/2}
+    dn = 0.5j * p.omega * np.exp(0.5j * p.omega * t)  # d/dt e^{iωt/2}
+    rows = [np.stack([up * s, up * c], axis=-1), np.stack([-dn * c, dn * s], axis=-1)]
+    return np.stack(rows, axis=-2)
+
+
+def closed_form_path(p: SchwingerParams, grid: TimeGrid) -> SpectralPath:
+    """The spectral path of the rotating field from closed forms alone."""
+    ts = grid.samples
+    w, v = schwinger_analytic_eigensystem(p, ts)
+    return SpectralPath(
+        grid=grid,
+        times=ts,
+        hamiltonians=schwinger_hamiltonian(p, ts),
+        eigenvalues=w,
+        eigenvectors=v,
+        derivatives=eigvec_derivatives(p, ts),
     )
 
 
 def analytic_diagnostics(p: SchwingerParams, t_end: float, steps: int):
     """Full diagnostics fed purely with closed forms: no integrator, no solver."""
-    model = schwinger_model(p)
-    grid = TimeGrid(0.0, t_end, steps)
-    path = analytic_path(model, grid)
-    c1, c2 = amplitudes(p, grid.samples)
+    path = closed_form_path(p, TimeGrid(0.0, t_end, steps))
+    c1, c2 = amplitudes(p, path.times)
     states = (
         path.eigenvectors[:, :, 0] * c1[:, np.newaxis]
         + path.eigenvectors[:, :, 1] * c2[:, np.newaxis]

@@ -7,13 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import adiab.diagnostics
+import adiab.runner
 from adiab import cli
 from adiab.models import random_smooth_model
 from adiab.propagate import TimeGrid
 from adiab.runner import RunReport, RunResult, emit_csv, run_pipeline, run_scenario
 from adiab.scenario import ScenarioError, Thresholds, load_scenario, parse_scenario
-from adiab.tracking import DegeneracyError, berry_phase, rotate_gauge
+from adiab.tracking import DegeneracyError, rotate_gauge, track
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 MINIMAL = {
     "model": "schwinger",
@@ -244,6 +246,18 @@ class TestCliCommands:
         assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_CONFIG
         assert "configuration error: t_end:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "span",
+        [{"t_end": 1e-320}, {"t_start": 1e16, "t_end": 1e16 + 2.0}],
+        ids=["subnormal_step", "step_below_float_spacing"],
+    )
+    def test_unresolved_grid_step_exits_config(self, tmp_path, capsys, span):
+        doc = json.loads((SCENARIOS / "slow_theta_pi2.json").read_text())
+        scenario_path = tmp_path / "unresolved.json"
+        scenario_path.write_text(json.dumps(dict(doc, steps=10, **span)))
+        assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_CONFIG
+        assert "configuration error: t_end: grid step" in capsys.readouterr().err
+
     @pytest.mark.parametrize("steps", [1_000_001, 10**400], ids=["bound_plus_one", "400_digits"])
     def test_steps_past_the_bound_exit_config(self, tmp_path, capsys, monkeypatch, steps):
         scenario_path = self._write(tmp_path, steps=steps)
@@ -335,11 +349,12 @@ class TestCliCommands:
     def test_broken_gauge_exits_numerical(self, tmp_path, capsys, monkeypatch):
         scenario_path = self._write(tmp_path)
 
-        def jagged_berry_phase(path, n):
+        def jagged_track(model, grid, gauge="transport"):
+            path = track(model, grid, gauge)
             phases = np.random.default_rng(0).uniform(-1.0, 1.0, size=(path.n_samples, path.dim))
-            return berry_phase(rotate_gauge(path, phases), n)
+            return rotate_gauge(path, phases)
 
-        monkeypatch.setattr(adiab.diagnostics, "berry_phase", jagged_berry_phase)
+        monkeypatch.setattr(adiab.runner, "track", jagged_track)
         assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_NUMERICAL
         assert "gauge broken" in capsys.readouterr().err
 
@@ -390,14 +405,14 @@ class TestShippedScenarios:
             assert run.report.passed, f"{run.scenario.name}: {failing} check failed"
 
     def test_all_shipped_documents_parse(self):
-        shipped = sorted((Path(__file__).parent.parent / "scenarios").glob("*.json"))
+        shipped = sorted(SCENARIOS.glob("*.json"))
         assert len(shipped) == 8
         for path in shipped:
             sc = load_scenario(path)
             assert sc.steps >= 10
 
     def test_report_follows_the_margin_threshold(self):
-        shipped = Path(__file__).parent.parent / "scenarios" / "slow_theta_pi2.json"
+        shipped = SCENARIOS / "slow_theta_pi2.json"
         doc = json.loads(shipped.read_text())
         default = run_scenario(parse_scenario(json.dumps(doc)))
         doc["thresholds"] = {"margin": 1e-3}

@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+import adiab.runner
 import oracles
+from oracles import max_abs
 from adiab.diagnostics import run_diagnostics
-from adiab.linalg import max_abs
-from adiab.models import Model, SchwingerParams, custom_model, schwinger_model
+from adiab.models import Model, SchwingerParams, custom_model, random_smooth_model, schwinger_model
 from adiab.propagate import TimeGrid, evolve
 from adiab.runner import (
     RunResult,
@@ -269,8 +270,6 @@ class TestStillnessConsequence:
 
 class TestDriverSurface:
     def test_four_level_pipeline(self):
-        from adiab.models import random_smooth_model
-
         model = random_smooth_model(4, seed=5)
         pipe = run_pipeline(model, TimeGrid(0.0, 2.0, 400), n=0)
         diag = pipe.diagnostics
@@ -319,3 +318,13 @@ class TestDriverSurface:
         pipe = slow_run.pipeline
         with pytest.raises(ValueError, match="level"):
             run_diagnostics(pipe.trajectory.states, pipe.path, 5)
+
+    @pytest.mark.parametrize("n", [3, -1])
+    def test_pipeline_rejects_level_before_any_work(self, monkeypatch, n):
+        def no_track(*args, **kwargs):
+            raise AssertionError("the path was tracked")
+
+        monkeypatch.setattr(adiab.runner, "track", no_track)
+        model = random_smooth_model(3, seed=1)
+        with pytest.raises(ValueError, match=f"tracked level {n} out of range for dim 3"):
+            run_pipeline(model, TimeGrid(0.0, 1.0, 20), n)

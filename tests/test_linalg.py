@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import max_abs
 from adiab.linalg import (
     ConvergenceError,
     hermitian_eigendecompose,
-    max_abs,
     require_hermitian,
     require_normalized,
     unitary_exponential,

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from adiab.linalg import hermitian_eigendecompose, max_abs, require_hermitian
+from oracles import max_abs
+from adiab.linalg import hermitian_eigendecompose, require_hermitian
 from adiab.models import (
     SchwingerParams,
     custom_model,
@@ -15,7 +16,6 @@ from adiab.models import (
     random_smooth_model,
     schwinger_analytic_amplitudes,
     schwinger_analytic_eigensystem,
-    schwinger_analytic_eigensystem_derivative,
     schwinger_hamiltonian,
     schwinger_hamiltonian_derivative,
     schwinger_model,
@@ -117,10 +117,10 @@ class TestAnalyticEigensystem:
             assert max_abs(aligned - v_ana[:, i]) <= 1e-10
 
     def test_derivative_matches_hand_formula_and_fd(self):
+        # the oracle's hand-written derivatives of both columns
         p = SchwingerParams(1.0, 0.3, 1.1)
         t = 2.4
-        dv = schwinger_analytic_eigensystem_derivative(p, t)
-        assert max_abs(dv[:, 0] - oracles.lower_eigvec_derivative(p, t)) < 1e-14
+        dv = oracles.eigvec_derivatives(p, t)
         step = 1e-6
         _, vp = schwinger_analytic_eigensystem(p, t + step)
         _, vm = schwinger_analytic_eigensystem(p, t - step)
@@ -236,7 +236,6 @@ class TestModelWrappers:
         model = schwinger_model(SchwingerParams(1.0, 0.1, 0.5))
         assert model.dim == 2
         assert model.analytic_eigensystem is not None
-        assert model.analytic_eigensystem_derivative is not None
 
 
 def _pair_on_lattice():
@@ -267,7 +266,6 @@ class TestStackedProtocol:
         if model.analytic_eigensystem is not None:
             out["eigenvalues"] = lambda t: model.analytic_eigensystem(t)[0]
             out["eigenvectors"] = lambda t: model.analytic_eigensystem(t)[1]
-            out["eigenvector_derivative"] = model.analytic_eigensystem_derivative
         return out
 
     @pytest.mark.parametrize("name", sorted(PROTOCOL_MODELS))

@@ -1,10 +1,12 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from adiab.linalg import max_abs
+from oracles import max_abs
 from adiab.models import SchwingerParams, custom_model, schwinger_model
 from adiab.propagate import (
     TimeGrid,
@@ -13,7 +15,11 @@ from adiab.propagate import (
     marzlin_sanders_model,
     propagator_matrix,
 )
+from adiab.runner import run_scenario
+from adiab.scenario import parse_scenario
 from adiab.tracking import track
+
+SHIPPED_PAIR = Path(__file__).resolve().parent.parent / "scenarios" / "marzlin_sanders.json"
 
 SLOW = SchwingerParams(1.0, 0.1, math.pi / 2)
 
@@ -35,7 +41,17 @@ class TestTimeGrid:
         assert grid.h == pytest.approx(0.1)
 
     @pytest.mark.parametrize(
-        "args", [(0.0, 1.0, 0), (0.0, 1.0, -3), (1.0, 1.0, 5), (2.0, 1.0, 5), (0.0, math.inf, 5)]
+        "args",
+        [
+            (0.0, 1.0, 0),
+            (0.0, 1.0, -3),
+            (1.0, 1.0, 5),
+            (2.0, 1.0, 5),
+            (0.0, math.inf, 5),
+            (-1e308, 1e308, 10),  # h overflows to inf
+            (0.0, 1e-320, 10),  # subnormal h
+            (1e16, 1e16 + 2.0, 10),  # h below the float spacing of the endpoints
+        ],
     )
     def test_invalid_rejected(self, args):
         with pytest.raises(ValueError):
@@ -227,8 +243,26 @@ class TestTransformedPair:
         h_b = model_b.hamiltonian(t)
         assert np.all(np.diff(w_b) > 0)
         assert max_abs(h_b @ v_b - v_b * w_b) <= 1e-9
-        step = grid.refined(2).h
-        _, vp = model_b.analytic_eigensystem(t + step)
-        _, vm = model_b.analytic_eigensystem(t - step)
-        fd = (vp - vm) / (2 * step)
-        assert max_abs(model_b.analytic_eigensystem_derivative(t) - fd) <= 1e-5
+
+    def test_analytic_reference_gauge_agrees_with_transport(self):
+        # the shipped pair, shortened; the analytic gauge aligns every frame
+        # of B to U_a† times A's closed-form eigenvectors
+        doc = dict(json.loads(SHIPPED_PAIR.read_text()), steps=1200, t_end=1.2)
+        runs = {
+            gauge: run_scenario(parse_scenario(json.dumps(dict(doc, gauge=gauge))))
+            for gauge in ("auto", "analytic-reference")
+        }
+        for run in runs.values():
+            assert run.report.passed, run.report.first_failure()
+        auto, ref = (runs[g] for g in ("auto", "analytic-reference"))
+        da, dr = auto.pipeline.diagnostics, ref.pipeline.diagnostics
+        assert max_abs(np.abs(da.c) - np.abs(dr.c)) <= 1e-12
+        ma, mr = auto.report.marzlin_sanders, ref.report.marzlin_sanders
+        for key in ("min_fidelity_system_a", "min_fidelity_system_b"):
+            assert abs(ma[key] - mr[key]) <= 1e-12
+        assert ma["max_inverse_residual"] == mr["max_inverse_residual"]
+        # the stencils differ between gauges, at about 1.25e-8 here
+        assert max_abs(np.abs(da.q[:, 1]) - np.abs(dr.q[:, 1])) <= 1e-7
+        assert max_abs(np.abs(da.r[:, 1]) - np.abs(dr.r[:, 1])) <= 1e-7
+        assert max_abs(da.qac[:, 1] - dr.qac[:, 1]) <= 1e-7
+        assert auto.report.regime == ref.report.regime

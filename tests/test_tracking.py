@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from adiab.diagnostics import run_diagnostics
-from adiab.linalg import max_abs
+from oracles import max_abs
+from adiab.diagnostics import GaugeError, run_diagnostics
 from adiab.models import (
     SchwingerParams,
     custom_model,
@@ -16,10 +16,7 @@ from adiab.propagate import TimeGrid
 from adiab.runner import _perturbation_residual
 from adiab.tracking import (
     DegeneracyError,
-    GaugeError,
     LevelCrossingError,
-    analytic_path,
-    berry_phase,
     rotate_gauge,
     track,
 )
@@ -163,14 +160,6 @@ class TestTrack:
         with pytest.raises(ValueError, match="closed-form"):
             track(model, TimeGrid(0.0, 1.0, 10), gauge="analytic")
 
-    def test_analytic_path_no_solver(self):
-        grid = TimeGrid(0.0, 5.0, 500)
-        path = analytic_path(schwinger_model(TILTED), grid)
-        k = 123
-        _, va = schwinger_analytic_eigensystem(TILTED, float(path.times[k]))
-        assert max_abs(path.eigenvectors[k] - va) == 0.0
-        assert max_abs(path.derivatives[k][:, 0] - oracles.lower_eigvec_derivative(TILTED, float(path.times[k]))) == 0.0
-
 
 class TestEigenvectorDerivatives:
     def test_static_derivative_vanishes(self, static_path):
@@ -207,9 +196,8 @@ class TestEigenvectorDerivatives:
 
     def test_perturbation_reproduces_hand_derivative(self):
         # closed-form derivatives leave only rounding in the coupling identity
-        model = schwinger_model(TILTED)
-        path = analytic_path(model, TimeGrid(0.0, 20.0, 2000))
-        assert _perturbation_residual(model, path) <= 1e-8
+        path = oracles.closed_form_path(TILTED, TimeGrid(0.0, 20.0, 2000))
+        assert _perturbation_residual(schwinger_model(TILTED), path) <= 1e-8
 
     def test_derivative_couplings_antisymmetric(self, tilted_analytic_path):
         # <Ė_m|E_n> = -<E_m|Ė_n>, from differentiating orthonormality
@@ -228,24 +216,32 @@ class TestEigenvectorDerivatives:
         assert np.max(np.abs(diag.real)) <= 1e-9
 
 
+def diagnosed(path, n):
+    """Diagnostics along a path; beta and qac read no state, so any stack serves."""
+    return run_diagnostics(path.eigenvectors[:, :, n], path, n)
+
+
+def diagnosed_qac(path, n):
+    return diagnosed(path, n).qac
+
+
 class TestBerryPhase:
     def test_static_phase_is_minus_energy_times_time(self, static_path):
-        acc = berry_phase(static_path, 0)
-        assert acc.values[0] == 0.0
-        assert np.max(np.abs(acc.values - 0.7 * static_path.times)) <= 1e-12
-        assert acc.imag_residue <= 1e-12
+        diag = diagnosed(static_path, 0)
+        assert diag.beta[0] == 0.0
+        assert np.max(np.abs(diag.beta - 0.7 * static_path.times)) <= 1e-12
+        assert diag.beta_imag_residue <= 1e-12
 
     def test_closed_form_at_tilted_angle(self, tilted_analytic_path):
-        acc = berry_phase(tilted_analytic_path, 0)
+        diag = diagnosed(tilted_analytic_path, 0)
         expected = oracles.beta1(TILTED, tilted_analytic_path.times)
-        assert np.max(np.abs(acc.values - expected)) <= 1e-6
-        assert acc.imag_residue <= 1e-9
+        assert np.max(np.abs(diag.beta - expected)) <= 1e-6
+        assert diag.beta_imag_residue <= 1e-9
 
     def test_equatorial_value_at_t_pi(self):
         grid = TimeGrid(0.0, math.pi, 1000)
         path = track(schwinger_model(SLOW), grid, gauge="analytic")
-        acc = berry_phase(path, 0)
-        assert acc.values[-1] == pytest.approx(math.pi / 2, abs=1e-6)
+        assert diagnosed(path, 0).beta[-1] == pytest.approx(math.pi / 2, abs=1e-6)
 
     def test_broken_gauge_is_rejected(self, slow_analytic_path):
         # jagged per-sample phases wreck <E_n|Ė_n>; the quadrature must notice
@@ -253,12 +249,7 @@ class TestBerryPhase:
         phases = rng.uniform(-1.0, 1.0, size=(slow_analytic_path.n_samples, 2))
         jagged = rotate_gauge(slow_analytic_path, phases)
         with pytest.raises(GaugeError, match="gauge"):
-            berry_phase(jagged, 0)
-
-
-def diagnosed_qac(path, n):
-    """The diagnostics' coupling ratios; they read no state, so any stack serves."""
-    return run_diagnostics(path.eigenvectors[:, :, n], path, n).qac
+            diagnosed(jagged, 0)
 
 
 class TestCouplingRatio:
