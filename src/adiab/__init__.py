@@ -18,7 +18,7 @@ from adiab.models import (
     random_smooth_model,
     schwinger_model,
 )
-from adiab.propagate import TimeGrid, Trajectory, evolve, marzlin_sanders_model, propagator_matrix
+from adiab.propagate import TimeGrid, Trajectory, evolve, marzlin_sanders_model
 from adiab.tracking import DegeneracyError, LevelCrossingError, SpectralPath, track
 from adiab.diagnostics import DiagnosticsResult, GaugeError, run_diagnostics
 from adiab.scenario import Scenario, ScenarioError, Thresholds, load_scenario, parse_scenario
@@ -50,7 +50,6 @@ __all__ = [
     "load_scenario",
     "marzlin_sanders_model",
     "parse_scenario",
-    "propagator_matrix",
     "random_smooth_model",
     "run_diagnostics",
     "run_pipeline",

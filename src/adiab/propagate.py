@@ -7,7 +7,10 @@ States are never rescaled; norm conservation is by construction.
 Each propagation makes one product pass: the running propagators U(t_k) are
 accumulated once, and the states are read off that stack as U(t_k) psi0. The
 pass is a log-depth pairwise prefix product (Blelloch, "Prefix sums and their
-applications", 1990), a few batched ``matmul`` calls per level.
+applications", 1990), a few batched ``matmul`` calls per level. A caller that
+already holds the running propagators (the transformed pair's system A, whose
+half-step lattice stack gives them at every other point) passes them to
+``evolve``, and no second pass is made.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "evolve",
-    "propagator_matrix",
     "marzlin_sanders_model",
 ]
 
@@ -86,8 +88,9 @@ class Trajectory:
     """Propagated samples along a grid, one per grid sample.
 
     ``propagators[k]`` is the accumulated U(t_k), with ``propagators[0] = I``;
-    ``states[k]`` is psi(t_k) = U(t_k) psi0 when a state was evolved, read off
-    that one stack, and None otherwise.
+    ``states[k]`` is psi(t_k) = U(t_k) psi0, read off that one stack, when a
+    state was evolved. ``marzlin_sanders_model`` returns system A's half-step
+    lattice stack with no state, so ``states`` is None there.
     """
 
     propagators: np.ndarray
@@ -124,23 +127,28 @@ def _accumulate(unitaries: np.ndarray) -> np.ndarray:
     return out
 
 
-def evolve(model: Model, psi0, grid: TimeGrid) -> Trajectory:
+def evolve(
+    model: Model, psi0, grid: TimeGrid, propagators: Optional[np.ndarray] = None
+) -> Trajectory:
     """Propagate a normalized state over the grid.
 
     Returns the running propagators and the states read off them. Global
-    error is O(h^2) against the exact flow. Raises for a non-normalized
-    initial state or a dimension mismatch.
+    error is O(h^2) against the exact flow. ``propagators``, when given, is
+    the running-propagator stack U(t_k) of ``model`` over ``grid``, shaped
+    ``(grid.steps + 1, dim, dim)``; it is used as it is, with no product pass.
+    Raises for a non-normalized initial state, a dimension mismatch or a
+    stack of another shape.
     """
     psi0 = require_normalized(psi0)
     if psi0.shape[0] != model.dim:
         raise ValueError(f"state dimension {psi0.shape[0]} does not match model dim {model.dim}")
-    propagators = _accumulate(_step_unitaries(model, grid))
+    if propagators is None:
+        propagators = _accumulate(_step_unitaries(model, grid))
+    else:
+        expected = (grid.steps + 1, model.dim, model.dim)
+        if propagators.shape != expected:
+            raise ValueError(f"propagator stack has shape {propagators.shape}, expected {expected}")
     return Trajectory(propagators=propagators, states=propagators @ psi0)
-
-
-def propagator_matrix(model: Model, grid: TimeGrid) -> Trajectory:
-    """Accumulate the full propagator over the grid, U[0] = identity."""
-    return Trajectory(propagators=_accumulate(_step_unitaries(model, grid)))
 
 
 def marzlin_sanders_model(model_a: Model, grid: TimeGrid) -> tuple[Model, Trajectory]:
@@ -149,11 +157,13 @@ def marzlin_sanders_model(model_a: Model, grid: TimeGrid) -> tuple[Model, Trajec
     The propagator of ``model_a`` is accumulated on a half-step refinement of
     ``grid`` so that H_b is available at every grid sample and at every
     midpoint the integrator visits. The returned model only accepts times on
-    that half-step lattice. Also returns the fine-grid trajectory of A,
-    whose propagators satisfy U_b(t) = U_a(t)† for the exact flow.
+    that half-step lattice. Also returns A's lattice trajectory, propagators
+    only (``states`` is None), which satisfy U_b(t) = U_a(t)† for the exact
+    flow. Its even points, ``propagators[::2]``, are A's running propagators
+    on ``grid`` itself, each the product of two half steps.
     """
     fine = grid.refined(2)
-    traj_a = propagator_matrix(model_a, fine)
+    traj_a = Trajectory(propagators=_accumulate(_step_unitaries(model_a, fine)))
     us = traj_a.propagators
     t0 = fine.t_start
     hf = fine.h

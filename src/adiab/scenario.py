@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -102,11 +103,17 @@ class Scenario:
             raise ScenarioError(f"model: expected one of {list(MODEL_KINDS)}, got {self.model_kind!r}")
         if self.gauge not in GAUGE_MODES:
             raise ScenarioError(f"gauge: expected one of {list(GAUGE_MODES)}, got {self.gauge!r}")
+        if not isinstance(self.steps, numbers.Integral):
+            raise ScenarioError(f"steps: expected an integer, got {self.steps!r}")
         if self.steps < _MIN_STEPS:
             raise ScenarioError(f"steps: must be at least {_MIN_STEPS}, got {self.steps}")
         if self.steps > _MAX_STEPS:
             raise ScenarioError(f"steps: must be at most {_MAX_STEPS}, got {self.steps}")
+        for key in ("t_start", "t_end"):
+            if not math.isfinite(getattr(self, key)):
+                raise ScenarioError(f"{key}: must be finite, got {getattr(self, key)!r}")
         try:
+            # What is left to reject is the span: its order or its step size.
             TimeGrid(self.t_start, self.t_end, self.steps)
         except ValueError as exc:
             raise ScenarioError(f"t_end: {exc}") from exc

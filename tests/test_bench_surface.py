@@ -1,8 +1,10 @@
 """The names and workloads the benchmark in ``perfbench/`` relies on still work.
 
 Runs every declared workload once on shortened inputs, in process, through
-the benchmark's own ``build``, ``attempt`` and ``verify``. The benchmark's
-files and ``BENCHMARK.json`` are only read.
+the benchmark's own ``build``, ``attempt`` and ``verify``, and traces one
+``pair`` and one ``panels`` operation to check that the layer spans nest
+under ``run_scenario``. The benchmark's files and ``BENCHMARK.json`` are
+only read.
 """
 
 import json
@@ -36,3 +38,24 @@ def test_workload_ops_run_and_pass_their_checks(tmp_path, workload):
         result, _, error = workloads.attempt(op, tmp_path)
         assert error is None, f"{op.key}: {error}"
         assert workloads.verify(op, result, tmp_path, digests) == [], op.key
+
+
+@pytest.mark.parametrize("workload", ["pair", "panels"])
+def test_layer_spans_nest_under_run_scenario(tmp_path, workload):
+    op = workloads.build(workload, seed=1, shrink=40).profile_op
+    with tracing.installed(tracing.Tracer()) as tracer:
+        assert workloads.attempt(op, tmp_path, tracer)[2] is None
+    assert tracer.check_nesting() == []
+    spans = tracer.spans
+
+    def kids(parent):
+        return sorted(s["name"] for s in spans if s["parent"] == parent["id"])
+
+    top = [s for s in spans if s["name"] == "run_scenario"]
+    assert len(top) == 1 and top[0]["parent"] is None
+    # the pair runs B and then A, each through the whole pipeline
+    pipelines = ["run_pipeline"] * (2 if workload == "pair" else 1)
+    expected = ["marzlin_sanders_model"] * (workload == "pair") + pipelines
+    assert kids(top[0]) == expected
+    for pipe in (s for s in spans if s["name"] == "run_pipeline"):
+        assert kids(pipe) == ["evolve", "run_diagnostics", "track"]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,10 +10,10 @@ import pytest
 
 import adiab.runner
 from adiab import cli
-from adiab.models import random_smooth_model
+from adiab.models import SchwingerParams, random_smooth_model
 from adiab.propagate import TimeGrid
 from adiab.runner import RunReport, RunResult, emit_csv, run_pipeline, run_scenario
-from adiab.scenario import ScenarioError, Thresholds, load_scenario, parse_scenario
+from adiab.scenario import Scenario, ScenarioError, Thresholds, load_scenario, parse_scenario
 from adiab.tracking import DegeneracyError, rotate_gauge, track
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -69,6 +70,22 @@ class TestParseScenario:
         doc.update(overrides)
         with pytest.raises(ScenarioError, match=key.replace(".", r"\.")):
             parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"steps": 10.5}, "steps: expected an integer, got 10.5"),
+            ({"t_start": math.nan}, "t_start: must be finite, got nan"),
+            ({"t_end": math.inf}, "t_end: must be finite, got inf"),
+            ({"t_start": 3.0, "t_end": 2.0}, "t_end: t_end (2.0) must exceed t_start (3.0)"),
+        ],
+    )
+    def test_direct_construction_names_the_key(self, fields, message):
+        args = dict(name="direct", model_kind="schwinger", params=SchwingerParams(1.0, 0.1, 0.5),
+                    t_start=0.0, t_end=2.0, steps=50, level=1)
+        with pytest.raises(ScenarioError) as caught:
+            Scenario(**dict(args, **fields))
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("missing", ["model", "omega0", "omega", "theta", "t_end", "steps", "n"])
     def test_missing_required_key(self, missing):

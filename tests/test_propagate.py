@@ -7,13 +7,16 @@ import pytest
 
 import oracles
 from oracles import max_abs
+import adiab.linalg
+import adiab.propagate
+import adiab.runner
+import adiab.tracking
 from adiab.models import SchwingerParams, custom_model, schwinger_model
 from adiab.propagate import (
     TimeGrid,
     _accumulate,
     evolve,
     marzlin_sanders_model,
-    propagator_matrix,
 )
 from adiab.runner import run_scenario
 from adiab.scenario import parse_scenario
@@ -109,6 +112,31 @@ class TestEvolve:
                         TimeGrid(4.0, 8.0, 400))
         assert max_abs(full.states[-1] - second.states[-1]) <= 1e-12
 
+    def test_given_propagators_reproduce_own_states(self):
+        model = schwinger_model(SLOW)
+        psi0 = _ground(model)
+        grid = TimeGrid(0.0, 6.0, 600)
+        own = evolve(model, psi0, grid)
+        given = evolve(model, psi0, grid, propagators=own.propagators)
+        assert given.propagators is own.propagators
+        assert np.array_equal(given.states, own.states)
+
+    @pytest.mark.parametrize("shape", [(600, 2, 2), (602, 2, 2), (601, 3, 3), (601, 4)])
+    def test_rejects_wrong_shape_propagator_stack(self, shape):
+        model = schwinger_model(SLOW)
+        stack = np.zeros(shape, dtype=complex)
+        with pytest.raises(ValueError, match=r"expected \(601, 2, 2\)"):
+            evolve(model, _ground(model), TimeGrid(0.0, 6.0, 600), propagators=stack)
+
+    def test_given_propagators_still_check_the_state(self):
+        model = schwinger_model(SLOW)
+        grid = TimeGrid(0.0, 1.0, 10)
+        stack = evolve(model, _ground(model), grid).propagators
+        with pytest.raises(ValueError, match="normalized"):
+            evolve(model, np.array([1.0, 1.0], dtype=complex), grid, propagators=stack)
+        with pytest.raises(ValueError, match="dimension"):
+            evolve(model, np.array([1.0, 0.0, 0.0], dtype=complex), grid, propagators=stack)
+
 
 def _random_unitaries(k, dim, seed):
     rng = np.random.default_rng(seed)
@@ -142,7 +170,7 @@ class TestAccumulate:
         grid = TimeGrid(0.0, 1.0, 1)
         psi0 = _ground(model)
         traj = evolve(model, psi0, grid)
-        step = propagator_matrix(model, grid).propagators[1]
+        step = evolve(model, psi0, grid).propagators[1]
         assert traj.states.shape == (2, 2)
         assert np.array_equal(traj.propagators[0], np.eye(2))
         assert max_abs(traj.states[0] - psi0) == 0.0
@@ -157,7 +185,7 @@ def _ground(model):
 class TestPropagatorMatrix:
     def test_zero_hamiltonian_gives_identity(self):
         model = custom_model(lambda t: np.zeros((2, 2), dtype=complex), dim=2)
-        traj = propagator_matrix(model, TimeGrid(0.0, 1.0, 20))
+        traj = evolve(model, np.array([1.0, 0.0], dtype=complex), TimeGrid(0.0, 1.0, 20))
         assert max_abs(traj.propagators - np.eye(2)) == 0.0
 
     def test_first_propagator_is_identity(self, slow_run):
@@ -168,7 +196,7 @@ class TestPropagatorMatrix:
         grid = TimeGrid(0.0, 6.0, 600)
         psi0 = _ground(model)
         traj = evolve(model, psi0, grid)
-        props = propagator_matrix(model, grid)
+        props = evolve(model, psi0, grid)
         applied = np.einsum("kij,j->ki", props.propagators, psi0)
         assert max_abs(traj.states - applied) <= 1e-12
 
@@ -199,7 +227,54 @@ class TestSecondOrderConvergence:
         assert 3.5 <= ratio <= 4.5
 
 
+def _short_pair(steps=250):
+    """The shipped pair over its first ``steps`` steps, at its own step size."""
+    doc = json.loads(SHIPPED_PAIR.read_text())
+    doc |= {"steps": steps, "t_end": doc["t_end"] * steps / doc["steps"]}
+    return parse_scenario(json.dumps(doc))
+
+
+def _counting(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 class TestTransformedPair:
+    def test_pair_run_propagates_system_a_once(self, monkeypatch):
+        counts = {"_step_unitaries": 0, "hermitian_eigendecompose": 0}
+        _counting(monkeypatch, adiab.propagate, "_step_unitaries", counts)
+        # the eigensolver is looked up in linalg (by the exponential) and in tracking
+        for module in (adiab.linalg, adiab.tracking):
+            _counting(monkeypatch, module, "hermitian_eigendecompose", counts)
+        assert run_scenario(_short_pair()).report.passed
+        # A on the half-step lattice and B on the grid; then two tracks and two exponentials
+        assert counts == {"_step_unitaries": 2, "hermitian_eigendecompose": 4}
+
+    def test_system_a_reads_the_lattice_at_even_points(self, monkeypatch):
+        pipelines = []
+        run_pipeline = adiab.runner.run_pipeline
+
+        def recorded(*args, **kwargs):
+            pipelines.append(run_pipeline(*args, **kwargs))
+            return pipelines[-1]
+
+        monkeypatch.setattr(adiab.runner, "run_pipeline", recorded)
+        scenario = _short_pair()
+        run_scenario(scenario)
+        pipeline_a = pipelines[1]  # B runs first, then A
+        model_a = schwinger_model(scenario.params)
+        grid = TimeGrid(scenario.t_start, scenario.t_end, scenario.steps)
+        _, lattice = marzlin_sanders_model(model_a, grid)
+        traj = pipeline_a.trajectory
+        assert np.array_equal(traj.propagators, lattice.propagators[::2])
+        psi0 = pipeline_a.path.eigenvectors[0, :, scenario.level - 1]
+        assert np.array_equal(traj.states, lattice.propagators[::2] @ (psi0 / np.linalg.norm(psi0)))
+
     def test_inverse_and_oracle(self):
         model_a = schwinger_model(SLOW)
         grid = TimeGrid(0.0, 6.0, 3000)
