@@ -5,9 +5,18 @@ arrays, operators are square 2-D complex arrays, eigenvectors are matrix
 columns. The eigensolver and the exponential also take a (K, d, d) stack of
 operators, one per time sample, and solve it in one LAPACK call. Intended
 for dimensions 2..64; no sparsity, no large-N tricks.
+
+Every product of two matrix stacks in the package goes through one kernel,
+``stack_matmul``. numpy's ``matmul`` (and two-operand ``einsum``) pays a
+dispatch per matrix, about 0.4 µs for a 2×2 complex product, which dominates
+the two-level runs. So when the contracted dimension is 2 the kernel writes
+the product as two broadcast multiplies and one add over the whole stack;
+above that the per-matrix cost is arithmetic, and it is ``np.matmul``.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -19,6 +28,7 @@ __all__ = [
     "require_normalized",
     "hermitian_eigendecompose",
     "unitary_exponential",
+    "stack_matmul",
 ]
 
 HERMITIAN_ATOL = 1e-12
@@ -98,4 +108,20 @@ def hermitian_eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
 def unitary_exponential(h, s: float) -> np.ndarray:
     """exp(-i * s * H) for one Hermitian H or a (K, d, d) stack of them."""
     w, v = hermitian_eigendecompose(h)
-    return (v * np.exp(-1j * s * w)[..., np.newaxis, :]) @ np.swapaxes(v.conj(), -2, -1)
+    return stack_matmul(v * np.exp(-1j * s * w)[..., np.newaxis, :], np.swapaxes(v.conj(), -2, -1))
+
+
+def stack_matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``a @ b`` for matrices or stacks of them, broadcast as ``np.matmul`` does.
+
+    Both operands have at least two dimensions. When the contracted dimension
+    is 2 the product is ``a[..., :, 0:1] * b[..., 0:1, :] + a[..., :, 1:2] *
+    b[..., 1:2, :]`` over the whole stack; otherwise it is ``np.matmul``.
+    Writes into ``out`` when given and returns it; on the dim-2 path ``out``
+    must not share memory with ``a`` or ``b``.
+    """
+    if a.shape[-1] != 2 or b.shape[-2] != 2:
+        return np.matmul(a, b, out=out)
+    out = np.multiply(a[..., :, 0:1], b[..., 0:1, :], out=out)
+    out += a[..., :, 1:2] * b[..., 1:2, :]
+    return out

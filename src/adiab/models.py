@@ -20,6 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import ArrayLike
 
+from adiab.linalg import stack_matmul
+
 __all__ = [
     "SchwingerParams",
     "Model",
@@ -268,4 +270,4 @@ def transformed_hamiltonian(u_at_t: np.ndarray, h_at_t: np.ndarray) -> np.ndarra
         raise ValueError(
             f"dimension mismatch: propagator {u_at_t.shape} vs operator {h_at_t.shape}"
         )
-    return -(np.swapaxes(u_at_t.conj(), -2, -1) @ h_at_t @ u_at_t)
+    return -stack_matmul(stack_matmul(np.swapaxes(u_at_t.conj(), -2, -1), h_at_t), u_at_t)

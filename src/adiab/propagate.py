@@ -7,10 +7,10 @@ States are never rescaled; norm conservation is by construction.
 Each propagation makes one product pass: the running propagators U(t_k) are
 accumulated once, and the states are read off that stack as U(t_k) psi0. The
 pass is a log-depth pairwise prefix product (Blelloch, "Prefix sums and their
-applications", 1990), a few batched ``matmul`` calls per level. A caller that
-already holds the running propagators (the transformed pair's system A, whose
-half-step lattice stack gives them at every other point) passes them to
-``evolve``, and no second pass is made.
+applications", 1990), two whole-stack ``linalg.stack_matmul`` products per
+level. A caller that already holds the running propagators (the transformed
+pair's system A, whose half-step lattice stack gives them at every other
+point) passes them to ``evolve``, and no second pass is made.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from adiab.linalg import require_normalized, unitary_exponential
+from adiab.linalg import require_normalized, stack_matmul, unitary_exponential
 from adiab.models import Model, transformed_hamiltonian
 
 __all__ = [
@@ -114,8 +114,8 @@ def _prefix_products(us: np.ndarray, out: np.ndarray) -> None:
     out[0] = us[0]
     if n == 1:
         return
-    _prefix_products(us[1::2] @ us[0 : n - 1 : 2], out[1::2])
-    np.matmul(us[2::2], out[1 : n - 1 : 2], out=out[2::2])
+    _prefix_products(stack_matmul(us[1::2], us[0 : n - 1 : 2]), out[1::2])
+    stack_matmul(us[2::2], out[1 : n - 1 : 2], out=out[2::2])
 
 
 def _accumulate(unitaries: np.ndarray) -> np.ndarray:
@@ -195,7 +195,7 @@ def marzlin_sanders_model(model_a: Model, grid: TimeGrid) -> tuple[Model, Trajec
         def analytic_eigensystem(t) -> tuple[np.ndarray, np.ndarray]:
             w, v = model_a.analytic_eigensystem(t)
             udag = np.swapaxes(propagators_at(t).conj(), -2, -1)
-            return -w[..., ::-1], (udag @ v)[..., ::-1]
+            return -w[..., ::-1], stack_matmul(udag, v)[..., ::-1]
 
     return (
         Model(

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from adiab.diagnostics import DiagnosticsResult, run_diagnostics
+from adiab.linalg import stack_matmul
 from adiab.models import Model, schwinger_model
 from adiab.propagate import TimeGrid, Trajectory, evolve, marzlin_sanders_model
 from adiab.scenario import SCHEMA_VERSION, Scenario
@@ -123,7 +124,7 @@ def run_pipeline(
 
 def _unitarity_drift(trajectory: Trajectory) -> float:
     us = trajectory.propagators
-    grams = np.einsum("kji,kjl->kil", us.conj(), us)
+    grams = stack_matmul(np.swapaxes(us.conj(), -2, -1), us)
     grams -= np.eye(us.shape[1])
     return float(np.max(np.abs(grams)))
 
@@ -136,8 +137,9 @@ def _perturbation_residual(model: Model, path: SpectralPath) -> Optional[float]:
     dv = path.derivatives[1:-1]
     w = path.eigenvalues[1:-1]
     hdots = model.derivative(path.times[1:-1])
-    mats = np.einsum("kjm,kjl,kli->kmi", v.conj(), hdots, v)
-    couplings = np.einsum("kjm,kji->kmi", v.conj(), dv)
+    vh = np.swapaxes(v.conj(), -2, -1)
+    mats = stack_matmul(stack_matmul(vh, hdots), v)
+    couplings = stack_matmul(vh, dv)
     gaps = w[:, :, np.newaxis] - w[:, np.newaxis, :]
     off = ~np.eye(path.dim, dtype=bool)
     residual = mats[:, off] / gaps[:, off] + couplings[:, off]
@@ -266,9 +268,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     model_b, lattice_a = marzlin_sanders_model(model_a, grid)
     pipeline_b = run_pipeline(model_b, grid, n, gauge)
     pipeline_a = run_pipeline(model_a, grid, n, gauge, propagators=lattice_a.propagators[::2])
-    products = np.einsum(
-        "kij,kjl->kil", pipeline_b.trajectory.propagators, pipeline_a.trajectory.propagators
-    )
+    products = stack_matmul(pipeline_b.trajectory.propagators, pipeline_a.trajectory.propagators)
     inverse_residual = float(np.max(np.abs(products - np.eye(model_a.dim))))
     fidelity_a = pipeline_a.diagnostics.fidelity()
     fidelity_b = pipeline_b.diagnostics.fidelity()

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from adiab.linalg import hermitian_eigendecompose
+from adiab.linalg import hermitian_eigendecompose, stack_matmul
 from adiab.models import Model
 from adiab.propagate import TimeGrid
 
@@ -192,7 +192,7 @@ def track(
         _raise_first(gap, _floor_failure(overlaps, "vs closed form", ts))
         phases = _unit(overlaps).conj()
     else:
-        pairs = np.einsum("kji,kjl->kil", raw[:-1].conj(), raw[1:])
+        pairs = stack_matmul(np.swapaxes(raw[:-1].conj(), -2, -1), raw[1:])
         steps = np.diagonal(pairs, axis1=1, axis2=2)
         _raise_first(
             gap,

@@ -6,6 +6,10 @@ values (only the eigenvector columns, whose correctness is established by
 residual checks against H itself). No library path builder is used either:
 ``closed_form_path`` assembles its spectral path from those columns and
 hand-written derivatives, with no eigensolver and no stencil.
+
+The two report checks are also kept here in the ``einsum`` forms the runner
+used before its products went through ``linalg.stack_matmul``, as references
+for the kernel forms.
 """
 
 import math
@@ -21,6 +25,25 @@ from adiab.tracking import SpectralPath
 def max_abs(a) -> float:
     """Largest elementwise magnitude."""
     return float(np.max(np.abs(np.asarray(a))))
+
+
+def unitarity_drift(propagators) -> float:
+    """Largest |U_k† U_k - I| entry, contracted by ``einsum``."""
+    grams = np.einsum("kji,kjl->kil", propagators.conj(), propagators)
+    return max_abs(grams - np.eye(propagators.shape[1]))
+
+
+def perturbation_residual(model, path):
+    """Interior residual of <E_m|Hdot|E_i>/(E_m - E_i) + <E_m|Ė_i>, by ``einsum``."""
+    if model.derivative is None or path.n_samples < 3:
+        return None
+    v = path.eigenvectors[1:-1]
+    w = path.eigenvalues[1:-1]
+    mats = np.einsum("kjm,kjl,kli->kmi", v.conj(), model.derivative(path.times[1:-1]), v)
+    couplings = np.einsum("kjm,kji->kmi", v.conj(), path.derivatives[1:-1])
+    gaps = w[:, :, np.newaxis] - w[:, np.newaxis, :]
+    off = ~np.eye(path.dim, dtype=bool)
+    return max_abs(mats[:, off] / gaps[:, off] + couplings[:, off])
 
 
 def rabi_frequency(p: SchwingerParams) -> float:

@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +17,16 @@ from adiab.runner import (
     _build_report,
     _criteria_fractions,
     _perturbation_residual,
+    _unitarity_drift,
     run_pipeline,
+    run_scenario,
 )
-from adiab.scenario import Scenario
+from adiab.scenario import Scenario, parse_scenario
 from adiab.tracking import track
 
 SLOW = SchwingerParams(1.0, 0.1, math.pi / 2)
 FAST = SchwingerParams(1.0, 10.0, 0.1)
+SHIPPED_PAIR = Path(__file__).resolve().parent.parent / "scenarios" / "marzlin_sanders.json"
 
 
 @pytest.fixture(scope="module")
@@ -328,3 +333,22 @@ class TestDriverSurface:
         model = random_smooth_model(3, seed=1)
         with pytest.raises(ValueError, match=f"tracked level {n} out of range for dim 3"):
             run_pipeline(model, TimeGrid(0.0, 1.0, 20), n)
+
+
+def _dense_pipeline():
+    return run_pipeline(random_smooth_model(16, seed=3), TimeGrid(0.0, 0.2, 50), n=0)
+
+
+def _shipped_pair_pipeline():
+    # system B of the shipped pair over its first 200 steps, at the shipped step
+    doc = dict(json.loads(SHIPPED_PAIR.read_text()), steps=200, t_end=0.2)
+    return run_scenario(parse_scenario(json.dumps(doc))).pipeline
+
+
+@pytest.mark.parametrize("make", [_dense_pipeline, _shipped_pair_pipeline], ids=["dim16", "pair"])
+def test_report_checks_match_their_einsum_forms(make):
+    pipe = make()
+    residual = _perturbation_residual(pipe.model, pipe.path)
+    assert abs(residual - oracles.perturbation_residual(pipe.model, pipe.path)) <= 1e-12
+    drift = _unitarity_drift(pipe.trajectory)
+    assert abs(drift - oracles.unitarity_drift(pipe.trajectory.propagators)) <= 1e-12

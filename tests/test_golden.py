@@ -13,10 +13,15 @@ Regenerate the references from the repository root with
     PYTHONPATH=src python tests/test_golden.py
 
 only when an output is meant to change, and say why in the change log.
+``margins()`` gives the worst |actual - reference| of each file, the room a
+change has left under ``FLOAT_ATOL``:
+
+    PYTHONPATH=src python -c "import sys; sys.path[:0] = ['tests']; import test_golden as g; print(g.margins())"
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -55,6 +60,33 @@ def snapshot(scenario_path: Path, out_dir: Path) -> dict:
     return doc
 
 
+@functools.cache
+def current(stem: str) -> dict:
+    """The snapshot of one shipped scenario, run once per process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return snapshot(ROOT / "scenarios" / f"{stem}.json", Path(tmp))
+
+
+def reference(stem: str) -> dict:
+    return json.loads((GOLDEN / f"{stem}.json").read_text(encoding="utf-8"))
+
+
+def worst_deviation(expected, actual) -> float:
+    """Largest |actual - expected| over the floats of a reference document."""
+    if isinstance(expected, dict):
+        return max((worst_deviation(v, actual[k]) for k, v in expected.items()), default=0.0)
+    if isinstance(expected, list):
+        return max((worst_deviation(e, a) for e, a in zip(expected, actual)), default=0.0)
+    if isinstance(expected, float) and not isinstance(actual, bool):
+        return abs(actual - expected)
+    return 0.0
+
+
+def margins() -> dict:
+    """Worst |actual - reference| for each reference file, by scenario name."""
+    return {p.stem: worst_deviation(reference(p.stem), current(p.stem)) for p in SCENARIOS}
+
+
 def mismatches(expected, actual, where: str = "", exact: bool = False) -> list:
     """Every place where ``actual`` departs from ``expected`` beyond the bound."""
     if isinstance(expected, dict):
@@ -81,10 +113,15 @@ def mismatches(expected, actual, where: str = "", exact: bool = False) -> list:
 
 
 @pytest.mark.parametrize("scenario_path", SCENARIOS, ids=lambda p: p.stem)
-def test_matches_golden(scenario_path, tmp_path):
-    expected = json.loads((GOLDEN / f"{scenario_path.stem}.json").read_text(encoding="utf-8"))
-    problems = mismatches(expected, snapshot(scenario_path, tmp_path), scenario_path.stem)
+def test_matches_golden(scenario_path):
+    stem = scenario_path.stem
+    problems = mismatches(reference(stem), current(stem), stem)
     assert not problems, "\n".join(problems[:20])
+
+
+def test_worst_deviation_within_bound():
+    worst = margins()
+    assert max(worst.values()) <= FLOAT_ATOL, worst
 
 
 def test_every_shipped_scenario_has_a_reference():

@@ -11,6 +11,7 @@ from adiab.linalg import (
     hermitian_eigendecompose,
     require_hermitian,
     require_normalized,
+    stack_matmul,
     unitary_exponential,
 )
 
@@ -133,6 +134,50 @@ class TestStacks:
         us = unitary_exponential(stack, 0.3)
         for k in range(5):
             assert max_abs(us[k] - unitary_exponential(stack[k], 0.3)) <= 1e-14
+
+
+def random_stack(shape, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def assert_matmul(got, a, b):
+    want = np.matmul(a, b)
+    assert got.shape == want.shape
+    assert max_abs(got - want) <= 1e-13 * max_abs(want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+class TestStackMatmul:
+    """``stack_matmul`` is ``a @ b``: slice sums at d = 2, ``np.matmul`` above."""
+
+    def test_matches_matmul(self, d):
+        a, b = random_stack((17, d, d), 1), random_stack((17, d, d), 2)
+        assert_matmul(stack_matmul(a, b), a, b)
+
+    def test_conjugate_transpose_view_on_the_left(self, d):
+        a, b = random_stack((17, d, d), 3), random_stack((17, d, d), 4)
+        adag = np.swapaxes(a.conj(), -2, -1)
+        assert_matmul(stack_matmul(adag, b), adag, b)
+
+    def test_non_square_right_operand(self, d):
+        a, b = random_stack((17, d, d), 5), random_stack((17, d, d + 3), 6)
+        assert_matmul(stack_matmul(a, b), a, b)
+
+    def test_single_matrix_broadcasts_against_a_stack(self, d):
+        single, stack = random_stack((d, d), 7), random_stack((17, d, d), 8)
+        assert_matmul(stack_matmul(single, stack), single, stack)
+        assert_matmul(stack_matmul(stack, single), stack, single)
+
+    def test_out_is_a_strided_slice_of_the_input_buffer(self, d):
+        # the prefix-product pattern: even slots are written from odd ones
+        a, buf = random_stack((9, d, d), 9), random_stack((18, d, d), 10)
+        a_before, buf_before = a.copy(), buf.copy()
+        out = buf[0::2]
+        assert stack_matmul(a, buf[1::2], out=out) is out
+        assert_matmul(buf[0::2], a_before, buf_before[1::2])
+        assert np.array_equal(buf[1::2], buf_before[1::2])
+        assert np.array_equal(a, a_before)
 
 
 class TestUnitaryExponential:

@@ -154,8 +154,10 @@ def _sequential_products(unitaries):
 
 
 class TestAccumulate:
-    @pytest.mark.parametrize("dim", [2, 8, 16])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33])
+    # d = 2 takes the slice-sum branch of stack_matmul, d > 2 np.matmul; odd
+    # and even K both reach the out= write of the even prefixes
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 64])
     def test_matches_sequential_product(self, k, dim):
         us = _random_unitaries(k, dim, seed=100 * k + dim)
         out = _accumulate(us)
