@@ -3,8 +3,12 @@
 Everything operates on plain numpy arrays: state vectors are 1-D complex
 arrays, operators are square 2-D complex arrays, eigenvectors are matrix
 columns. The eigensolver and the exponential also take a (K, d, d) stack of
-operators, one per time sample, and solve it in one LAPACK call. Intended
-for dimensions 2..64; no sparsity, no large-N tricks.
+operators, one per time sample. The eigensolver solves it in one LAPACK call
+at every d. So does the exponential above d = 2; at d = 2 it is the
+closed-form SU(2) rotation over the whole stack, because it needs no
+eigenpairs there and the per-matrix LAPACK ``eigh`` cost (about 2 µs for a
+complex 2×2 matrix) would dominate the two-level runs. Intended for
+dimensions 2..64; no sparsity, no large-N tricks.
 
 Every product of two matrix stacks in the package goes through one kernel,
 ``stack_matmul``. numpy's ``matmul`` (and two-operand ``einsum``) pays a
@@ -106,9 +110,37 @@ def hermitian_eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unitary_exponential(h, s: float) -> np.ndarray:
-    """exp(-i * s * H) for one Hermitian H or a (K, d, d) stack of them."""
-    w, v = hermitian_eigendecompose(h)
-    return stack_matmul(v * np.exp(-1j * s * w)[..., np.newaxis, :], np.swapaxes(v.conj(), -2, -1))
+    """exp(-i * s * H) for one Hermitian H or a (K, d, d) stack of them.
+
+    Above d = 2 it is ``V e^{-i s w} V†`` from ``hermitian_eigendecompose``.
+    At d = 2, with H = a0·1 + M and M = [[a_z, b], [b*, -a_z]] traceless
+    (a0, a_z from the real parts of the diagonal, b = H[0, 1]), M² = r²·1
+    for r = hypot(a_z, |b|), so the result is the Rabi rotation
+    e^{-i s a0} [cos(s r)·1 - i (sin(s r)/r) M], with sin(s r)/r = s at r = 0.
+    No eigenpair is formed. Either way the input is validated once by
+    ``require_hermitian``.
+    """
+    h = np.asarray(h)
+    if h.shape[-2:] != (2, 2):
+        w, v = hermitian_eigendecompose(h)
+        vdag = np.swapaxes(v.conj(), -2, -1)
+        return stack_matmul(v * np.exp(-1j * s * w)[..., np.newaxis, :], vdag)
+    h = np.asarray(require_hermitian(h), dtype=np.complex128)
+    d0, d1 = h[..., 0, 0].real, h[..., 1, 1].real
+    az = 0.5 * (d0 - d1)
+    b = h[..., 0, 1]
+    r = np.hypot(az, np.abs(b))
+    angle = s * r
+    sinc = np.divide(np.sin(angle), r, out=np.full_like(r, s), where=r > 0)
+    phase = np.exp(-1j * s * (0.5 * (d0 + d1)))  # e^{-i s a0}
+    cos = phase * np.cos(angle)
+    isin = 1j * phase * sinc  # u = cos·1 - isin·M, both carrying the phase
+    u = np.empty(h.shape, dtype=np.complex128)
+    u[..., 0, 0] = cos - isin * az
+    u[..., 1, 1] = cos + isin * az
+    u[..., 0, 1] = -isin * b
+    u[..., 1, 0] = -isin * b.conj()
+    return u
 
 
 def stack_matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -229,8 +229,10 @@ def random_smooth_model(
     H(t) = D + A cos(frequency t) + B sin(frequency t), where D has diagonal
     0, base_gap, 2 base_gap, ... plus a small Hermitian perturbation, and A,
     B are random Hermitian matrices of magnitude ``drive``. Gaps stay well
-    clear of degeneracy for drive << base_gap.
+    clear of degeneracy for drive << base_gap. ``dim`` must be at least 2.
     """
+    if dim < 2:
+        raise ValueError("model dimension must be at least 2")
     rng = np.random.default_rng(seed)
 
     def draw_hermitian(scale: float) -> np.ndarray:

@@ -231,4 +231,6 @@ def load_scenario(path) -> Scenario:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file {path} is not UTF-8 text: {exc}") from exc
     return parse_scenario(text, default_name=path.stem)

@@ -9,7 +9,8 @@ hand-written derivatives, with no eigensolver and no stencil.
 
 The two report checks are also kept here in the ``einsum`` forms the runner
 used before its products went through ``linalg.stack_matmul``, as references
-for the kernel forms.
+for the kernel forms, and so is the eigendecomposition form of exp(-i s H),
+the reference for the closed-form two-level exponential.
 """
 
 import math
@@ -44,6 +45,12 @@ def perturbation_residual(model, path):
     gaps = w[:, :, np.newaxis] - w[:, np.newaxis, :]
     off = ~np.eye(path.dim, dtype=bool)
     return max_abs(mats[:, off] / gaps[:, off] + couplings[:, off])
+
+
+def eigh_exponential(h, s: float) -> np.ndarray:
+    """exp(-i s H) as V e^{-i s w} V† from LAPACK ``eigh``, for a matrix or a stack."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * s * w)[..., np.newaxis, :]) @ np.swapaxes(v.conj(), -2, -1)
 
 
 def rabi_frequency(p: SchwingerParams) -> float:

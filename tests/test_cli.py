@@ -258,6 +258,26 @@ class TestCliCommands:
         assert cli.main(["run", str(bad), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert "steps" in capsys.readouterr().err
 
+    def test_non_utf8_file_exits_config(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert cli.main(["verify", str(bad)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: scenario file {bad} is not UTF-8 text")
+
+    def test_batch_lists_a_non_utf8_file_as_config(self, tmp_path, capsys):
+        batch_dir = tmp_path / "batch"
+        batch_dir.mkdir()
+        self._write(batch_dir, name="a_good")
+        (batch_dir / "b_binary.json").write_bytes(b"\xff\xfe{}")
+        out_dir = tmp_path / "out"
+        assert cli.main(["batch", str(batch_dir), "--out", str(out_dir)]) == cli.EXIT_CONFIG
+        assert (out_dir / "a_good.report.json").exists()
+        captured = capsys.readouterr()
+        assert "b_binary.json is not UTF-8 text" in captured.err
+        rows = self._summary_rows(captured.out)
+        assert [row[:2] for row in rows] == [["a_good", "ok"], ["b_binary", "config"]]
+
     def test_overflowing_span_exits_config(self, tmp_path, capsys):
         scenario_path = self._write(tmp_path, t_start=-1e308, t_end=1e308)
         assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_CONFIG

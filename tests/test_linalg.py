@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import max_abs
+from oracles import eigh_exponential, max_abs
 from adiab.linalg import (
     ConvergenceError,
     hermitian_eigendecompose,
@@ -122,6 +123,11 @@ class TestStacks:
         stack[4, 0, 2] += 1e-6
         with pytest.raises(ValueError, match="operator 4 of the stack is not Hermitian"):
             hermitian_eigendecompose(stack)
+        # the closed-form d = 2 exponential validates the same way
+        stack = np.stack([random_hermitian(2, seed) for seed in range(6)])
+        stack[3, 1, 0] += 1e-6
+        with pytest.raises(ValueError, match="operator 3 of the stack is not Hermitian"):
+            unitary_exponential(stack, 0.1)
 
     def test_nonfinite_member_named(self):
         stack = np.stack([random_hermitian(2, seed) for seed in range(3)])
@@ -130,10 +136,11 @@ class TestStacks:
             unitary_exponential(stack, 0.1)
 
     def test_exponential_stack_matches_single(self):
-        stack = np.stack([random_hermitian(4, seed) for seed in range(5)])
-        us = unitary_exponential(stack, 0.3)
-        for k in range(5):
-            assert max_abs(us[k] - unitary_exponential(stack[k], 0.3)) <= 1e-14
+        for d in (4, 2):
+            stack = np.stack([random_hermitian(d, seed) for seed in range(5)])
+            us = unitary_exponential(stack, 0.3)
+            for k in range(5):
+                assert max_abs(us[k] - unitary_exponential(stack[k], 0.3)) <= 1e-14
 
 
 def random_stack(shape, seed: int) -> np.ndarray:
@@ -203,18 +210,57 @@ class TestUnitaryExponential:
     @given(st.floats(-5.0, 5.0, allow_nan=False), st.floats(-5.0, 5.0, allow_nan=False))
     @settings(max_examples=30, deadline=None)
     def test_group_property(self, s1, s2):
-        h = random_hermitian(3, 17)
-        lhs = unitary_exponential(h, s1) @ unitary_exponential(h, s2)
-        rhs = unitary_exponential(h, s1 + s2)
-        assert max_abs(lhs - rhs) <= 1e-10
+        for d in (3, 2):
+            h = random_hermitian(d, 17)
+            lhs = unitary_exponential(h, s1) @ unitary_exponential(h, s2)
+            rhs = unitary_exponential(h, s1 + s2)
+            assert max_abs(lhs - rhs) <= 1e-10
 
     @given(st.integers(0, 10**6), complex_vector())
     @settings(max_examples=30, deadline=None)
     def test_norm_preservation(self, seed, v):
-        u = unitary_exponential(random_hermitian(3, seed), 0.9)
-        assert max_abs(u.conj().T @ u - np.eye(3)) <= 1e-10
-        norm = np.linalg.norm(v)
-        assert np.linalg.norm(u @ v) == pytest.approx(norm, abs=1e-10 * (1 + norm))
+        for d in (3, 2):
+            u = unitary_exponential(random_hermitian(d, seed), 0.9)
+            assert max_abs(u.conj().T @ u - np.eye(d)) <= 1e-10
+            norm = np.linalg.norm(v[:d])
+            assert np.linalg.norm(u @ v[:d]) == pytest.approx(norm, abs=1e-10 * (1 + norm))
+
+
+def random_hermitian_stack(k: int, d: int, seed: int) -> np.ndarray:
+    """``k`` Hermitian matrices, each scaled by its own factor in [1e-3, 1e3]."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1, 1))
+    return scales * 0.5 * (m + np.swapaxes(m.conj(), 1, 2))
+
+
+class TestClosedFormExponential:
+    """At d = 2 the exponential is the SU(2) rotation; above, the eigh form."""
+
+    @pytest.mark.parametrize("s", [1e-3, 0.1, 3.0, 1e3])
+    def test_matches_the_eigh_form_and_is_unitary(self, s):
+        h = random_hermitian_stack(2000, 2, 11)
+        u = unitary_exponential(h, s)
+        scale = np.maximum(1.0, s * np.linalg.norm(h, ord=2, axis=(1, 2)))
+        assert np.all(np.max(np.abs(u - eigh_exponential(h, s)), axis=(1, 2)) <= 1e-14 * scale)
+        assert max_abs(np.swapaxes(u.conj(), 1, 2) @ u - np.eye(2)) <= 4e-15
+
+    def test_scalar_matrices_are_exact_phases(self):
+        values = np.array([0.0, 1.7, -3.2, 1e-300, 5e3])
+        stack = values[:, np.newaxis, np.newaxis] * np.eye(2)
+        stack = np.concatenate([stack, random_hermitian_stack(3, 2, 12)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # r = 0 must not divide by zero
+            for s in (0.0, 1e-3, 0.7, 1e3):
+                u = unitary_exponential(stack, s)
+                for k, a in enumerate(values):
+                    assert np.array_equal(u[k], np.exp(-1j * s * a) * np.eye(2))
+                    assert np.array_equal(unitary_exponential(stack[k], s), u[k])
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_above_dim_2_is_the_eigh_form(self, d):
+        h = random_hermitian_stack(50, d, 13)
+        assert np.array_equal(unitary_exponential(h, 0.3), eigh_exponential(h, 0.3))
 
 
 class TestValidators:

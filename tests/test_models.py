@@ -211,6 +211,9 @@ class TestModelWrappers:
     def test_custom_model_validation(self):
         with pytest.raises(ValueError, match="dimension"):
             custom_model(lambda t: np.eye(1), dim=1)
+        for dim in (1, 0):
+            with pytest.raises(ValueError, match="model dimension must be at least 2"):
+                random_smooth_model(dim, seed=3)
 
     def test_custom_model_rejects_wrong_callback_shape(self):
         model = custom_model(lambda t: np.eye(3, dtype=complex), dim=2)

@@ -11,14 +11,14 @@ import adiab.linalg
 import adiab.propagate
 import adiab.runner
 import adiab.tracking
-from adiab.models import SchwingerParams, custom_model, schwinger_model
+from adiab.models import SchwingerParams, custom_model, random_smooth_model, schwinger_model
 from adiab.propagate import (
     TimeGrid,
     _accumulate,
     evolve,
     marzlin_sanders_model,
 )
-from adiab.runner import run_scenario
+from adiab.runner import run_pipeline, run_scenario
 from adiab.scenario import parse_scenario
 from adiab.tracking import track
 
@@ -229,9 +229,9 @@ class TestSecondOrderConvergence:
         assert 3.5 <= ratio <= 4.5
 
 
-def _short_pair(steps=250):
-    """The shipped pair over its first ``steps`` steps, at its own step size."""
-    doc = json.loads(SHIPPED_PAIR.read_text())
+def _short_scenario(path=SHIPPED_PAIR, steps=250):
+    """A shipped scenario over its first ``steps`` steps, at its own step size."""
+    doc = json.loads(path.read_text())
     doc |= {"steps": steps, "t_end": doc["t_end"] * steps / doc["steps"]}
     return parse_scenario(json.dumps(doc))
 
@@ -246,16 +246,44 @@ def _counting(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
+def _solver_counts(monkeypatch) -> dict:
+    """Count step stacks, eigensolves and Hermitian validations from here on."""
+    counts = {"_step_unitaries": 0, "hermitian_eigendecompose": 0, "require_hermitian": 0}
+    _counting(monkeypatch, adiab.propagate, "_step_unitaries", counts)
+    # the eigensolver is looked up in linalg (by the exponential above d = 2) and in tracking
+    for module in (adiab.linalg, adiab.tracking):
+        _counting(monkeypatch, module, "hermitian_eigendecompose", counts)
+    _counting(monkeypatch, adiab.linalg, "require_hermitian", counts)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "run, eigensolves",
+    [
+        (lambda: run_scenario(_short_scenario(SHIPPED_PAIR.parent / "slow_theta_pi2.json")), 1),
+        (lambda: run_pipeline(random_smooth_model(8, seed=3), TimeGrid(0.0, 0.2, 50), 0), 2),
+    ],
+    ids=["schwinger", "dim8"],
+)
+def test_eigensolves_and_validations_per_run(monkeypatch, run, eigensolves):
+    # one track; the step exponential adds an eigensolve only above d = 2, and
+    # each of the two stacks (the track's H(t), the midpoint H) is validated once
+    counts = _solver_counts(monkeypatch)
+    run()
+    assert counts == {
+        "_step_unitaries": 1, "hermitian_eigendecompose": eigensolves, "require_hermitian": 2
+    }
+
+
 class TestTransformedPair:
     def test_pair_run_propagates_system_a_once(self, monkeypatch):
-        counts = {"_step_unitaries": 0, "hermitian_eigendecompose": 0}
-        _counting(monkeypatch, adiab.propagate, "_step_unitaries", counts)
-        # the eigensolver is looked up in linalg (by the exponential) and in tracking
-        for module in (adiab.linalg, adiab.tracking):
-            _counting(monkeypatch, module, "hermitian_eigendecompose", counts)
-        assert run_scenario(_short_pair()).report.passed
-        # A on the half-step lattice and B on the grid; then two tracks and two exponentials
-        assert counts == {"_step_unitaries": 2, "hermitian_eigendecompose": 4}
+        counts = _solver_counts(monkeypatch)
+        assert run_scenario(_short_scenario()).report.passed
+        # A on the half-step lattice and B on the grid; the d = 2 step exponentials
+        # solve no eigenproblem, so only the two tracks do; four stacks validated
+        assert counts == {
+            "_step_unitaries": 2, "hermitian_eigendecompose": 2, "require_hermitian": 4
+        }
 
     def test_system_a_reads_the_lattice_at_even_points(self, monkeypatch):
         pipelines = []
@@ -266,7 +294,7 @@ class TestTransformedPair:
             return pipelines[-1]
 
         monkeypatch.setattr(adiab.runner, "run_pipeline", recorded)
-        scenario = _short_pair()
+        scenario = _short_scenario()
         run_scenario(scenario)
         pipeline_a = pipelines[1]  # B runs first, then A
         model_a = schwinger_model(scenario.params)
