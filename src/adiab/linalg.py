@@ -3,11 +3,11 @@
 Everything operates on plain numpy arrays: state vectors are 1-D complex
 arrays, operators are square 2-D complex arrays, eigenvectors are matrix
 columns. The eigensolver and the exponential also take a (K, d, d) stack of
-operators, one per time sample. The eigensolver solves it in one LAPACK call
-at every d. So does the exponential above d = 2; at d = 2 it is the
-closed-form SU(2) rotation over the whole stack, because it needs no
-eigenpairs there and the per-matrix LAPACK ``eigh`` cost (about 2 µs for a
-complex 2×2 matrix) would dominate the two-level runs. Intended for
+operators, one per time sample. Above d = 2 both solve it in one LAPACK
+``eigh`` call. At d = 2 both are closed forms over the whole stack, from the
+split H = a0·1 + M with M traceless: the eigenpairs a0 ± r with M² = r²·1,
+and the SU(2) rotation. The per-matrix LAPACK cost (about 2 µs for a complex
+2×2 matrix) would otherwise dominate the two-level runs. Intended for
 dimensions 2..64; no sparsity, no large-N tricks.
 
 Every product of two matrix stacks in the package goes through one kernel,
@@ -89,15 +89,26 @@ def require_normalized(v) -> np.ndarray:
 def hermitian_eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors of a Hermitian matrix or stack.
 
-    ``h`` is one (d, d) matrix or a (K, d, d) stack, solved by one LAPACK
-    call. Returns ``(w, V)`` with ``w`` real ascending along the last axis
-    and the columns of ``V`` the matching eigenvectors, so ``H @ V[..., i]``
-    equals ``w[..., i] * V[..., i]``. A zero matrix gives ``(0, I)``.
+    ``h`` is one (d, d) matrix or a (K, d, d) stack. Returns ``(w, V)`` with
+    ``w`` real ascending along the last axis and the columns of ``V`` the
+    matching eigenvectors, so ``H @ V[..., i]`` equals ``w[..., i] * V[..., i]``.
 
-    Raises ``ValueError`` for non-Hermitian or non-finite input and
-    ``ConvergenceError`` when the solver does not converge.
+    Above d = 2 the stack is solved by one LAPACK call, and a zero matrix
+    gives ``(0, I)``. At d = 2 it is the closed form, over the whole stack:
+    with H = a0·1 + M, M = [[a_z, b], [b*, -a_z]], r = hypot(a_z, |b|) and
+    p = r + |a_z|, the eigenvalues are (a0 - r, a0 + r) and
+    V = [[α, β], [-β*, α*]] / hypot(p, |b|), where (α, β) = (b, p) for
+    a_z ≥ 0 and (p, b) for a_z < 0. Choosing by the sign of a_z leaves nothing
+    to cancel, and dividing by hypot(p, |b|) rather than sqrt(2 r p) keeps
+    entries near 1e±150 finite. At r = 0, that is for every H = a·1, the
+    zero matrix included, it gives ``(a, a)`` and exactly I.
+
+    Raises ``ValueError`` for non-Hermitian or non-finite input and, only
+    above d = 2, ``ConvergenceError`` when LAPACK does not converge.
     """
     h = np.asarray(require_hermitian(h), dtype=np.complex128)
+    if h.shape[-1] == 2:
+        return _eigh_2x2(h)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -106,6 +117,37 @@ def hermitian_eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
     if np.any(zero):
         w[zero] = 0.0
         v[zero] = np.eye(h.shape[-1])
+    return w, v
+
+
+def _pauli_split(h: np.ndarray):
+    # H = a0·1 + [[a_z, b], [b*, -a_z]]; returns a0, a_z, b, |b| and r = hypot(a_z, |b|)
+    d0, d1 = h[..., 0, 0].real, h[..., 1, 1].real
+    az = 0.5 * (d0 - d1)
+    b = h[..., 0, 1]
+    babs = np.abs(b)
+    return 0.5 * (d0 + d1), az, b, babs, np.hypot(az, babs)
+
+
+def _eigh_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a0, az, b, babs, r = _pauli_split(h)
+    w = np.empty(r.shape + (2,))
+    w[..., 0] = a0 - r
+    w[..., 1] = a0 + r
+    p = r + np.abs(az)
+    # dead is 1 exactly where r = 0 (H = a·1), where p, b and the norm all
+    # vanish; adding it there gives α = 1, β = 0 and norm 1, so V = I.
+    # Elsewhere it adds an exact 0.
+    dead = r == 0
+    norm = np.hypot(p, babs) + dead
+    up = az >= 0
+    alpha = (np.where(up, b, p) + dead) / norm
+    beta = np.where(up, p, b) / norm
+    v = np.empty(h.shape, dtype=np.complex128)
+    v[..., 0, 0] = alpha
+    v[..., 0, 1] = beta
+    v[..., 1, 0] = -beta.conj()
+    v[..., 1, 1] = alpha.conj()
     return w, v
 
 
@@ -125,14 +167,10 @@ def unitary_exponential(h, s: float) -> np.ndarray:
         w, v = hermitian_eigendecompose(h)
         vdag = np.swapaxes(v.conj(), -2, -1)
         return stack_matmul(v * np.exp(-1j * s * w)[..., np.newaxis, :], vdag)
-    h = np.asarray(require_hermitian(h), dtype=np.complex128)
-    d0, d1 = h[..., 0, 0].real, h[..., 1, 1].real
-    az = 0.5 * (d0 - d1)
-    b = h[..., 0, 1]
-    r = np.hypot(az, np.abs(b))
+    a0, az, b, _, r = _pauli_split(np.asarray(require_hermitian(h), dtype=np.complex128))
     angle = s * r
     sinc = np.divide(np.sin(angle), r, out=np.full_like(r, s), where=r > 0)
-    phase = np.exp(-1j * s * (0.5 * (d0 + d1)))  # e^{-i s a0}
+    phase = np.exp(-1j * s * a0)
     cos = phase * np.cos(angle)
     isin = 1j * phase * sinc  # u = cos·1 - isin·M, both carrying the phase
     u = np.empty(h.shape, dtype=np.complex128)

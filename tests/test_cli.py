@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import adiab.runner
+import adiab.tracking
 from adiab import cli
+from adiab.linalg import ConvergenceError
 from adiab.models import SchwingerParams, random_smooth_model
 from adiab.propagate import TimeGrid
 from adiab.runner import RunReport, RunResult, emit_csv, run_pipeline, run_scenario
@@ -376,10 +378,11 @@ class TestCliCommands:
     def test_solver_failure_exits_numerical(self, tmp_path, capsys, monkeypatch):
         scenario_path = self._write(tmp_path)
 
-        def no_convergence(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        def no_convergence(h):
+            raise ConvergenceError("Hermitian eigensolver did not converge: Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        # a two-level run calls no LAPACK solver, so the failure is raised where track solves
+        monkeypatch.setattr(adiab.tracking, "hermitian_eigendecompose", no_convergence)
         assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_NUMERICAL
         assert "eigensolver did not converge" in capsys.readouterr().err
 

@@ -8,11 +8,16 @@ rows. A rerun must match every float within ``FLOAT_ATOL``; regime flags,
 order may change between implementations, so byte equality is not required
 here (run-to-run byte identity is criterion 8d of the acceptance gate).
 
-Regenerate the references from the repository root with
+From the repository root,
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [STEM ...]
 
-only when an output is meant to change, and say why in the change log.
+runs every shipped scenario and prints, for each reference file, how many of
+its floats would move and the worst |new - old| with its key. It then
+rewrites only the references named on the command line (``marzlin_sanders``
+for ``tests/golden/marzlin_sanders.json``); with no name it writes nothing.
+Re-record only when an output is meant to change, and say why in the change
+log.
 ``margins()`` gives the worst |actual - reference| of each file, the room a
 change has left under ``FLOAT_ATOL``:
 
@@ -71,15 +76,35 @@ def reference(stem: str) -> dict:
     return json.loads((GOLDEN / f"{stem}.json").read_text(encoding="utf-8"))
 
 
+def float_pairs(expected, actual, where: str = ""):
+    """``(key, reference, current)`` for each float of a reference document.
+
+    Walks ``expected``; a key or list entry missing from ``actual`` is skipped.
+    """
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        for key, value in expected.items():
+            if key in actual:
+                yield from float_pairs(value, actual[key], f"{where}.{key}" if where else key)
+    elif isinstance(expected, list) and isinstance(actual, list):
+        for i, (e, a) in enumerate(zip(expected, actual)):
+            yield from float_pairs(e, a, f"{where}[{i}]")
+    elif isinstance(expected, float) and isinstance(actual, (int, float)) and not isinstance(actual, bool):
+        yield where, expected, actual
+
+
 def worst_deviation(expected, actual) -> float:
     """Largest |actual - expected| over the floats of a reference document."""
-    if isinstance(expected, dict):
-        return max((worst_deviation(v, actual[k]) for k, v in expected.items()), default=0.0)
-    if isinstance(expected, list):
-        return max((worst_deviation(e, a) for e, a in zip(expected, actual)), default=0.0)
-    if isinstance(expected, float) and not isinstance(actual, bool):
-        return abs(actual - expected)
-    return 0.0
+    return max((abs(a - e) for _, e, a in float_pairs(expected, actual)), default=0.0)
+
+
+def movement(expected, actual) -> str:
+    """How many floats of a reference would move, and the worst move with its key."""
+    pairs = list(float_pairs(expected, actual))
+    moved = [(abs(a - e), key) for key, e, a in pairs if a != e]
+    if not moved:
+        return f"0 of {len(pairs)} floats move"
+    worst, key = max(moved)
+    return f"{len(moved)} of {len(pairs)} floats move, worst {worst:.3g} at {key}"
 
 
 def margins() -> dict:
@@ -124,14 +149,36 @@ def test_worst_deviation_within_bound():
     assert max(worst.values()) <= FLOAT_ATOL, worst
 
 
+def test_movement_counts_moved_floats_and_names_the_worst():
+    old = {"summary": {"a": 1.0, "b": 2.0, "flag": True}, "rows": {"0": [0.5, 0.25]}}
+    new = {"summary": {"a": 1.0, "b": 2.0 + 3e-12, "flag": True}, "rows": {"0": [0.5 - 1e-11, 0.25]}}
+    assert movement(old, old) == "0 of 4 floats move"
+    assert movement(old, new) == "2 of 4 floats move, worst 1e-11 at rows.0[0]"
+
+
 def test_every_shipped_scenario_has_a_reference():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == [p.stem for p in SCENARIOS]
 
 
-if __name__ == "__main__":
+def main(stems: list) -> int:
+    """Report what a re-record would move in every reference; write ``stems``."""
+    known = [p.stem for p in SCENARIOS]
+    unknown = sorted(set(stems) - set(known))
+    if unknown:
+        print(f"unknown scenario(s): {', '.join(unknown)}; expected some of {', '.join(known)}", file=sys.stderr)
+        return 2
     GOLDEN.mkdir(exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for path in SCENARIOS:
-            doc = snapshot(path, Path(tmp))
-            (GOLDEN / f"{path.stem}.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-            print(f"wrote {GOLDEN / path.stem}.json", file=sys.stderr)
+    for stem in known:
+        doc = current(stem)
+        path = GOLDEN / f"{stem}.json"
+        print(f"{stem}: {movement(reference(stem), doc) if path.exists() else 'no reference yet'}")
+        if stem in stems:
+            path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+            print(f"  wrote {path}")
+    if not stems:
+        print("nothing written; name the scenarios to re-record")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -263,6 +263,112 @@ class TestClosedFormExponential:
         assert np.array_equal(unitary_exponential(h, 0.3), eigh_exponential(h, 0.3))
 
 
+EPS = np.finfo(float).eps
+
+
+def pauli_stack(az, b, a0) -> np.ndarray:
+    """2×2 Hermitian matrices a0·1 + [[a_z, b], [b*, -a_z]], one per entry."""
+    az, b, a0 = np.broadcast_arrays(np.asarray(az, float), np.asarray(b, complex), a0)
+    h = np.empty(az.shape + (2, 2), dtype=complex)
+    h[..., 0, 0], h[..., 1, 1] = a0 + az, a0 - az
+    h[..., 0, 1], h[..., 1, 0] = b, b.conj()
+    return h
+
+
+def assert_eigenpairs(h, w, v):
+    """Ascending w, |HV - VW| <= 8·eps·‖H‖ per matrix and V†V = 1."""
+    norms = np.linalg.norm(h, ord=2, axis=(-2, -1))
+    assert np.all(np.isfinite(w)) and np.all(np.isfinite(v))
+    assert np.all(w[..., 0] <= w[..., 1])
+    defect = np.max(np.abs(h @ v - v * w[..., np.newaxis, :]), axis=(-2, -1))
+    assert np.all(defect <= 8 * EPS * norms)
+    assert max_abs(np.swapaxes(v.conj(), -2, -1) @ v - np.eye(2)) <= 4e-15
+
+
+class TestClosedFormEigensolver:
+    """At d = 2 the eigenpairs are the closed form; above, LAPACK ``eigh``."""
+
+    def test_matches_lapack(self):
+        h = random_hermitian_stack(2000, 2, 21)
+        w, v = hermitian_eigendecompose(h)
+        wl, vl = np.linalg.eigh(h)
+        norms = np.linalg.norm(h, ord=2, axis=(1, 2))
+        assert_eigenpairs(h, w, v)
+        # LAPACK's own eigenvalues sit up to about 5·eps·‖H‖ from the exact ones
+        assert np.all(np.max(np.abs(w - wl), axis=1) <= 8 * EPS * norms)
+        # columns agree up to a phase, to the eps·‖H‖/gap both solvers are held to
+        gap = w[:, 1] - w[:, 0]
+        resolved = gap >= 1e-6 * norms
+        assert np.count_nonzero(resolved) > 1900
+        overlap = np.einsum("kji,kji->ki", vl.conj(), v)
+        aligned = vl * (overlap / np.abs(overlap))[:, np.newaxis, :]
+        defect = np.max(np.abs(v - aligned), axis=(1, 2))
+        assert np.all(defect[resolved] <= 16 * EPS * norms[resolved] / gap[resolved])
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS, reason="needs extended precision")
+    def test_eigenvalues_are_within_eps_of_exact(self):
+        h = random_hermitian_stack(2000, 2, 22)
+        w, _ = hermitian_eigendecompose(h)
+        x = h.astype(np.clongdouble)
+        a0 = (x[:, 0, 0].real + x[:, 1, 1].real) / 2
+        az = (x[:, 0, 0].real - x[:, 1, 1].real) / 2
+        r = np.sqrt(az * az + np.abs(x[:, 0, 1]) ** 2)
+        exact = np.stack([a0 - r, a0 + r], axis=-1)
+        norms = np.linalg.norm(h, ord=2, axis=(1, 2))
+        assert np.all(np.max(np.abs(w - exact), axis=1) <= 4 * EPS * norms)
+
+    @pytest.mark.parametrize(
+        "az, b",
+        [(0.7, 0.2 - 0.4j), (-0.7, 0.2 - 0.4j), (0.0, 0.3 + 0.1j), (0.7, 0.0), (-0.7, 0.0),
+         (1e-9, 1.0), (-1e-9, 1.0), (1.0, 1e-9j)],
+        ids=["az>0", "az<0", "az=0", "b=0,az>0", "b=0,az<0", "az~0+", "az~0-", "b~0"],
+    )
+    def test_every_branch(self, az, b):
+        a0 = np.array([-1.3, 0.0, 2.5])
+        h = pauli_stack(az, b, a0)
+        w, v = hermitian_eigendecompose(h)
+        assert_eigenpairs(h, w, v)
+        r = math.hypot(az, abs(b))
+        exact = a0[:, np.newaxis] + np.array([-r, r])
+        assert np.all(np.abs(w - exact) <= 4 * EPS * np.linalg.norm(h, ord=2, axis=(1, 2))[:, np.newaxis])
+
+    def test_scalar_matrices_give_the_identity(self):
+        values = np.array([0.0, 1.7, -3.2, 1e-300, 5e3, -1e150])
+        stack = values[:, np.newaxis, np.newaxis] * np.eye(2)
+        stack = np.concatenate([stack, random_hermitian_stack(3, 2, 23)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # r = 0 must not divide by zero
+            w, v = hermitian_eigendecompose(stack)
+            for k, a in enumerate(values):
+                assert np.array_equal(w[k], [a, a])
+                assert np.array_equal(v[k], np.eye(2))
+                wk, vk = hermitian_eigendecompose(stack[k])
+                assert np.array_equal(wk, [a, a]) and np.array_equal(vk, np.eye(2))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e160, 1e-160])
+    def test_extreme_entries_stay_finite(self, scale):
+        # at 1e±160 the squares under sqrt(2 r p) would overflow or underflow
+        h = scale * random_hermitian_stack(200, 2, 24)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, v = hermitian_eigendecompose(h)
+        assert_eigenpairs(h, w, v)
+
+    def test_single_matrix_is_its_stack_member(self):
+        h = random_hermitian_stack(40, 2, 25)
+        w, v = hermitian_eigendecompose(h)
+        for k in range(40):
+            wk, vk = hermitian_eigendecompose(h[k])
+            assert np.array_equal(wk, w[k]) and np.array_equal(vk, v[k])
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_above_dim_2_is_lapack(self, d):
+        h = random_hermitian_stack(50, d, 26)
+        w, v = hermitian_eigendecompose(h)
+        wl, vl = np.linalg.eigh(h)
+        assert np.array_equal(w, wl) and np.array_equal(v, vl)
+
+
 class TestValidators:
     def test_require_hermitian_accepts_and_returns(self):
         h = random_hermitian(3, 1)

@@ -275,6 +275,29 @@ def test_eigensolves_and_validations_per_run(monkeypatch, run, eigensolves):
     }
 
 
+@pytest.mark.parametrize("name", ["marzlin_sanders", "fast_theta_pi4"])
+def test_two_level_runs_call_no_lapack_solver(monkeypatch, name):
+    def no_lapack(a):
+        raise AssertionError("LAPACK eigh reached on a two-level run")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_lapack)
+    assert run_scenario(_short_scenario(SHIPPED_PAIR.parent / f"{name}.json")).report.passed
+
+
+def test_dim8_run_makes_two_lapack_solves(monkeypatch):
+    # the track and the step exponential, one call each for the whole stack
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    run_pipeline(random_smooth_model(8, seed=3), TimeGrid(0.0, 0.2, 50), 0)
+    assert calls == [(51, 8, 8), (50, 8, 8)]
+
+
 class TestTransformedPair:
     def test_pair_run_propagates_system_a_once(self, monkeypatch):
         counts = _solver_counts(monkeypatch)
