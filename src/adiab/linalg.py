@@ -3,12 +3,14 @@
 Everything operates on plain numpy arrays: state vectors are 1-D complex
 arrays, operators are square 2-D complex arrays, eigenvectors are matrix
 columns. The eigensolver and the exponential also take a (K, d, d) stack of
-operators, one per time sample. Above d = 2 both solve it in one LAPACK
-``eigh`` call. At d = 2 both are closed forms over the whole stack, from the
-split H = a0·1 + M with M traceless: the eigenpairs a0 ± r with M² = r²·1,
-and the SU(2) rotation. The per-matrix LAPACK cost (about 2 µs for a complex
-2×2 matrix) would otherwise dominate the two-level runs. Intended for
-dimensions 2..64; no sparsity, no large-N tricks.
+operators, one per time sample. Above d = 2 the eigensolver is one LAPACK
+``eigh`` call per stack, and the exponential forms no eigenpair: it is a
+scaled Taylor polynomial evaluated by stack products, so a run solves one
+eigenproblem per time point. At d = 2 both are closed forms over the whole
+stack, from the split H = a0·1 + M with M traceless: the eigenpairs a0 ± r
+with M² = r²·1, and the SU(2) rotation. The per-matrix LAPACK cost (about
+2 µs for a complex 2×2 matrix) would otherwise dominate the two-level runs.
+Intended for dimensions 2..64; no sparsity, no large-N tricks.
 
 Every product of two matrix stacks in the package goes through one kernel,
 ``stack_matmul``. numpy's ``matmul`` (and two-operand ``einsum``) pays a
@@ -20,6 +22,7 @@ above that the per-matrix cost is arithmetic, and it is ``np.matmul``.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -55,12 +58,14 @@ def require_hermitian(h) -> np.ndarray:
     if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
         raise ValueError("operator must be a square matrix or a stack of them")
     stack = h.reshape((-1,) + h.shape[-2:])
-    finite = np.all(np.isfinite(stack), axis=(1, 2))
-    if not np.all(finite):
+    # whole-stack tests first; the failing matrix is located only on failure
+    if not np.isfinite(stack).all():
+        finite = np.all(np.isfinite(stack), axis=(1, 2))
         raise ValueError(f"operator{_which(h, finite)} contains non-finite entries")
-    defects = np.max(np.abs(stack - np.swapaxes(stack.conj(), 1, 2)), axis=(1, 2), initial=0.0)
-    ok = defects <= HERMITIAN_ATOL
-    if not np.all(ok):
+    defects = np.abs(stack - np.swapaxes(stack.conj(), 1, 2))
+    if not np.max(defects, initial=0.0) <= HERMITIAN_ATOL:
+        defects = np.max(defects, axis=(1, 2))
+        ok = defects <= HERMITIAN_ATOL
         defect = defects[np.argmin(ok)]
         raise ValueError(
             f"operator{_which(h, ok)} is not Hermitian "
@@ -92,6 +97,8 @@ def hermitian_eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
     ``h`` is one (d, d) matrix or a (K, d, d) stack. Returns ``(w, V)`` with
     ``w`` real ascending along the last axis and the columns of ``V`` the
     matching eigenvectors, so ``H @ V[..., i]`` equals ``w[..., i] * V[..., i]``.
+    It is the package's one eigensolver, and ``tracking.track`` its one caller
+    in a run: ``unitary_exponential`` forms no eigenpair.
 
     Above d = 2 the stack is solved by one LAPACK call, and a zero matrix
     gives ``(0, I)``. At d = 2 it is the closed form, over the whole stack:
@@ -154,20 +161,30 @@ def _eigh_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def unitary_exponential(h, s: float) -> np.ndarray:
     """exp(-i * s * H) for one Hermitian H or a (K, d, d) stack of them.
 
-    Above d = 2 it is ``V e^{-i s w} V†`` from ``hermitian_eigendecompose``.
-    At d = 2, with H = a0·1 + M and M = [[a_z, b], [b*, -a_z]] traceless
-    (a0, a_z from the real parts of the diagonal, b = H[0, 1]), M² = r²·1
-    for r = hypot(a_z, |b|), so the result is the Rabi rotation
-    e^{-i s a0} [cos(s r)·1 - i (sin(s r)/r) M], with sin(s r)/r = s at r = 0.
-    No eigenpair is formed. Either way the input is validated once by
-    ``require_hermitian``.
+    No eigenpair is formed at any d. At d = 2, with H = a0·1 + M and
+    M = [[a_z, b], [b*, -a_z]] traceless (a0, a_z from the real parts of the
+    diagonal, b = H[0, 1]), M² = r²·1 for r = hypot(a_z, |b|), so the result
+    is the Rabi rotation e^{-i s a0} [cos(s r)·1 - i (sin(s r)/r) M], with
+    sin(s r)/r = s at r = 0.
+
+    Above d = 2 it is e^{-i s μ}·[T_m(X)]^(2^j) with μ = tr H / d per matrix
+    and X = -i s (H - μ·1) / 2^j, T_m the degree-m Taylor polynomial. With
+    θ = |s|·max_k ‖H_k - μ_k·1‖₁ over the stack, j = max(0, ⌈log₂ θ⌉) and m
+    is the smallest degree with θ'^(m+1)/(m+1)! / (1 - θ'/(m+2)) ≤ 2⁻⁵³ for
+    θ' = θ/2^j, a bound on the truncated tail. T_m is evaluated in powers of
+    X² (Paterson–Stockmeyer) and squared j times, all by ``stack_matmul``.
+    One (j, m) serves the whole stack, so each matrix is accurate to a few
+    eps·max(1, θ), θ set by the stack's largest member.
+
+    The input is validated once by ``require_hermitian``; a non-finite ``s``,
+    or one whose θ overflows, raises ``ValueError``.
     """
-    h = np.asarray(h)
-    if h.shape[-2:] != (2, 2):
-        w, v = hermitian_eigendecompose(h)
-        vdag = np.swapaxes(v.conj(), -2, -1)
-        return stack_matmul(v * np.exp(-1j * s * w)[..., np.newaxis, :], vdag)
-    a0, az, b, _, r = _pauli_split(np.asarray(require_hermitian(h), dtype=np.complex128))
+    if not math.isfinite(s):
+        raise ValueError(f"time s of the exponential must be finite, got {s}")
+    h = np.asarray(require_hermitian(h), dtype=np.complex128)
+    if h.shape[-1] != 2:
+        return _taylor_exponential(h, s)
+    a0, az, b, _, r = _pauli_split(h)
     angle = s * r
     sinc = np.divide(np.sin(angle), r, out=np.full_like(r, s), where=r > 0)
     phase = np.exp(-1j * s * a0)
@@ -178,6 +195,56 @@ def unitary_exponential(h, s: float) -> np.ndarray:
     u[..., 1, 1] = cos + isin * az
     u[..., 0, 1] = -isin * b
     u[..., 1, 0] = -isin * b.conj()
+    return u
+
+
+def _taylor_degree(theta: float) -> int:
+    # smallest m >= 1 whose tail bound theta^(m+1)/(m+1)! / (1 - theta/(m+2))
+    # is at most the unit roundoff 2^-53; theta <= 1, so m <= 18
+    m, term = 1, theta * theta / 2
+    while term > 2.0**-53 * (1.0 - theta / (m + 2)):
+        m += 1
+        term *= theta / (m + 1)
+    return m
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    # a writeable view of the diagonal of each matrix in a
+    return np.einsum("...ii->...i", a)
+
+
+def _taylor_exponential(h: np.ndarray, s: float) -> np.ndarray:
+    x = h.copy()
+    diagonal = _diagonal(x)
+    mu = diagonal.real.sum(axis=-1) / h.shape[-1]
+    diagonal -= mu[..., np.newaxis]
+    theta = abs(s) * float(np.max(np.sum(np.abs(x), axis=-2), initial=0.0))
+    if not math.isfinite(theta):
+        raise ValueError(f"time s = {s} overflows |s|·‖H‖₁ in the exponential")
+    squarings = max(0, math.ceil(math.log2(theta))) if theta > 1 else 0
+    m = _taylor_degree(math.ldexp(theta, -squarings))
+    x *= -1j * math.ldexp(s, -squarings)
+    # T_m(X) = u_0 for u_i = (2i+1)·1 + X + X² u_{i+1} / ((2i+2)(2i+3)), the
+    # tail of T_m from X^(2i) times (2i+1)!, whose last u_q, q = (m-1)//2, is
+    # (2q+1)·1 + X + X²/(2q+2) when m = 2q+2 and (2q+1)·1 + X when m = 2q+1
+    q = (m - 1) // 2
+    u, buf = x.copy(), np.empty_like(x)
+    u_diagonal, buf_diagonal = _diagonal(u), _diagonal(buf)  # views, swapped along with u and buf
+    u_diagonal += 2 * q + 1
+    if m > 1:
+        x2 = stack_matmul(x, x)
+        if m % 2 == 0:
+            u += np.multiply(x2, 1.0 / m, out=buf)
+        for i in range(q - 1, -1, -1):
+            stack_matmul(x2, u, out=buf)
+            u, buf, u_diagonal, buf_diagonal = buf, u, buf_diagonal, u_diagonal
+            u *= 1.0 / ((2 * i + 2) * (2 * i + 3))
+            u += x
+            u_diagonal += 2 * i + 1
+    for _ in range(squarings):
+        stack_matmul(u, u, out=buf)
+        u, buf = buf, u
+    u *= np.exp(-1j * s * mu)[..., np.newaxis, np.newaxis]
     return u
 
 

@@ -10,7 +10,8 @@ hand-written derivatives, with no eigensolver and no stencil.
 The two report checks are also kept here in the ``einsum`` forms the runner
 used before its products went through ``linalg.stack_matmul``, as references
 for the kernel forms, and so is the eigendecomposition form of exp(-i s H),
-the reference for the closed-form two-level exponential.
+the reference for the exponential: the closed-form two-level rotation, and
+the Taylor polynomial by stack products above d = 2.
 """
 
 import math

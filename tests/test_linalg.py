@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import eigh_exponential, max_abs
 from adiab.linalg import (
+    HERMITIAN_ATOL,
     ConvergenceError,
     hermitian_eigendecompose,
     require_hermitian,
@@ -134,6 +135,10 @@ class TestStacks:
         stack[2, 1, 1] = np.inf
         with pytest.raises(ValueError, match="operator 2 of the stack contains non-finite"):
             unitary_exponential(stack, 0.1)
+        stack = np.stack([random_hermitian(3, seed) for seed in range(4)])
+        stack[1, 0, 2] = np.nan
+        with pytest.raises(ValueError, match="operator 1 of the stack contains non-finite"):
+            unitary_exponential(stack, 0.1)
 
     def test_exponential_stack_matches_single(self):
         for d in (4, 2):
@@ -189,8 +194,10 @@ class TestStackMatmul:
 
 class TestUnitaryExponential:
     def test_zero_time_is_identity(self):
-        u = unitary_exponential(random_hermitian(3, 5), 0.0)
-        assert max_abs(u - np.eye(3)) < 1e-14
+        for d in (2, 3, 8):
+            assert np.array_equal(unitary_exponential(random_hermitian(d, 5), 0.0), np.eye(d))
+            stack = np.stack([random_hermitian(d, seed) for seed in range(4)])
+            assert np.array_equal(unitary_exponential(stack, 0.0), np.broadcast_to(np.eye(d), stack.shape))
 
     def test_diagonal_exponential(self):
         u = unitary_exponential(np.diag([-0.5, 0.5]).astype(complex), math.pi)
@@ -235,7 +242,7 @@ def random_hermitian_stack(k: int, d: int, seed: int) -> np.ndarray:
 
 
 class TestClosedFormExponential:
-    """At d = 2 the exponential is the SU(2) rotation; above, the eigh form."""
+    """At d = 2 the exponential is the SU(2) rotation."""
 
     @pytest.mark.parametrize("s", [1e-3, 0.1, 3.0, 1e3])
     def test_matches_the_eigh_form_and_is_unitary(self, s):
@@ -257,13 +264,62 @@ class TestClosedFormExponential:
                     assert np.array_equal(u[k], np.exp(-1j * s * a) * np.eye(2))
                     assert np.array_equal(unitary_exponential(stack[k], s), u[k])
 
-    @pytest.mark.parametrize("d", [3, 8])
-    def test_above_dim_2_is_the_eigh_form(self, d):
-        h = random_hermitian_stack(50, d, 13)
-        assert np.array_equal(unitary_exponential(h, 0.3), eigh_exponential(h, 0.3))
-
 
 EPS = np.finfo(float).eps
+
+
+class TestTaylorExponential:
+    """Above d = 2 the exponential is a scaled Taylor polynomial, squared."""
+
+    @pytest.mark.parametrize("s", [-1e-3, 0.1, 3.0, 1e3])
+    @pytest.mark.parametrize("d", [3, 8, 16, 64])
+    def test_matches_the_eigh_form_and_is_unitary(self, d, s):
+        # one scaling serves a stack, so the error follows the stack's largest
+        # |s|·‖H‖₁, the θ the degree and the squarings are chosen from
+        def assert_close(h, u):
+            bound = 32 * EPS * max(1.0, abs(s) * np.max(np.linalg.norm(h, ord=1, axis=(-2, -1))))
+            assert max_abs(u - eigh_exponential(h, s)) <= bound
+            assert max_abs(np.swapaxes(u.conj(), -2, -1) @ u - np.eye(d)) <= bound
+
+        h = random_hermitian_stack(20 if d == 64 else 100, d, 14)
+        assert_close(h, unitary_exponential(h, s))
+        for k in range(0, h.shape[0], 9):  # alone, a matrix follows its own norm
+            assert_close(h[k], unitary_exponential(h[k], s))
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_scalar_matrices_are_phases(self, d):
+        values = np.array([0.0, 1.7, -3.2, 1e-300, 5e3])
+        stack = values[:, np.newaxis, np.newaxis] * np.eye(d)
+        for s in (1e-3, 0.7, 1e3):
+            u = unitary_exponential(stack, s)
+            assert np.count_nonzero(u * (1 - np.eye(d))) == 0
+            phases = np.exp(-1j * s * values)[:, np.newaxis, np.newaxis] * np.eye(d)
+            bound = 4 * EPS * np.maximum(1.0, np.abs(s * values))
+            assert np.all(np.max(np.abs(u - phases), axis=(1, 2)) <= bound)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_empty_stack(self, d):
+        u = unitary_exponential(np.zeros((0, d, d)), 0.3)
+        assert u.shape == (0, d, d)
+
+    def test_forms_no_eigenpair(self, monkeypatch):
+        def no_lapack(a):
+            raise AssertionError("LAPACK eigh reached by the exponential")
+
+        h = random_hermitian_stack(30, 8, 15)
+        want = eigh_exponential(h, 0.3)
+        monkeypatch.setattr(np.linalg, "eigh", no_lapack)
+        assert max_abs(unitary_exponential(h, 0.3) - want) <= 1e-9
+
+    @pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nonfinite_time_rejected(self, d, s):
+        with pytest.raises(ValueError, match="time s"):
+            unitary_exponential(random_hermitian(d, 16), s)
+
+    def test_overflowing_time_rejected(self):
+        with pytest.raises(ValueError, match="time s = 1e.308 overflows"):
+            unitary_exponential(np.diag([1.0, 2.0, 5.0]), 1e308)
 
 
 def pauli_stack(az, b, a0) -> np.ndarray:
@@ -373,6 +429,14 @@ class TestValidators:
     def test_require_hermitian_accepts_and_returns(self):
         h = random_hermitian(3, 1)
         assert require_hermitian(h) is not None
+
+    def test_defect_at_the_tolerance_passes(self):
+        h = np.zeros((3, 2, 2))
+        h[1, 0, 1] = HERMITIAN_ATOL
+        assert require_hermitian(h) is h
+        h[1, 0, 1] = 2 * HERMITIAN_ATOL
+        with pytest.raises(ValueError, match=r"operator 1 of the stack is not Hermitian \(defect 2\.000e-12"):
+            require_hermitian(h)
 
     def test_require_normalized(self):
         require_normalized(np.array([1.0, 0.0], dtype=complex))

@@ -250,7 +250,7 @@ def _solver_counts(monkeypatch) -> dict:
     """Count step stacks, eigensolves and Hermitian validations from here on."""
     counts = {"_step_unitaries": 0, "hermitian_eigendecompose": 0, "require_hermitian": 0}
     _counting(monkeypatch, adiab.propagate, "_step_unitaries", counts)
-    # the eigensolver is looked up in linalg (by the exponential above d = 2) and in tracking
+    # the eigensolver is looked up in linalg and in tracking
     for module in (adiab.linalg, adiab.tracking):
         _counting(monkeypatch, module, "hermitian_eigendecompose", counts)
     _counting(monkeypatch, adiab.linalg, "require_hermitian", counts)
@@ -258,21 +258,19 @@ def _solver_counts(monkeypatch) -> dict:
 
 
 @pytest.mark.parametrize(
-    "run, eigensolves",
+    "run",
     [
-        (lambda: run_scenario(_short_scenario(SHIPPED_PAIR.parent / "slow_theta_pi2.json")), 1),
-        (lambda: run_pipeline(random_smooth_model(8, seed=3), TimeGrid(0.0, 0.2, 50), 0), 2),
+        lambda: run_scenario(_short_scenario(SHIPPED_PAIR.parent / "slow_theta_pi2.json")),
+        lambda: run_pipeline(random_smooth_model(8, seed=3), TimeGrid(0.0, 0.2, 50), 0),
     ],
     ids=["schwinger", "dim8"],
 )
-def test_eigensolves_and_validations_per_run(monkeypatch, run, eigensolves):
-    # one track; the step exponential adds an eigensolve only above d = 2, and
+def test_eigensolves_and_validations_per_run(monkeypatch, run):
+    # one track; the step exponential solves no eigenproblem at any d, and
     # each of the two stacks (the track's H(t), the midpoint H) is validated once
     counts = _solver_counts(monkeypatch)
     run()
-    assert counts == {
-        "_step_unitaries": 1, "hermitian_eigendecompose": eigensolves, "require_hermitian": 2
-    }
+    assert counts == {"_step_unitaries": 1, "hermitian_eigendecompose": 1, "require_hermitian": 2}
 
 
 @pytest.mark.parametrize("name", ["marzlin_sanders", "fast_theta_pi4"])
@@ -284,8 +282,8 @@ def test_two_level_runs_call_no_lapack_solver(monkeypatch, name):
     assert run_scenario(_short_scenario(SHIPPED_PAIR.parent / f"{name}.json")).report.passed
 
 
-def test_dim8_run_makes_two_lapack_solves(monkeypatch):
-    # the track and the step exponential, one call each for the whole stack
+def test_dim8_run_makes_one_lapack_solve(monkeypatch):
+    # the track's, for the whole stack; the step exponential makes none
     calls = []
     eigh = np.linalg.eigh
 
@@ -295,7 +293,7 @@ def test_dim8_run_makes_two_lapack_solves(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     run_pipeline(random_smooth_model(8, seed=3), TimeGrid(0.0, 0.2, 50), 0)
-    assert calls == [(51, 8, 8), (50, 8, 8)]
+    assert calls == [(51, 8, 8)]
 
 
 class TestTransformedPair:
