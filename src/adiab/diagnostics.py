@@ -50,8 +50,8 @@ class DiagnosticsResult:
     Levels are indexed from 0. Off-level arrays (q, r, qac, residual,
     criteria_ratios) hold NaN on the tracked column, where the split has
     no meaning. ``qac`` = |<E_m|Ė_n>|/|E_m - E_n| is the gap-weighted
-    coupling ratio, equal to |Q_m|. ``d_vectors`` and ``ddot_vectors`` are
-    D and Ḋ themselves, (K+1, dim) each. Besides the split:
+    coupling ratio, equal to |Q_m|. D and Ḋ themselves are not kept; only
+    their norms ``d_norm`` and ``ddot_norm`` are. Besides the split:
     ``lam`` = |<E_n|Ḋ> + i E_n <E_n|D>|;
     ``equivalence`` = ||i Ḋ - E_n D||, zero exactly when every R_m is;
     ``cn_residual`` = |c_n - e^{i beta_n} - i<E_n|Ḋ>/E_n|, NaN at E_n = 0.
@@ -70,8 +70,6 @@ class DiagnosticsResult:
     r: np.ndarray
     qac: np.ndarray
     residual: np.ndarray
-    d_vectors: np.ndarray
-    ddot_vectors: np.ndarray
     d_norm: np.ndarray
     ddot_norm: np.ndarray
     lam: np.ndarray
@@ -119,9 +117,7 @@ def run_diagnostics(
     """
     if not 0 <= n < path.dim:
         raise ValueError(f"tracked level {n} out of range for dim {path.dim}")
-    n_samples = path.n_samples
-    dim = path.dim
-    if states.shape[0] != n_samples:
+    if states.shape[0] != path.n_samples:
         raise ValueError("state stack and spectral path use different grids")
 
     v = path.eigenvectors
@@ -160,20 +156,18 @@ def run_diagnostics(
     with np.errstate(divide="ignore", invalid="ignore"):
         cn_res = np.where(defined, np.abs(c[:, n] - (phase + 1j * proj_ddot[:, n] / e_n)), np.nan)
 
-    off = np.arange(dim) != n
-    gap = w[:, off] - e_n[:, np.newaxis]
-    q = np.full((n_samples, dim), np.nan, dtype=np.complex128)
-    r = np.full((n_samples, dim), np.nan, dtype=np.complex128)
-    residual = np.full((n_samples, dim), np.nan)
-    qac = np.full((n_samples, dim), np.nan)
-    ratios = np.full((n_samples, dim, 3), np.nan)
-    q[:, off] = 1j * phase[:, np.newaxis] * coupling[:, off] / gap
-    qac[:, off] = np.abs(coupling[:, off]) / np.abs(gap)
-    r[:, off] = (-e_n[:, np.newaxis] * proj_d[:, off] + 1j * proj_ddot[:, off]) / gap
-    residual[:, off] = np.abs(c[:, off] - q[:, off] - r[:, off])
-    ratios[:, off] = np.stack(
+    # A NaN gap on the tracked column carries through every off-level array.
+    gap = w - e_n[:, np.newaxis]
+    gap[:, n] = np.nan
+    abs_gap = np.abs(gap)
+    with np.errstate(invalid="ignore"):
+        q = 1j * phase[:, np.newaxis] * coupling / gap
+        r = (-e_n[:, np.newaxis] * proj_d + 1j * proj_ddot) / gap
+    qac = np.abs(coupling) / abs_gap
+    residual = np.abs(c - q - r)
+    ratios = np.stack(
         [d_norm * np.abs(e_n), ddot_norm, equivalence], axis=1
-    )[:, np.newaxis, :] / np.abs(gap)[:, :, np.newaxis]
+    )[:, np.newaxis, :] / abs_gap[:, :, np.newaxis]
     norm_error = np.abs(np.linalg.norm(states, axis=1) - 1.0)
     probability_defect = np.abs(np.einsum("km->k", np.abs(c) ** 2) - 1.0)
     return DiagnosticsResult(
@@ -186,8 +180,6 @@ def run_diagnostics(
         r=r,
         qac=qac,
         residual=residual,
-        d_vectors=d_vectors,
-        ddot_vectors=ddot_vectors,
         d_norm=d_norm,
         ddot_norm=ddot_norm,
         lam=lam,

@@ -120,10 +120,6 @@ def hermitian_eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
-    zero = ~np.any(h, axis=(-2, -1))
-    if np.any(zero):
-        w[zero] = 0.0
-        v[zero] = np.eye(h.shape[-1])
     return w, v
 
 

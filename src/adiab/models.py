@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _FD_STEP = 1e-6  # central-difference step of custom_model's fallback derivative
+_RANDOM_DRIVE = 0.05  # magnitude of random_smooth_model's drive matrices A and B
 
 
 @dataclass(frozen=True)
@@ -216,20 +217,13 @@ def custom_model(
     return Model(dim=dim, hamiltonian=h_stacked, derivative=hdot_stacked)
 
 
-def random_smooth_model(
-    dim: int,
-    seed: int,
-    *,
-    base_gap: float = 1.0,
-    drive: float = 0.05,
-    frequency: float = 1.0,
-) -> Model:
+def random_smooth_model(dim: int, seed: int) -> Model:
     """Seeded smooth Hermitian drive with a well-gapped static part.
 
-    H(t) = D + A cos(frequency t) + B sin(frequency t), where D has diagonal
-    0, base_gap, 2 base_gap, ... plus a small Hermitian perturbation, and A,
-    B are random Hermitian matrices of magnitude ``drive``. Gaps stay well
-    clear of degeneracy for drive << base_gap. ``dim`` must be at least 2.
+    H(t) = D + A cos t + B sin t, where D has diagonal 0, 1, 2, ..., dim - 1
+    plus a Hermitian perturbation of magnitude 0.005, and A, B are random
+    Hermitian matrices of magnitude 0.05. Neighbouring levels stay about 1
+    apart, well clear of degeneracy. ``dim`` must be at least 2.
     """
     if dim < 2:
         raise ValueError("model dimension must be at least 2")
@@ -239,14 +233,14 @@ def random_smooth_model(
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         return scale * 0.5 * (m + m.conj().T)
 
-    static = np.diag(base_gap * np.arange(dim, dtype=float)).astype(np.complex128)
-    static += draw_hermitian(0.1 * drive)
-    a = draw_hermitian(drive)
-    b = draw_hermitian(drive)
+    static = np.diag(np.arange(dim, dtype=float)).astype(np.complex128)
+    static += draw_hermitian(0.1 * _RANDOM_DRIVE)
+    a = draw_hermitian(_RANDOM_DRIVE)
+    b = draw_hermitian(_RANDOM_DRIVE)
 
     def cos_sin(t) -> tuple[np.ndarray, np.ndarray]:
-        ft = (frequency * np.asarray(t, dtype=float))[..., np.newaxis, np.newaxis]
-        return np.cos(ft), np.sin(ft)
+        t = np.asarray(t, dtype=float)[..., np.newaxis, np.newaxis]
+        return np.cos(t), np.sin(t)
 
     def hamiltonian(t) -> np.ndarray:
         c, s = cos_sin(t)
@@ -254,7 +248,7 @@ def random_smooth_model(
 
     def derivative(t) -> np.ndarray:
         c, s = cos_sin(t)
-        return frequency * (-a * s + b * c)
+        return -a * s + b * c
 
     return Model(dim=dim, hamiltonian=hamiltonian, derivative=derivative)
 

@@ -148,7 +148,8 @@ def evolve(
         expected = (grid.steps + 1, model.dim, model.dim)
         if propagators.shape != expected:
             raise ValueError(f"propagator stack has shape {propagators.shape}, expected {expected}")
-    return Trajectory(propagators=propagators, states=propagators @ psi0)
+    states = stack_matmul(propagators, psi0[:, np.newaxis])[..., 0]
+    return Trajectory(propagators=propagators, states=states)
 
 
 def marzlin_sanders_model(model_a: Model, grid: TimeGrid) -> tuple[Model, Trajectory]:

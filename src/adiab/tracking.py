@@ -19,7 +19,7 @@ the gauge; all magnitudes reported downstream are gauge-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "LevelCrossingError",
     "SpectralPath",
     "track",
-    "rotate_gauge",
 ]
 
 _DEGENERACY_REL = 1e-12
@@ -214,22 +213,4 @@ def track(
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         derivatives=_fill_derivatives(eigenvectors, grid.h),
-    )
-
-
-def rotate_gauge(path: SpectralPath, phases: np.ndarray) -> SpectralPath:
-    """Apply per-level phase rotations e^{i phases[k, i]} and re-derive.
-
-    ``phases`` has shape (K+1, dim). Derivatives are rebuilt with the same
-    stencils, so downstream gauge-covariant quantities see a consistently
-    rotated path.
-    """
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (path.n_samples, path.dim):
-        raise ValueError(f"phases must have shape {(path.n_samples, path.dim)}")
-    rotated = path.eigenvectors * np.exp(1j * phases)[:, np.newaxis, :]
-    return replace(
-        path,
-        eigenvectors=rotated,
-        derivatives=_fill_derivatives(rotated, path.grid.h),
     )

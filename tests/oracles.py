@@ -12,16 +12,21 @@ used before its products went through ``linalg.stack_matmul``, as references
 for the kernel forms, and so is the eigendecomposition form of exp(-i s H),
 the reference for the exponential: the closed-form two-level rotation, and
 the Taylor polynomial by stack products above d = 2.
+
+``rotate_gauge`` turns the gauge of a tracked path and, unlike the rest,
+rebuilds its derivatives with the tracker's own stencils: the gauge tests
+mean to run those stencils on a rotated path.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from adiab.diagnostics import run_diagnostics
 from adiab.models import SchwingerParams, schwinger_analytic_eigensystem, schwinger_hamiltonian
 from adiab.propagate import TimeGrid
-from adiab.tracking import SpectralPath
+from adiab.tracking import SpectralPath, _fill_derivatives
 
 
 def max_abs(a) -> float:
@@ -131,3 +136,22 @@ def analytic_diagnostics(p: SchwingerParams, t_end: float, steps: int):
         + path.eigenvectors[:, :, 1] * c2[:, np.newaxis]
     )
     return run_diagnostics(states, path, 0)
+
+
+def rotate_gauge(path: SpectralPath, phases: np.ndarray) -> SpectralPath:
+    """Apply per-level phase rotations e^{i phases[k, i]} and re-derive.
+
+    ``phases`` has shape (K+1, dim). Derivatives are rebuilt with the
+    library's own stencils (``tracking._fill_derivatives``), so that gauge
+    tests run them on a rotated path and downstream gauge-covariant
+    quantities see it consistently rotated.
+    """
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (path.n_samples, path.dim):
+        raise ValueError(f"phases must have shape {(path.n_samples, path.dim)}")
+    rotated = path.eigenvectors * np.exp(1j * phases)[:, np.newaxis, :]
+    return replace(
+        path,
+        eigenvectors=rotated,
+        derivatives=_fill_derivatives(rotated, path.grid.h),
+    )

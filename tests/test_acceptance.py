@@ -17,7 +17,7 @@ from adiab.models import Model, SchwingerParams, random_smooth_model, schwinger_
 from adiab.propagate import TimeGrid, evolve
 from adiab.runner import emit_csv, run_pipeline, run_scenario
 from adiab.scenario import Scenario
-from adiab.tracking import rotate_gauge, track
+from adiab.tracking import track
 
 SLOW = SchwingerParams(1.0, 0.1, math.pi / 2)
 FAST = SchwingerParams(1.0, 10.0, 0.1)
@@ -229,7 +229,7 @@ def test_criterion_8b_gauge_rotation_invariance():
     freqs = rng.uniform(0.1, 0.25, size=2)
     rel = base.path.times - base.path.times[0]
     phases = np.stack([a * np.sin(f * rel) for a, f in zip(amps, freqs)], axis=1)
-    rotated_path = rotate_gauge(base.path, phases)
+    rotated_path = oracles.rotate_gauge(base.path, phases)
     rotated = run_diagnostics(base.trajectory.states, rotated_path, 0)
     a, b = base.diagnostics, rotated
     worst = max(

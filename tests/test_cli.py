@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import rotate_gauge
 import adiab.runner
 import adiab.tracking
 from adiab import cli
@@ -16,7 +17,7 @@ from adiab.models import SchwingerParams, random_smooth_model
 from adiab.propagate import TimeGrid
 from adiab.runner import RunReport, RunResult, emit_csv, run_pipeline, run_scenario
 from adiab.scenario import Scenario, ScenarioError, Thresholds, load_scenario, parse_scenario
-from adiab.tracking import DegeneracyError, rotate_gauge, track
+from adiab.tracking import DegeneracyError, track
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 

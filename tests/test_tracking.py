@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import max_abs
+from oracles import max_abs, rotate_gauge
 from adiab.diagnostics import GaugeError, run_diagnostics
 from adiab.models import (
     SchwingerParams,
@@ -17,7 +17,6 @@ from adiab.runner import _perturbation_residual
 from adiab.tracking import (
     DegeneracyError,
     LevelCrossingError,
-    rotate_gauge,
     track,
 )
 
