@@ -47,18 +47,20 @@ class GaugeError(ValueError):
 class DiagnosticsResult:
     """Stacked diagnostics over a full run (K+1 samples, dim levels).
 
-    Levels are indexed from 0. Off-level arrays (q, r, qac, residual,
-    criteria_ratios) hold NaN on the tracked column, where the split has
-    no meaning. ``qac`` = |<E_m|Ė_n>|/|E_m - E_n| is the gap-weighted
-    coupling ratio, equal to |Q_m|. D and Ḋ themselves are not kept; only
-    their norms ``d_norm`` and ``ddot_norm`` are. Besides the split:
+    Levels are indexed from 0. Off-level arrays (q, r, qac, residual) hold
+    NaN on the tracked column, where the split has no meaning. ``qac`` =
+    |<E_m|Ė_n>|/|E_m - E_n| is the gap-weighted coupling ratio, equal to
+    |Q_m|. D and Ḋ themselves are not kept; only their norms ``d_norm`` and
+    ``ddot_norm`` are. Besides the split:
     ``lam`` = |<E_n|Ḋ> + i E_n <E_n|D>|;
     ``equivalence`` = ||i Ḋ - E_n D||, zero exactly when every R_m is;
     ``cn_residual`` = |c_n - e^{i beta_n} - i<E_n|Ḋ>/E_n|, NaN at E_n = 0.
-    ``criteria_ratios`` holds (a) ||D|| |E_n|, (b) ||Ḋ||, (c) ||i Ḋ - E_n D||,
-    each over |E_m - E_n|; ``criteria_defined`` is False where E_n = 0 leaves
-    (a) undefined. The margin that reads the ratios as "much less than" is a
-    report threshold, passed to ``criteria_flags``.
+    ``criteria_ratios`` is (K+1, 3): (a) ||D|| |E_n|, (b) ||Ḋ||,
+    (c) ||i Ḋ - E_n D||, each over the smallest gap min_m |E_m - E_n|. A
+    criterion holds at a sample only when it holds on every off level, and
+    the smallest gap is the worst level. (a) is NaN where E_n = 0 leaves it
+    undefined. The margin that reads the ratios as "much less than" is a
+    report threshold.
     """
 
     level: int
@@ -76,24 +78,12 @@ class DiagnosticsResult:
     equivalence: np.ndarray
     cn_residual: np.ndarray
     criteria_ratios: np.ndarray
-    criteria_defined: np.ndarray
     norm_error: np.ndarray
     probability_defect: np.ndarray
 
     @property
-    def n_samples(self) -> int:
-        return self.times.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.c.shape[1]
-
-    def criteria_flags(self, margin: float) -> np.ndarray:
-        """(K+1, dim, 3) booleans: ratio < ``margin``. NaN ratios and undefined checks are False."""
-        with np.errstate(invalid="ignore"):
-            flags = self.criteria_ratios < margin
-        flags[:, :, 0] &= self.criteria_defined[:, np.newaxis]
-        return flags
 
     def fidelity(self) -> np.ndarray:
         """|c_n(t)|: overlap magnitude with the phase-dressed eigenstate."""
@@ -165,9 +155,10 @@ def run_diagnostics(
         r = (-e_n[:, np.newaxis] * proj_d + 1j * proj_ddot) / gap
     qac = np.abs(coupling) / abs_gap
     residual = np.abs(c - q - r)
-    ratios = np.stack(
-        [d_norm * np.abs(e_n), ddot_norm, equivalence], axis=1
-    )[:, np.newaxis, :] / abs_gap[:, :, np.newaxis]
+    # Division rounds monotonically in the divisor, so x / min|gap| is max_m x / |gap_m| exactly.
+    criterion_a = np.where(defined, d_norm * np.abs(e_n), np.nan)
+    ratios = np.stack([criterion_a, ddot_norm, equivalence], axis=1)
+    ratios /= np.nanmin(abs_gap, axis=1)[:, np.newaxis]
     norm_error = np.abs(np.linalg.norm(states, axis=1) - 1.0)
     probability_defect = np.abs(np.einsum("km->k", np.abs(c) ** 2) - 1.0)
     return DiagnosticsResult(
@@ -186,7 +177,6 @@ def run_diagnostics(
         equivalence=equivalence,
         cn_residual=cn_res,
         criteria_ratios=ratios,
-        criteria_defined=defined,
         norm_error=norm_error,
         probability_defect=probability_defect,
     )

@@ -140,19 +140,19 @@ def schwinger_analytic_amplitudes(p: SchwingerParams, t):
     # omega0 - omega cos(theta), written without cancellation.
     c1 = np.cos(half) + 1j * ((p.omega0 - p.omega) + 2.0 * p.omega * _half_sin_sq(p.theta)) * ratio
     c2 = 1j * p.omega * math.sin(p.theta) * ratio
-    if t.ndim == 0:
-        return complex(c1), complex(c2)
     return c1, c2
 
 
 @dataclass(frozen=True)
 class Model:
-    """A time-dependent Hamiltonian with optional extras.
+    """A time-dependent Hamiltonian and its time derivative.
 
     Every callable takes a scalar or an array of times ``t`` and returns one
     result per time, shaped ``np.shape(t) + (dim, dim)``. ``hamiltonian``
-    gives the Hermitian matrices and ``derivative``, when available, their
-    elementwise time derivatives. Models with a closed-form eigensystem
+    gives the Hermitian matrices and ``derivative`` their elementwise time
+    derivatives; every model has one, so every check of the report is
+    measured (``custom_model`` differences H when no callback is given).
+    Models with a closed-form eigensystem
     expose it through ``analytic_eigensystem`` (eigenvalues shaped
     ``np.shape(t) + (dim,)``), which the tracker can use as a phase
     reference.
@@ -160,7 +160,7 @@ class Model:
 
     dim: int
     hamiltonian: Callable[[ArrayLike], np.ndarray]
-    derivative: Optional[Callable[[ArrayLike], np.ndarray]] = None
+    derivative: Callable[[ArrayLike], np.ndarray]
     analytic_eigensystem: Optional[Callable[[ArrayLike], tuple[np.ndarray, np.ndarray]]] = None
 
 

@@ -129,10 +129,8 @@ def _unitarity_drift(trajectory: Trajectory) -> float:
     return float(np.max(np.abs(grams)))
 
 
-def _perturbation_residual(model: Model, path: SpectralPath) -> Optional[float]:
+def _perturbation_residual(model: Model, path: SpectralPath) -> float:
     """Worst interior-sample residual of <E_m|Hdot|E_i>/(E_m - E_i) + <E_m|Ė_i>."""
-    if model.derivative is None or path.n_samples < 3:
-        return None
     v = path.eigenvectors[1:-1]
     dv = path.derivatives[1:-1]
     w = path.eigenvalues[1:-1]
@@ -150,15 +148,14 @@ def _off_levels(dim: int, n: int) -> list[int]:
     return [m for m in range(dim) if m != n]
 
 
-def _criteria_fractions(diag: DiagnosticsResult, margin: float) -> dict:
-    flags = diag.criteria_flags(margin)
-    off = _off_levels(diag.dim, diag.level)
-    worst = np.all(flags[:, off, :], axis=1)  # (K+1, 3)
-    defined = diag.criteria_defined
+def _criteria_fractions(ratios: np.ndarray, margin: float) -> dict:
+    """Share of samples whose worst-level ratio is below ``margin``; (a) over its non-NaN samples."""
+    holds = ratios < margin
+    defined = ~np.isnan(ratios[:, 0])
     return {
-        "a": float(np.mean(worst[defined, 0])) if np.any(defined) else None,
-        "b": float(np.mean(worst[:, 1])),
-        "c": float(np.mean(worst[:, 2])),
+        "a": float(np.mean(holds[defined, 0])) if np.any(defined) else None,
+        "b": float(np.mean(holds[:, 1])),
+        "c": float(np.mean(holds[:, 2])),
     }
 
 
@@ -184,6 +181,9 @@ def _build_report(
     n = diag.level
     off = _off_levels(diag.dim, n)
     th = scenario.thresholds
+    max_c, max_q, max_r, max_qac = (
+        np.max(a, axis=0).tolist() for a in (np.abs(diag.c), np.abs(diag.q), np.abs(diag.r), diag.qac)
+    )
 
     summary = {
         "max_decomposition_residual": float(np.nanmax(diag.residual)),
@@ -197,16 +197,16 @@ def _build_report(
         ),
         "max_perturbation_residual": _perturbation_residual(pipeline.model, pipeline.path),
         "berry_imag_residue": diag.beta_imag_residue,
-        "max_abs_c": {str(i + 1): float(np.max(np.abs(diag.c[:, i]))) for i in range(diag.dim)},
-        "max_abs_q": {str(m + 1): float(np.max(np.abs(diag.q[:, m]))) for m in off},
-        "max_abs_r": {str(m + 1): float(np.max(np.abs(diag.r[:, m]))) for m in off},
-        "max_qac": {str(m + 1): float(np.max(diag.qac[:, m])) for m in off},
+        "max_abs_c": {str(i + 1): max_c[i] for i in range(diag.dim)},
+        "max_abs_q": {str(m + 1): max_q[m] for m in off},
+        "max_abs_r": {str(m + 1): max_r[m] for m in off},
+        "max_qac": {str(m + 1): max_qac[m] for m in off},
         "min_fidelity": float(np.min(diag.fidelity())),
-        "criteria_true_fraction": _criteria_fractions(diag, th.margin),
+        "criteria_true_fraction": _criteria_fractions(diag.criteria_ratios, th.margin),
     }
 
-    max_off_c = max(summary["max_abs_c"][str(m + 1)] for m in off)
-    worst_qac = max(summary["max_qac"].values())
+    max_off_c = max(max_c[m] for m in off)
+    worst_qac = max(max_qac[m] for m in off)
     adiabatic_holds = max_off_c < th.adiabatic_max_c
     qac_violated = worst_qac > th.qac_violation
     description = (

@@ -42,8 +42,6 @@ def unitarity_drift(propagators) -> float:
 
 def perturbation_residual(model, path):
     """Interior residual of <E_m|Hdot|E_i>/(E_m - E_i) + <E_m|Ė_i>, by ``einsum``."""
-    if model.derivative is None or path.n_samples < 3:
-        return None
     v = path.eigenvectors[1:-1]
     w = path.eigenvalues[1:-1]
     mats = np.einsum("kjm,kjl,kli->kmi", v.conj(), model.derivative(path.times[1:-1]), v)

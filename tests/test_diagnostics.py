@@ -192,35 +192,31 @@ class TestDecomposition:
 class TestCriteria:
     def test_static_case_all_true(self, static_run):
         diag = static_run.pipeline.diagnostics
-        flags = diag.criteria_flags(static_run.scenario.thresholds.margin)
-        assert np.all(flags[:, 1, :])
+        assert np.all(diag.criteria_ratios < static_run.scenario.thresholds.margin)
 
     def test_conjunction_implies_combined(self, slow_run, fast_run, static_run):
         # ratio_c <= ratio_a + ratio_b, so (a) and (b) below 0.1 puts (c) below 0.2
         for run in (slow_run, fast_run, static_run):
-            ratios = run.pipeline.diagnostics.criteria_ratios[:, 1, :]
+            ratios = run.pipeline.diagnostics.criteria_ratios
             both = (ratios[:, 0] < 0.1) & (ratios[:, 1] < 0.1)
             assert np.all(ratios[both, 2] < 0.2)
 
     def test_fast_drive_combined_criterion_fails_while_adiabatic(self, fast_run):
         diag = fast_run.pipeline.diagnostics
-        ratios_c = diag.criteria_ratios[:, 1, 2]
+        ratios_c = diag.criteria_ratios[:, 2]
         assert np.any(ratios_c >= 0.1)
         assert np.max(np.abs(diag.c[:, 1])) <= 0.12
         assert fast_run.report.summary["criteria_true_fraction"]["c"] < 1.0
 
     def test_zero_tracked_energy_reported_undefined(self, zero_energy_run):
-        diag = zero_energy_run.pipeline.diagnostics
-        assert not np.any(diag.criteria_defined)
+        ratios = zero_energy_run.pipeline.diagnostics.criteria_ratios
+        assert np.all(np.isnan(ratios[:, 0]))
+        assert np.all(np.isfinite(ratios[:, 1:]))
         margin = zero_energy_run.scenario.thresholds.margin
-        flags = diag.criteria_flags(margin)
-        assert not np.any(flags[:, :, 0])
-        assert np.all(flags[:, 1, 1])
-        fractions = _criteria_fractions(diag, margin)
+        assert np.all(ratios[:, 1] < margin)
+        fractions = _criteria_fractions(ratios, margin)
         assert fractions["a"] is None
         assert fractions["b"] == 1.0
-        # ratios are still emitted
-        assert np.isfinite(diag.criteria_ratios[5, 1, 1])
 
 
 class TestEquivalence:
@@ -300,10 +296,23 @@ class TestDriverSurface:
             assert np.max(diag.probability_defect) <= 1e-8
             # the tracked column carries the not-applicable marker, and only it
             tracked = np.arange(4) == n
-            for off_level in (diag.q, diag.r, diag.qac, diag.residual, diag.criteria_ratios):
-                nan = np.isnan(off_level).reshape(401, 4, -1)
-                assert np.array_equal(nan, np.broadcast_to(tracked[:, np.newaxis], nan.shape))
-            assert diag.criteria_ratios.shape == (401, 4, 3)
+            for off_level in (diag.q, diag.r, diag.qac, diag.residual):
+                assert np.array_equal(np.isnan(off_level), np.broadcast_to(tracked, off_level.shape))
+            # each criterion over every off-level gap; the stored ratio is the worst level
+            w = pipe.path.eigenvalues
+            e_n = w[:, n]
+            gaps = np.abs(np.delete(w, n, axis=1) - e_n[:, np.newaxis])
+            norms = np.stack([diag.d_norm * np.abs(e_n), diag.ddot_norm, diag.equivalence], axis=1)
+            per_level = norms[:, np.newaxis, :] / gaps[:, :, np.newaxis]
+            assert diag.criteria_ratios.shape == (401, 3)
+            assert np.array_equal(diag.criteria_ratios, np.max(per_level, axis=1))
+            # a criterion holds at a sample when it holds on every off level
+            for margin in (0.05, 1.0):
+                holds = np.all(per_level < margin, axis=1)
+                expected = {key: float(np.mean(holds[:, i])) for i, key in enumerate("abc")}
+                assert _criteria_fractions(diag.criteria_ratios, margin) == expected
+                if margin == 0.05:
+                    assert any(0.0 < f < 1.0 for f in expected.values())
 
     def test_pipeline_evaluates_h_once_per_sample_and_midpoint(self):
         base = schwinger_model(SLOW)

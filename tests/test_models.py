@@ -244,7 +244,7 @@ class TestModelWrappers:
 def _pair_on_lattice():
     grid = TimeGrid(0.0, 2.0, 40)
     model_b, _ = marzlin_sanders_model(schwinger_model(SchwingerParams(1.0, 0.1, 0.7)), grid)
-    return model_b, grid.refined(2).samples
+    return model_b, grid.refined().samples
 
 
 def _custom_with_fd_fallback():
