@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from adiab.linalg import stack_matmul
 from adiab.tracking import SpectralPath
 
 __all__ = ["GaugeError", "DiagnosticsResult", "run_diagnostics"]
@@ -128,7 +129,7 @@ def run_diagnostics(
 
     # Ḋ from the equation of motion, as in the module docstring.
     d_vectors = states - phase[:, np.newaxis] * vn
-    h_psi = np.einsum("kij,kj->ki", path.hamiltonians, states)
+    h_psi = stack_matmul(path.hamiltonians, states[:, :, np.newaxis])[:, :, 0]
     ddot_vectors = -1j * h_psi - phase[:, np.newaxis] * (vdot_n + 1j * beta_dot[:, np.newaxis] * vn)
     combo = 1j * ddot_vectors - e_n[:, np.newaxis] * d_vectors
 
