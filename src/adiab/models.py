@@ -128,7 +128,8 @@ def schwinger_analytic_amplitudes(p: SchwingerParams, t):
     c1 = cos(ω̃t/2) + i sin(ω̃t/2) (omega0 - omega cos θ)/ω̃
     c2 = i (omega/ω̃) sin θ sin(ω̃t/2)
 
-    ``t`` may be a scalar or an array; |c1|^2 + |c2|^2 == 1 identically.
+    ``t`` may be a scalar or an array, and each amplitude is shaped like it;
+    |c1|^2 + |c2|^2 == 1 identically.
     """
     t = np.asarray(t, dtype=float)
     wt = effective_rabi_frequency(p)
@@ -152,10 +153,9 @@ class Model:
     gives the Hermitian matrices and ``derivative`` their elementwise time
     derivatives; every model has one, so every check of the report is
     measured (``custom_model`` differences H when no callback is given).
-    Models with a closed-form eigensystem
-    expose it through ``analytic_eigensystem`` (eigenvalues shaped
-    ``np.shape(t) + (dim,)``), which the tracker can use as a phase
-    reference.
+    Models with a closed-form eigensystem expose it through
+    ``analytic_eigensystem`` (eigenvalues shaped ``np.shape(t) + (dim,)``),
+    which the tracker can use as a phase reference.
     """
 
     dim: int

@@ -197,7 +197,7 @@ def _build_report(
         ),
         "max_perturbation_residual": _perturbation_residual(pipeline.model, pipeline.path),
         "berry_imag_residue": diag.beta_imag_residue,
-        "max_abs_c": {str(i + 1): max_c[i] for i in range(diag.dim)},
+        "max_abs_c": {str(i + 1): value for i, value in enumerate(max_c)},
         "max_abs_q": {str(m + 1): max_q[m] for m in off},
         "max_abs_r": {str(m + 1): max_r[m] for m in off},
         "max_qac": {str(m + 1): max_qac[m] for m in off},
