@@ -157,9 +157,10 @@ def run_diagnostics(
     qac = np.abs(coupling) / abs_gap
     residual = np.abs(c - q - r)
     # Division rounds monotonically in the divisor, so x / min|gap| is max_m x / |gap_m| exactly.
+    # The minimum is taken over a Fortran-order copy: numpy reduces short C-order rows one by one.
     criterion_a = np.where(defined, d_norm * np.abs(e_n), np.nan)
     ratios = np.stack([criterion_a, ddot_norm, equivalence], axis=1)
-    ratios /= np.nanmin(abs_gap, axis=1)[:, np.newaxis]
+    ratios /= np.nanmin(np.asfortranarray(abs_gap), axis=1)[:, np.newaxis]
     norm_error = np.abs(np.linalg.norm(states, axis=1) - 1.0)
     probability_defect = np.abs(np.einsum("km->k", np.abs(c) ** 2) - 1.0)
     return DiagnosticsResult(
