@@ -150,7 +150,7 @@ def _off_levels(dim: int, n: int) -> list[int]:
 
 def _column_max(a: np.ndarray) -> list[float]:
     # numpy reduces axis 0 of a C-order array one short row at a time; at dim 2
-    # a Fortran-order copy reduces 10-40x faster. max is exact either way.
+    # a Fortran-order copy reduces over 10x faster. max is exact either way.
     return np.max(np.asfortranarray(a), axis=0).tolist()
 
 
