@@ -164,7 +164,7 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
     if unknown:
         raise ScenarioError(f"{unknown[0]}: unknown key")
 
-    if "schema_version" in doc and doc["schema_version"] != SCHEMA_VERSION:
+    if "schema_version" in doc and _integer(doc, "schema_version") != SCHEMA_VERSION:
         raise ScenarioError(
             f"schema_version: expected {SCHEMA_VERSION}, got {doc['schema_version']!r}"
         )
