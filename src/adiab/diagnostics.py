@@ -157,7 +157,8 @@ def run_diagnostics(
     qac = np.abs(coupling) / abs_gap
     residual = np.abs(c - q - r)
     # Division rounds monotonically in the divisor, so x / min|gap| is max_m x / |gap_m| exactly.
-    # The minimum is taken over a Fortran-order copy: numpy reduces short C-order rows one by one.
+    # numpy reduces short C-order rows one by one, so the minimum reads a Fortran-order copy:
+    # a no-op for the time-contiguous dim-2 gaps, a real copy for the C-order ones above.
     criterion_a = np.where(defined, d_norm * np.abs(e_n), np.nan)
     ratios = np.stack([criterion_a, ddot_norm, equivalence], axis=1)
     ratios /= np.nanmin(np.asfortranarray(abs_gap), axis=1)[:, np.newaxis]

@@ -18,6 +18,22 @@ dispatch per matrix, about 0.4 µs for a 2×2 complex product, which dominates
 the two-level runs. So when the contracted dimension is 2 the kernel writes
 the product as two broadcast multiplies and one add over the whole stack;
 above that the per-matrix cost is arithmetic, and it is ``np.matmul``.
+
+Layout rule: a d = 2 stack is allocated time-contiguous (Fortran order,
+``strides[0] == itemsize``) where it is created, in ``models._two_by_two``,
+in the closed-form eigenpairs and in the closed-form exponential; every
+other stack follows the layout of its input (``np.empty_like``). numpy runs
+its inner loop over the innermost axis, so a C-order (K, 2, 2) or (K, 2)
+stack loops over a length-2 level axis K times, while a time-contiguous one
+loops once over K samples. On one core of a Xeon with numpy 2.4, at
+K = 40 001 a (K, 2) ``np.linalg.norm(axis=1)`` takes 1 054 µs in C order
+against 400 µs time-contiguous, bit for bit the same, and the (K, 2, 2) gap
+broadcast ``w[:, :, None] - w[:, None, :]`` 1 020 µs against 122 µs; at
+K = 1 001 a d = 2 ``stack_matmul`` takes 75 µs against 20 µs. Above d = 2 the stacks stay C order, as LAPACK and the
+Taylor exponential give them, so ``np.matmul`` keeps its BLAS path.
+Layout changes speed, not results, beyond rounding: numpy's complex
+multiply rounds differently in its contiguous loop, so the running
+propagators may move in the last bits.
 """
 
 from __future__ import annotations
@@ -134,7 +150,7 @@ def _pauli_split(h: np.ndarray):
 
 def _eigh_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a0, az, b, babs, r = _pauli_split(h)
-    w = np.empty(r.shape + (2,))
+    w = np.empty(r.shape + (2,), order="F")
     w[..., 0] = a0 - r
     w[..., 1] = a0 + r
     p = r + np.abs(az)
@@ -146,7 +162,7 @@ def _eigh_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     up = az >= 0
     alpha = (np.where(up, b, p) + dead) / norm
     beta = np.where(up, p, b) / norm
-    v = np.empty(h.shape, dtype=np.complex128)
+    v = np.empty(h.shape, dtype=np.complex128, order="F")
     v[..., 0, 0] = alpha
     v[..., 0, 1] = beta
     v[..., 1, 0] = -beta.conj()
@@ -186,7 +202,7 @@ def unitary_exponential(h, s: float) -> np.ndarray:
     phase = np.exp(-1j * s * a0)
     cos = phase * np.cos(angle)
     isin = 1j * phase * sinc  # u = cos·1 - isin·M, both carrying the phase
-    u = np.empty(h.shape, dtype=np.complex128)
+    u = np.empty(h.shape, dtype=np.complex128, order="F")
     u[..., 0, 0] = cos - isin * az
     u[..., 1, 1] = cos + isin * az
     u[..., 0, 1] = -isin * b

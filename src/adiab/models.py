@@ -87,9 +87,17 @@ def _phase(x) -> np.ndarray:
 
 
 def _two_by_two(a00, a01, a10, a11) -> np.ndarray:
-    """Stack of 2x2 matrices [[a00, a01], [a10, a11]], broadcasting the entries."""
-    entries = np.broadcast_arrays(a00, a01, a10, a11)
-    return np.stack(entries, axis=-1, dtype=np.complex128).reshape(entries[0].shape + (2, 2))
+    """Stack of 2x2 matrices [[a00, a01], [a10, a11]], broadcasting the entries.
+
+    The stack is time-contiguous (Fortran order), the layout rule of ``adiab.linalg``.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, (a00, a01, a10, a11)))
+    out = np.empty(shape + (2, 2), dtype=np.complex128, order="F")
+    out[..., 0, 0] = a00
+    out[..., 0, 1] = a01
+    out[..., 1, 0] = a10
+    out[..., 1, 1] = a11
+    return out
 
 
 def schwinger_hamiltonian(p: SchwingerParams, t) -> np.ndarray:

@@ -119,7 +119,7 @@ def _prefix_products(us: np.ndarray, out: np.ndarray) -> None:
 def _accumulate(unitaries: np.ndarray) -> np.ndarray:
     """Running propagators out[0] = I, out[k + 1] = U_k out[k]."""
     dim = unitaries.shape[-1]
-    out = np.empty((unitaries.shape[0] + 1, dim, dim), dtype=np.complex128)
+    out = np.empty_like(unitaries, shape=(unitaries.shape[0] + 1, dim, dim))  # keeps the layout
     out[0] = np.eye(dim)
     _prefix_products(unitaries, out[1:])
     return out
@@ -177,7 +177,9 @@ def marzlin_sanders_model(model_a: Model, grid: TimeGrid) -> tuple[Model, Trajec
                 "transformed model is defined only on its construction lattice; "
                 f"got t={float(t[~on].flat[0])!r}"
             )
-        return us[j.astype(np.intp)]
+        # a fancy index returns C order; take into a stack of us's layout instead
+        j = j.astype(np.intp)
+        return np.take(us, j, axis=0, out=np.empty_like(us, shape=j.shape + us.shape[1:]))
 
     def hamiltonian(t) -> np.ndarray:
         return transformed_hamiltonian(propagators_at(t), model_a.hamiltonian(t))

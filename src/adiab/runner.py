@@ -149,8 +149,9 @@ def _off_levels(dim: int, n: int) -> list[int]:
 
 
 def _column_max(a: np.ndarray) -> list[float]:
-    # numpy reduces axis 0 of a C-order array one short row at a time; at dim 2
-    # a Fortran-order copy reduces over 10x faster. max is exact either way.
+    # numpy reduces axis 0 of a C-order array one short row at a time. The
+    # dim-2 stacks are time-contiguous already, so this copies nothing there;
+    # above dim 2 the stacks are C order and the copy still pays. max is exact.
     return np.max(np.asfortranarray(a), axis=0).tolist()
 
 

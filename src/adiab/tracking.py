@@ -178,7 +178,6 @@ def track(
         raise ValueError(f"unknown gauge {gauge!r}; expected 'transport' or 'analytic'")
     if gauge == "analytic" and model.analytic_eigensystem is None:
         raise ValueError("model does not provide a closed-form eigensystem")
-    dim = model.dim
 
     ts = grid.samples
     hs = model.hamiltonian(ts)
@@ -200,7 +199,7 @@ def track(
         )
         # Discrete parallel transport: each frame takes the phase that makes
         # its overlap with the already-fixed previous frame real positive.
-        phases = np.empty((ts.shape[0], dim), dtype=np.complex128)
+        phases = np.empty_like(eigenvalues, dtype=np.complex128)
         phases[0] = _default_phases(raw[0])
         phases[1:] = phases[0] * np.cumprod(_unit(steps).conj(), axis=0)
         phases = _unit(phases)

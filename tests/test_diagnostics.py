@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -10,7 +11,15 @@ import adiab.runner
 import oracles
 from oracles import max_abs
 from adiab.diagnostics import run_diagnostics
-from adiab.models import Model, SchwingerParams, custom_model, random_smooth_model, schwinger_model
+from adiab.models import (
+    Model,
+    SchwingerParams,
+    custom_model,
+    random_smooth_model,
+    schwinger_hamiltonian,
+    schwinger_hamiltonian_derivative,
+    schwinger_model,
+)
 from adiab.propagate import TimeGrid, evolve
 from adiab.runner import (
     RunResult,
@@ -378,3 +387,27 @@ def test_report_checks_match_their_einsum_forms(make):
     assert abs(residual - oracles.perturbation_residual(pipe.model, pipe.path)) <= 1e-12
     drift = _unitarity_drift(pipe.trajectory)
     assert abs(drift - oracles.unitarity_drift(pipe.trajectory.propagators)) <= 1e-12
+
+
+def test_results_do_not_depend_on_layout():
+    # custom_model stacks C-order callback matrices, as a user's np.array gives
+    # them, into a C-order stack; schwinger_model's stacks are time-contiguous.
+    # One panel run both ways must agree.
+    p = SchwingerParams(1.0, 10.0, math.pi / 4)
+    grid = TimeGrid(0.0, 4.0, 1000)
+    wrapped = custom_model(
+        lambda t: np.ascontiguousarray(schwinger_hamiltonian(p, t)),
+        lambda t: np.ascontiguousarray(schwinger_hamiltonian_derivative(p, t)),
+        dim=2,
+    )
+    c_order = run_pipeline(wrapped, grid, 0)
+    time_contiguous = run_pipeline(schwinger_model(p), grid, 0)
+    assert c_order.path.hamiltonians.flags.c_contiguous
+    assert time_contiguous.path.hamiltonians.strides[0] == time_contiguous.path.hamiltonians.itemsize
+    np.testing.assert_allclose(
+        c_order.trajectory.states, time_contiguous.trajectory.states, rtol=0, atol=1e-12
+    )
+    for field in dataclasses.fields(c_order.diagnostics):
+        expected = getattr(time_contiguous.diagnostics, field.name)
+        actual = getattr(c_order.diagnostics, field.name)
+        np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12, err_msg=field.name)

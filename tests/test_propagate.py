@@ -292,6 +292,31 @@ def test_dim8_run_makes_one_lapack_solve(monkeypatch):
     assert calls == [(51, 8, 8)]
 
 
+# Every whole-grid stack of a two-level run, by the part of the pipeline that holds it.
+_TIME_CONTIGUOUS = {
+    "path": ("hamiltonians", "eigenvalues", "eigenvectors", "derivatives"),
+    "trajectory": ("propagators", "states"),
+    "diagnostics": ("c", "q", "r", "qac", "residual"),
+}
+
+
+@pytest.mark.parametrize("name", ["fast_theta_pi4", "marzlin_sanders"])
+def test_two_level_stacks_are_time_contiguous(name):
+    # time innermost, so every whole-grid operation at d = 2 runs one long inner loop
+    pipeline = run_scenario(_short_scenario(SHIPPED_PAIR.parent / f"{name}.json")).pipeline
+    for part, fields in _TIME_CONTIGUOUS.items():
+        for field in fields:
+            stack = getattr(getattr(pipeline, part), field)
+            assert stack.strides[0] == stack.itemsize, f"{part}.{field}"
+
+
+def test_dense_stacks_stay_c_order():
+    # above d = 2 LAPACK and the Taylor exponential give C order, and matmul keeps its BLAS path
+    pipeline = run_pipeline(random_smooth_model(8, seed=3), TimeGrid(0.0, 0.2, 50), 0)
+    assert pipeline.path.hamiltonians.flags.c_contiguous
+    assert pipeline.trajectory.propagators.flags.c_contiguous
+
+
 class TestTransformedPair:
     def test_pair_run_propagates_system_a_once(self, monkeypatch):
         counts = _solver_counts(monkeypatch)
