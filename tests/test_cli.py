@@ -62,12 +62,12 @@ class TestParseScenario:
             ({"gauge": "fancy"}, "gauge"),
             ({"steps": 10.5}, "steps"),
             ({"schema_version": 2}, "schema_version"),
-            ({"schema_version": True}, "schema_version"),
-            ({"schema_version": 1.0}, "schema_version"),
             ({"outputs": ["png"]}, "outputs"),
             ({"thresholds": {"margin": -1}}, "thresholds.margin"),
             ({"thresholds": {"weird": 1}}, "thresholds.weird"),
             ({"surprise": 1}, "surprise"),
+            ({"schema_version": True}, "schema_version"),
+            ({"schema_version": 1.0}, "schema_version"),
         ],
     )
     def test_rejections_name_the_key(self, overrides, key):
