@@ -8,9 +8,7 @@ Each propagation makes one product pass: the running propagators U(t_k) are
 accumulated once, and the states are read off that stack as U(t_k) psi0. The
 pass is a log-depth pairwise prefix product (Blelloch, "Prefix sums and their
 applications", 1990), two whole-stack ``linalg.stack_matmul`` products per
-level. A caller that already holds the running propagators (the transformed
-pair's system A, whose half-step lattice stack gives them at every other
-point) passes them to ``evolve``, and no second pass is made.
+level.
 """
 
 from __future__ import annotations
@@ -125,27 +123,17 @@ def _accumulate(unitaries: np.ndarray) -> np.ndarray:
     return out
 
 
-def evolve(
-    model: Model, psi0, grid: TimeGrid, propagators: Optional[np.ndarray] = None
-) -> Trajectory:
+def evolve(model: Model, psi0, grid: TimeGrid) -> Trajectory:
     """Propagate a normalized state over the grid.
 
     Returns the running propagators and the states read off them. Global
-    error is O(h^2) against the exact flow. ``propagators``, when given, is
-    the running-propagator stack U(t_k) of ``model`` over ``grid``, shaped
-    ``(grid.steps + 1, dim, dim)``; it is used as it is, with no product pass.
-    Raises for a non-normalized initial state, a dimension mismatch or a
-    stack of another shape.
+    error is O(h^2) against the exact flow. Raises for a non-normalized
+    initial state or a dimension mismatch.
     """
     psi0 = require_normalized(psi0)
     if psi0.shape[0] != model.dim:
         raise ValueError(f"state dimension {psi0.shape[0]} does not match model dim {model.dim}")
-    if propagators is None:
-        propagators = _accumulate(_step_unitaries(model, grid))
-    else:
-        expected = (grid.steps + 1, model.dim, model.dim)
-        if propagators.shape != expected:
-            raise ValueError(f"propagator stack has shape {propagators.shape}, expected {expected}")
+    propagators = _accumulate(_step_unitaries(model, grid))
     states = stack_matmul(propagators, psi0[:, np.newaxis])[..., 0]
     return Trajectory(propagators=propagators, states=states)
 

@@ -53,9 +53,8 @@ def test_layer_spans_nest_under_run_scenario(tmp_path, workload):
 
     top = [s for s in spans if s["name"] == "run_scenario"]
     assert len(top) == 1 and top[0]["parent"] is None
-    # the pair runs B and then A, each through the whole pipeline
-    pipelines = ["run_pipeline"] * (2 if workload == "pair" else 1)
-    expected = ["marzlin_sanders_model"] * (workload == "pair") + pipelines
+    # the pair runs only B through the pipeline; A is propagated on B's lattice
+    expected = ["marzlin_sanders_model"] * (workload == "pair") + ["run_pipeline"]
     assert kids(top[0]) == expected
     for pipe in (s for s in spans if s["name"] == "run_pipeline"):
         assert kids(pipe) == ["evolve", "run_diagnostics", "track"]

@@ -476,3 +476,17 @@ class TestShippedScenarios:
         assert doc["schema_version"] == 1
         assert set(doc["checks"]) >= {"decomposition", "lambda", "unitarity", "norm"}
         assert doc["regime"]["description"]
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e4])
+    @pytest.mark.parametrize("stem", sorted(p.stem for p in SCENARIOS.glob("*.json")))
+    def test_rescaled_energies_keep_the_exit_contract(self, tmp_path, capsys, stem, scale):
+        # hbar = 1: energies times scale and times over it is the same physics, so a
+        # run may fail an identity check (exit 1) but never error out (3 or 4)
+        doc = json.loads((SCENARIOS / f"{stem}.json").read_text())
+        span = doc["t_end"] * 1000 / doc["steps"]  # the first 1000 steps
+        doc |= {"omega0": doc["omega0"] * scale, "omega": doc["omega"] * scale}
+        doc |= {"t_end": span / scale, "steps": 1000}
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["verify", str(path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_IDENTITY), capsys.readouterr().err

@@ -11,6 +11,8 @@ import adiab.linalg
 import adiab.propagate
 import adiab.runner
 import adiab.tracking
+from adiab.diagnostics import run_diagnostics
+from adiab.linalg import stack_matmul
 from adiab.models import SchwingerParams, custom_model, random_smooth_model, schwinger_model
 from adiab.propagate import (
     TimeGrid,
@@ -108,31 +110,6 @@ class TestEvolve:
                         TimeGrid(4.0, 8.0, 400))
         assert max_abs(full.states[-1] - second.states[-1]) <= 1e-12
 
-    def test_given_propagators_reproduce_own_states(self):
-        model = schwinger_model(SLOW)
-        psi0 = _ground(model)
-        grid = TimeGrid(0.0, 6.0, 600)
-        own = evolve(model, psi0, grid)
-        given = evolve(model, psi0, grid, propagators=own.propagators)
-        assert given.propagators is own.propagators
-        assert np.array_equal(given.states, own.states)
-
-    @pytest.mark.parametrize("shape", [(600, 2, 2), (602, 2, 2), (601, 3, 3), (601, 4)])
-    def test_rejects_wrong_shape_propagator_stack(self, shape):
-        model = schwinger_model(SLOW)
-        stack = np.zeros(shape, dtype=complex)
-        with pytest.raises(ValueError, match=r"expected \(601, 2, 2\)"):
-            evolve(model, _ground(model), TimeGrid(0.0, 6.0, 600), propagators=stack)
-
-    def test_given_propagators_still_check_the_state(self):
-        model = schwinger_model(SLOW)
-        grid = TimeGrid(0.0, 1.0, 10)
-        stack = evolve(model, _ground(model), grid).propagators
-        with pytest.raises(ValueError, match="normalized"):
-            evolve(model, np.array([1.0, 1.0], dtype=complex), grid, propagators=stack)
-        with pytest.raises(ValueError, match="dimension"):
-            evolve(model, np.array([1.0, 0.0, 0.0], dtype=complex), grid, propagators=stack)
-
 
 def _random_unitaries(k, dim, seed):
     rng = np.random.default_rng(seed)
@@ -225,10 +202,10 @@ class TestSecondOrderConvergence:
         assert 3.5 <= ratio <= 4.5
 
 
-def _short_scenario(path=SHIPPED_PAIR, steps=250):
+def _short_scenario(path=SHIPPED_PAIR, steps=250, **fields):
     """A shipped scenario over its first ``steps`` steps, at its own step size."""
     doc = json.loads(path.read_text())
-    doc |= {"steps": steps, "t_end": doc["t_end"] * steps / doc["steps"]}
+    doc |= {"steps": steps, "t_end": doc["t_end"] * steps / doc["steps"], **fields}
     return parse_scenario(json.dumps(doc))
 
 
@@ -246,8 +223,8 @@ def _solver_counts(monkeypatch) -> dict:
     """Count step stacks, eigensolves and Hermitian validations from here on."""
     counts = {"_step_unitaries": 0, "hermitian_eigendecompose": 0, "require_hermitian": 0}
     _counting(monkeypatch, adiab.propagate, "_step_unitaries", counts)
-    # the eigensolver is looked up in linalg and in tracking
-    for module in (adiab.linalg, adiab.tracking):
+    # the eigensolver is looked up in linalg, in tracking and in the runner
+    for module in (adiab.linalg, adiab.tracking, adiab.runner):
         _counting(monkeypatch, module, "hermitian_eigendecompose", counts)
     _counting(monkeypatch, adiab.linalg, "require_hermitian", counts)
     return counts
@@ -322,30 +299,50 @@ class TestTransformedPair:
         counts = _solver_counts(monkeypatch)
         assert run_scenario(_short_scenario()).report.passed
         # A on the half-step lattice and B on the grid; the d = 2 step exponentials
-        # solve no eigenproblem, so only the two tracks do; four stacks validated
+        # solve no eigenproblem, so only B's track and A's one eigensolve do; four
+        # stacks validated
         assert counts == {
             "_step_unitaries": 2, "hermitian_eigendecompose": 2, "require_hermitian": 4
         }
 
-    def test_system_a_reads_the_lattice_at_even_points(self, monkeypatch):
-        pipelines = []
+    @pytest.mark.parametrize("gauge", ["auto", "analytic-reference"])
+    def test_system_a_matches_a_full_pipeline_on_the_lattice(self, monkeypatch, gauge):
+        calls = []
         run_pipeline = adiab.runner.run_pipeline
 
         def recorded(*args, **kwargs):
-            pipelines.append(run_pipeline(*args, **kwargs))
-            return pipelines[-1]
+            calls.append(args)
+            return run_pipeline(*args, **kwargs)
 
         monkeypatch.setattr(adiab.runner, "run_pipeline", recorded)
-        scenario = _short_scenario()
-        run_scenario(scenario)
-        pipeline_a = pipelines[1]  # B runs first, then A
+        scenario = _short_scenario(gauge=gauge)
+        result = run_scenario(scenario)
+        assert len(calls) == 1  # system B only
+
+        # the oracle: A tracked and diagnosed in full, its states read off the lattice
+        n = scenario.level - 1
         model_a = schwinger_model(scenario.params)
         grid = TimeGrid(scenario.t_start, scenario.t_end, scenario.steps)
         _, lattice = marzlin_sanders_model(model_a, grid)
-        traj = pipeline_a.trajectory
-        assert np.array_equal(traj.propagators, lattice.propagators[::2])
-        psi0 = pipeline_a.path.eigenvectors[0, :, scenario.level - 1]
-        assert np.array_equal(traj.states, lattice.propagators[::2] @ (psi0 / np.linalg.norm(psi0)))
+        propagators_a = lattice.propagators[::2]
+        path = track(model_a, grid, "analytic" if gauge == "analytic-reference" else "transport")
+        psi0 = path.eigenvectors[0, :, n] / np.linalg.norm(path.eigenvectors[0, :, n])
+        fidelity = run_diagnostics(propagators_a @ psi0, path, n).fidelity()
+        block = result.report.marzlin_sanders
+        assert abs(block["min_fidelity_system_a"] - float(np.min(fidelity))) <= 1e-15
+
+        products = stack_matmul(result.pipeline.trajectory.propagators, propagators_a)
+        assert block["max_inverse_residual"] == float(np.max(np.abs(products - np.eye(2))))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_transformed_operators_are_exactly_hermitian(self, scale):
+        # the shipped pair over its first 1000 steps, energies times scale, times over it
+        p = SchwingerParams(scale, 0.1 * scale, math.pi / 2)
+        grid = TimeGrid(0.0, 1.0 / scale, 1000)
+        model_b, _ = marzlin_sanders_model(schwinger_model(p), grid)
+        lattice = grid.refined().samples
+        for operator in (model_b.hamiltonian(lattice), model_b.derivative(lattice)):
+            assert np.array_equal(operator, np.swapaxes(operator.conj(), -2, -1))
 
     def test_inverse_and_oracle(self):
         model_a = schwinger_model(SLOW)
