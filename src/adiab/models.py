@@ -183,19 +183,23 @@ def schwinger_model(p: SchwingerParams) -> Model:
 
 
 def _stacked(callback: Callable[[float], np.ndarray], dim: int) -> Callable[..., np.ndarray]:
-    """Lift a one-time callback t -> (dim, dim) to a time array, checking each shape."""
+    """Lift a one-time callback t -> (dim, dim) to a time array, checking each shape.
+
+    The stack is allocated once in the layout rule of ``adiab.linalg``:
+    time-contiguous (Fortran order) at dim 2, C order above.
+    """
 
     def stacked(t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        mats = []
-        for s in t.ravel().tolist():
+        out = np.empty((t.size, dim, dim), dtype=np.complex128, order="F" if dim == 2 else "C")
+        for k, s in enumerate(t.ravel().tolist()):
             m = np.asarray(callback(s))
             if m.shape != (dim, dim):
                 raise ValueError(
                     f"model callback returned shape {m.shape} at t={s!r}; expected ({dim}, {dim})"
                 )
-            mats.append(m)
-        return np.stack(mats).reshape(t.shape + (dim, dim))
+            out[k] = m
+        return out.reshape(t.shape + (dim, dim))
 
     return stacked
 

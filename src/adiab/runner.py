@@ -2,7 +2,9 @@
 
 Outputs are deterministic: identical scenario documents produce
 byte-identical CSV and report files. Floats are rendered with Python's
-shortest round-trip repr, '.' radix, LF line endings.
+shortest round-trip repr, '.' radix, LF line endings. The CSV is written
+in blocks of rows, so its emission memory does not grow with the run;
+the bytes are those of one string of every float's repr.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ PROBABILITY_TOL = 1e-8
 CN_TOL = 1e-7
 PERTURBATION_TOL = 1e-6
 INVERSE_TOL = 1e-6
+
+_CSV_BLOCK_FLOATS = 4096  # floats formatted and written per block of CSV rows
 
 
 @dataclass
@@ -125,6 +129,16 @@ def _perturbation_residual(model: Model, path: SpectralPath) -> float:
     dv = path.derivatives[1:-1]
     w = path.eigenvalues[1:-1]
     hdots = model.derivative(path.times[1:-1])
+    if path.dim == 2:
+        # Only the two off-diagonal entries are read; form just those.
+        vc = v.conj()
+        hv = stack_matmul(hdots, v)
+        gap = w[:, 0] - w[:, 1]
+        upper = (vc[:, 0, 0] * hv[:, 0, 1] + vc[:, 1, 0] * hv[:, 1, 1]) / gap
+        upper += vc[:, 0, 0] * dv[:, 0, 1] + vc[:, 1, 0] * dv[:, 1, 1]
+        lower = (vc[:, 0, 1] * hv[:, 0, 0] + vc[:, 1, 1] * hv[:, 1, 0]) / -gap
+        lower += vc[:, 0, 1] * dv[:, 0, 0] + vc[:, 1, 1] * dv[:, 1, 0]
+        return float(max(np.max(np.abs(upper)), np.max(np.abs(lower))))
     vh = np.swapaxes(v.conj(), -2, -1)
     mats = stack_matmul(stack_matmul(vh, hdots), v)
     couplings = stack_matmul(vh, dv)
@@ -287,7 +301,14 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
 
 def emit_csv(result: RunResult, path) -> Path:
-    """One row per grid sample, fixed column order, deterministic bytes."""
+    """One row per grid sample, fixed column order, deterministic bytes.
+
+    The rows go out in blocks of about ``_CSV_BLOCK_FLOATS`` floats, so the
+    text held at once is one block's, whatever the run's length; only the
+    |c|, |Q| and |R| columns are formed whole. Within a block each distinct
+    bit pattern is formatted once: equal bits are an equal float with an
+    equal repr, so the bytes are those of formatting every float.
+    """
     diag = result.pipeline.diagnostics
     n = diag.level
     table = {"t": diag.times}  # header name -> column, in column order
@@ -299,10 +320,17 @@ def emit_csv(result: RunResult, path) -> Path:
         table |= {f"qac_{k}": diag.qac[:, m], f"residual_{k}": diag.residual[:, m]}
     table |= {f"beta_{n + 1}": diag.beta, "D_norm": diag.d_norm, "Ddot_norm": diag.ddot_norm}
     table |= {"lambda_residual": diag.lam, "norm_error": diag.norm_error}
-    lines = [",".join(table)]
-    lines += [",".join(map(repr, row)) for row in np.column_stack(list(table.values())).tolist()]
+    columns = list(table.values())
+    rows = max(1, _CSV_BLOCK_FLOATS // len(columns))
+    row_template = ",".join(["%s"] * len(columns)) + "\n"
     path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="\n") as out:
+        out.write(",".join(table) + "\n")
+        for start in range(0, len(diag.times), rows):
+            block = np.column_stack([column[start : start + rows] for column in columns])
+            bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+            texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            out.write((row_template * len(block)) % tuple(texts[inverse].tolist()))
     return path
 
 

@@ -20,7 +20,9 @@ Levels are labeled 1-based in configs, CSV headers and reports, matching
 the ascending-energy convention (level 1 is the ground level); library
 internals use zero-based indices. The step h = (t_end - t_start)/steps
 must be finite and at least 1e8 float spacings (ulps) of the larger
-endpoint, the rule of ``TimeGrid``.
+endpoint, the rule of ``TimeGrid``. The phases omega0 * t and omega * t
+must be finite floats at every t: omega0 and omega times
+max(|t_start|, |t_end|) may not overflow.
 """
 
 from __future__ import annotations
@@ -117,6 +119,14 @@ class Scenario:
             TimeGrid(self.t_start, self.t_end, self.steps)
         except ValueError as exc:
             raise ScenarioError(f"t_end: {exc}") from exc
+        # The phases omega*t and omega0*t must exist as floats; past that H overflows.
+        t_abs = max(abs(self.t_start), abs(self.t_end))
+        for key in ("omega0", "omega"):
+            if not math.isfinite(getattr(self.params, key) * t_abs):
+                raise ScenarioError(
+                    f"{key}: {key} * max(|t_start|, |t_end|) overflows a float, "
+                    f"got {getattr(self.params, key)!r} * {t_abs!r}"
+                )
         if not 1 <= self.level <= _MODEL_DIM:
             raise ScenarioError(f"n: tracked level must lie in 1..{_MODEL_DIM}, got {self.level}")
 

@@ -13,6 +13,10 @@ for the kernel forms, and so is the eigendecomposition form of exp(-i s H),
 the reference for the exponential: the closed-form two-level rotation, and
 the Taylor polynomial by stack products above d = 2.
 
+``one_string_csv`` is the CSV writer as it was before emission went out in
+row blocks: every float formatted, the whole file joined into one string.
+It is the byte reference for the block writer.
+
 ``rotate_gauge`` turns the gauge of a tracked path and, unlike the rest,
 rebuilds its derivatives with the tracker's own stencils: the gauge tests
 mean to run those stencils on a rotated path.
@@ -153,3 +157,22 @@ def rotate_gauge(path: SpectralPath, phases: np.ndarray) -> SpectralPath:
         eigenvectors=rotated,
         derivatives=_fill_derivatives(rotated, path.grid.h),
     )
+
+
+def one_string_csv(result) -> bytes:
+    """A run's CSV bytes, one repr per float and the whole file as one string."""
+    diag = result.pipeline.diagnostics
+    n = diag.level
+    table = {"t": diag.times}
+    for i, c in enumerate(diag.c.T, 1):
+        table |= {f"re_c_{i}": c.real, f"im_c_{i}": c.imag, f"abs_c_{i}": np.abs(c)}
+    for m in range(diag.dim):
+        if m != n:
+            k = m + 1
+            table |= {f"abs_Q_{k}": np.abs(diag.q[:, m]), f"abs_R_{k}": np.abs(diag.r[:, m])}
+            table |= {f"qac_{k}": diag.qac[:, m], f"residual_{k}": diag.residual[:, m]}
+    table |= {f"beta_{n + 1}": diag.beta, "D_norm": diag.d_norm, "Ddot_norm": diag.ddot_norm}
+    table |= {"lambda_residual": diag.lam, "norm_error": diag.norm_error}
+    lines = [",".join(table)]
+    lines += [",".join(map(repr, row)) for row in np.column_stack(list(table.values())).tolist()]
+    return ("\n".join(lines) + "\n").encode("utf-8")

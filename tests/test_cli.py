@@ -1,14 +1,16 @@
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import rotate_gauge
+from oracles import one_string_csv, rotate_gauge
 import adiab.runner
 import adiab.tracking
 from adiab import cli
@@ -132,10 +134,7 @@ class TestCsvSchema:
         assert "beta_2" in header
 
     def test_four_level_columns(self, tmp_path):
-        pipe = run_pipeline(random_smooth_model(4, seed=5), TimeGrid(0.0, 1.0, 100), n=1)
-        sc = parse_scenario(json.dumps(small_doc(name="dense")))
-        result = RunResult(scenario=sc, pipeline=pipe, report=RunReport({}, {}, {}, {}))
-        lines = emit_csv(result, tmp_path / "dense.csv").read_text().splitlines()
+        lines = emit_csv(_four_level_result(), tmp_path / "dense.csv").read_text().splitlines()
         expected = ["t"]
         expected += [f"{part}_c_{i}" for i in range(1, 5) for part in ("re", "im", "abs")]
         for m in (1, 3, 4):
@@ -162,6 +161,80 @@ class TestCsvSchema:
         first = emit_csv(run_scenario(sc), tmp_path / "a.csv").read_bytes()
         second = emit_csv(run_scenario(sc), tmp_path / "b.csv").read_bytes()
         assert first == second
+
+
+def _four_level_result() -> RunResult:
+    pipe = run_pipeline(random_smooth_model(4, seed=5), TimeGrid(0.0, 1.0, 100), n=1)
+    sc = parse_scenario(json.dumps(small_doc(name="dense")))
+    return RunResult(scenario=sc, pipeline=pipe, report=RunReport({}, {}, {}, {}))
+
+
+# Floats whose repr is special: both zeros, NaNs of three bit patterns (all print
+# "nan"), both infinities, subnormals, and each side of the two points where repr
+# switches to exponent notation, 1e16 and 1e-5.
+SPECIAL_FLOATS = np.array(
+    [0.0, -0.0, math.nan, -math.nan, np.int64(0x7FF0000000000001).view(np.float64),
+     math.inf, -math.inf, 5e-324, 2.2250738585072e-308, 1e16, 9999999999999998.0,
+     -1e16, 1e-5, 9.999999999999999e-06, 1.0000000000000001e-05, 0.0001, 0.1, -2.5]
+)
+
+
+class TestCsvBlockWriter:
+    """The block writer's bytes equal the one-string writer's."""
+
+    @pytest.fixture(scope="class")
+    def spanning_run(self):
+        # 701 rows at 16 floats: two full blocks of 256 rows and a partial one
+        return run_scenario(parse_scenario(json.dumps(small_doc(name="blocks", steps=700))))
+
+    # the shipped budget; one row per block; a few rows per block, the last one
+    # partial (701 = 116 * 6 + 5 at dim 2, 101 = 33 * 3 + 2 at dim 4); one block
+    @pytest.mark.parametrize("budget", [None, 1, 100, 10**6])
+    def test_bytes_match_the_one_string_writer(self, tmp_path, monkeypatch, spanning_run, budget):
+        if budget is not None:
+            monkeypatch.setattr(adiab.runner, "_CSV_BLOCK_FLOATS", budget)
+        for result in (spanning_run, _four_level_result()):
+            written = emit_csv(result, tmp_path / "blocks.csv").read_bytes()
+            assert written == one_string_csv(result)
+
+    def test_special_floats_match_the_one_string_writer(self, tmp_path, spanning_run):
+        diag = spanning_run.pipeline.diagnostics
+        rows = len(diag.times)
+
+        def specials(shift: int) -> np.ndarray:
+            return np.roll(np.resize(SPECIAL_FLOATS, rows), shift)
+
+        c = np.empty_like(diag.c)
+        c.real, c.imag = specials(0)[:, None], specials(1)[:, None]
+        columns = {"c": c, "beta": specials(2), "d_norm": specials(3), "ddot_norm": specials(4)}
+        columns |= {"lam": specials(5), "norm_error": specials(6), "times": specials(7)}
+        pipeline = dataclasses.replace(
+            spanning_run.pipeline, diagnostics=dataclasses.replace(diag, **columns)
+        )
+        result = dataclasses.replace(spanning_run, pipeline=pipeline)
+        written = emit_csv(result, tmp_path / "special.csv").read_bytes()
+        assert written == one_string_csv(result)
+        cells = set(written.decode().replace("\n", ",").split(","))
+        assert {"-0.0", "nan", "inf", "-inf", "5e-324", "1e+16", "9999999999999998.0"} <= cells
+        assert {"1e-05", "9.999999999999999e-06", "0.0001"} <= cells
+
+    def test_emission_memory_does_not_grow_with_steps(self, tmp_path):
+        # The tracemalloc peak of emit_csv alone may grow by at most 12 bytes per
+        # float column per row, 192 B/row at dim 2; the one-string writer grew by
+        # about 1 000. The whole |c|, |Q| and |R| columns take 32 B/row.
+        def peak(steps: int) -> int:
+            doc = small_doc(name="mem", t_end=steps / 1000, steps=steps)
+            result = run_scenario(parse_scenario(json.dumps(doc)))
+            tracemalloc.start()
+            try:
+                emit_csv(result, tmp_path / "mem.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        width = 16  # floats per row at dim 2
+        growth = (peak(8000) - peak(2000)) / 6000
+        assert growth <= 12 * width, f"{growth:.0f} B/row"
 
 
 class TestCliCommands:
@@ -287,6 +360,15 @@ class TestCliCommands:
         scenario_path = self._write(tmp_path, t_start=-1e308, t_end=1e308)
         assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_CONFIG
         assert "configuration error: t_end:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, key", [("schwinger", "omega"), ("marzlin_sanders", "omega0")])
+    def test_overflowing_phase_exits_config(self, tmp_path, capsys, model, key):
+        # omega * t_end is past the largest float, so H(t) would not be finite
+        scenario_path = self._write(tmp_path, model=model, t_end=1e12, **{key: 1e300})
+        assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_CONFIG
+        assert f"configuration error: {key}: {key} * max(|t_start|, |t_end|) overflows" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize(
         "span",

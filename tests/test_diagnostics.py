@@ -380,7 +380,16 @@ def _shipped_pair_pipeline():
     return run_scenario(parse_scenario(json.dumps(doc))).pipeline
 
 
-@pytest.mark.parametrize("make", [_dense_pipeline, _shipped_pair_pipeline], ids=["dim16", "pair"])
+def _panel_pipeline():
+    # the fast_theta_pi2 panel over its first 1000 steps: the dim-2 closed form
+    return run_pipeline(schwinger_model(SchwingerParams(1.0, 10.0, math.pi / 2)), TimeGrid(0.0, 0.1, 1000), 0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_dense_pipeline, _shipped_pair_pipeline, _panel_pipeline],
+    ids=["dim16", "pair", "panel"],
+)
 def test_report_checks_match_their_einsum_forms(make):
     pipe = make()
     residual = _perturbation_residual(pipe.model, pipe.path)
@@ -390,15 +399,15 @@ def test_report_checks_match_their_einsum_forms(make):
 
 
 def test_results_do_not_depend_on_layout():
-    # custom_model stacks C-order callback matrices, as a user's np.array gives
-    # them, into a C-order stack; schwinger_model's stacks are time-contiguous.
+    # A vectorised Model may return C-order stacks, as np.ascontiguousarray or a
+    # user's np.array gives them; schwinger_model's stacks are time-contiguous.
     # One panel run both ways must agree.
     p = SchwingerParams(1.0, 10.0, math.pi / 4)
     grid = TimeGrid(0.0, 4.0, 1000)
-    wrapped = custom_model(
-        lambda t: np.ascontiguousarray(schwinger_hamiltonian(p, t)),
-        lambda t: np.ascontiguousarray(schwinger_hamiltonian_derivative(p, t)),
+    wrapped = Model(
         dim=2,
+        hamiltonian=lambda t: np.ascontiguousarray(schwinger_hamiltonian(p, t)),
+        derivative=lambda t: np.ascontiguousarray(schwinger_hamiltonian_derivative(p, t)),
     )
     c_order = run_pipeline(wrapped, grid, 0)
     time_contiguous = run_pipeline(schwinger_model(p), grid, 0)

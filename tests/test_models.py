@@ -222,6 +222,29 @@ class TestModelWrappers:
         with pytest.raises(ValueError, match=r"shape \(3, 3\) at t=0\.0; expected \(2, 2\)"):
             run_pipeline(model, TimeGrid(0.0, 1.0, 10), n=0)
 
+    @pytest.mark.parametrize("with_derivative", [True, False], ids=["callback", "fd"])
+    def test_custom_model_stacks_in_the_linalg_layout(self, with_derivative):
+        p = SchwingerParams(1.0, 0.3, 1.1)
+        ts = np.linspace(0.0, 3.0, 31)
+
+        # C-order callback matrices, as a user's np.array gives them
+        def h(t):
+            return np.ascontiguousarray(schwinger_hamiltonian(p, t))
+
+        def hdot(t):
+            return np.ascontiguousarray(schwinger_hamiltonian_derivative(p, t))
+
+        model = custom_model(h, hdot if with_derivative else None, dim=2)
+        for stack in (model.hamiltonian(ts), model.derivative(ts)):
+            assert stack.dtype == np.complex128
+            assert stack.strides[0] == stack.itemsize  # time-contiguous at dim 2
+        assert max_abs(model.hamiltonian(ts) - schwinger_hamiltonian(p, ts)) == 0.0
+        dense = random_smooth_model(4, seed=2)
+        wrapped = custom_model(dense.hamiltonian, dense.derivative if with_derivative else None, dim=4)
+        for stack in (wrapped.hamiltonian(ts), wrapped.derivative(ts)):
+            assert stack.flags.c_contiguous  # C order above dim 2
+        assert max_abs(wrapped.hamiltonian(ts) - dense.hamiltonian(ts)) == 0.0
+
     def test_random_smooth_model_is_hermitian_and_reproducible(self):
         m1 = random_smooth_model(4, seed=42)
         m2 = random_smooth_model(4, seed=42)
