@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -44,6 +45,8 @@ class TimeGrid:
 
     The step h must be finite and at least 1e8 float spacings (ulps) of the
     larger endpoint, so samples, midpoints and half-step lattices resolve.
+    ``samples`` is formed once per grid and is read-only, since every layer
+    of a run shares the same array; copy it to change it.
     """
 
     t_start: float
@@ -70,9 +73,11 @@ class TimeGrid:
     def h(self) -> float:
         return (self.t_end - self.t_start) / self.steps
 
-    @property
+    @cached_property
     def samples(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.steps + 1)
+        ts = np.linspace(self.t_start, self.t_end, self.steps + 1)
+        ts.flags.writeable = False
+        return ts
 
     def refined(self) -> "TimeGrid":
         """Same span with twice as many steps."""
@@ -142,9 +147,12 @@ def marzlin_sanders_model(model_a: Model, grid: TimeGrid) -> tuple[Model, Trajec
     """Companion system H_b = -U_a† H_a U_a pinned to a grid.
 
     The propagator of ``model_a`` is accumulated on a half-step refinement of
-    ``grid`` so that H_b is available at every grid sample and at every
-    midpoint the integrator visits. The returned model only accepts times on
-    that half-step lattice. Also returns A's lattice trajectory, propagators
+    ``grid``, and H_b is formed once over that whole lattice, from one
+    evaluation of H_a there: its even points are the grid samples and its
+    odd points the midpoints the integrator visits. The returned model only
+    accepts times on the lattice. Its ``hamiltonian`` reads H_b off the
+    lattice; its ``derivative`` and closed-form eigensystem read U_a there
+    at the times asked. Also returns A's lattice trajectory, propagators
     only (``states`` is None), which satisfy U_b(t) = U_a(t)† for the exact
     flow. Its even points, ``propagators[::2]``, are A's running propagators
     on ``grid`` itself, each the product of two half steps.
@@ -152,36 +160,44 @@ def marzlin_sanders_model(model_a: Model, grid: TimeGrid) -> tuple[Model, Trajec
     fine = grid.refined()
     traj_a = Trajectory(propagators=_accumulate(_step_unitaries(model_a, fine)))
     us = traj_a.propagators
+    hs = transformed_hamiltonian(us, model_a.hamiltonian(fine.samples))
     t0 = fine.t_start
     hf = fine.h
 
-    def propagators_at(t) -> np.ndarray:
-        """U_a at each time of ``t``; every time must lie on the lattice."""
+    def lattice_read(stack: np.ndarray, t) -> np.ndarray:
+        """``stack`` at each time of ``t``; every time must lie on the lattice."""
         t = np.asarray(t, dtype=float)
         j = np.rint((t - t0) / hf)
         on = (j >= 0) & (j < us.shape[0]) & (np.abs(t0 + j * hf - t) <= 1e-6 * hf)
-        if not np.all(on):
+        if not on.all():
             raise ValueError(
                 "transformed model is defined only on its construction lattice; "
                 f"got t={float(t[~on].flat[0])!r}"
             )
-        # a fancy index returns C order; take into a stack of us's layout instead
         j = j.astype(np.intp)
-        return np.take(us, j, axis=0, out=np.empty_like(us, shape=j.shape + us.shape[1:]))
+        out = np.empty_like(stack, shape=j.shape + stack.shape[1:])  # keeps the stack's layout
+        if j.ndim == 1 and j.size > 1:
+            step = j[1] - j[0]
+            if step > 0 and (j[1:] - j[:-1] == step).all():
+                # evenly spaced, as the samples and midpoints are: one strided copy,
+                # where np.take would first copy a time-contiguous stack to C order
+                out[...] = stack[j[0] : j[-1] + 1 : step]
+                return out
+        return np.take(stack, j, axis=0, out=out)
 
     def hamiltonian(t) -> np.ndarray:
-        return transformed_hamiltonian(propagators_at(t), model_a.hamiltonian(t))
+        return lattice_read(hs, t)
 
     def derivative(t) -> np.ndarray:
         # -U† Hdot U: the U̇ = -iHU product-rule terms cancel.
-        return transformed_hamiltonian(propagators_at(t), model_a.derivative(t))
+        return transformed_hamiltonian(lattice_read(us, t), model_a.derivative(t))
 
     analytic_eigensystem = None
     if model_a.analytic_eigensystem is not None:
         # Eigenpairs of -U†HU are (-E_i, U† v_i); ascending order reverses.
         def analytic_eigensystem(t) -> tuple[np.ndarray, np.ndarray]:
             w, v = model_a.analytic_eigensystem(t)
-            udag = np.swapaxes(propagators_at(t).conj(), -2, -1)
+            udag = np.swapaxes(lattice_read(us, t).conj(), -2, -1)
             return -w[..., ::-1], stack_matmul(udag, v)[..., ::-1]
 
     return (

@@ -170,9 +170,9 @@ def track(
     call; the checks run as masks over the grid and raise at the earliest
     failing sample. In transport mode frame 0 makes the first nonzero
     component of each eigenvector real positive. Raises ``DegeneracyError``
-    on a vanishing gap and ``LevelCrossingError`` when consecutive frames
-    cannot be identified level-by-level (overlap below 0.5 or eigenvalue
-    order breaking).
+    on a vanishing gap (at most 1e-12 of the sample's largest |E_i|) and
+    ``LevelCrossingError`` when consecutive frames cannot be identified
+    level-by-level (overlap below 0.5 or eigenvalue order breaking).
     """
     if gauge not in ("transport", "analytic"):
         raise ValueError(f"unknown gauge {gauge!r}; expected 'transport' or 'analytic'")
@@ -182,7 +182,9 @@ def track(
     ts = grid.samples
     hs = model.hamiltonian(ts)
     eigenvalues, raw = hermitian_eigendecompose(hs)
-    gap = _gap_failure(_min_gaps(eigenvalues), np.linalg.norm(hs, axis=(1, 2)), ts)
+    # the scale max_i |E_i| is ‖H‖₂, at most the Frobenius norm, and has no
+    # squares to overflow past ‖H‖ ~ 1e154
+    gap = _gap_failure(_min_gaps(eigenvalues), np.max(np.abs(eigenvalues), axis=1), ts)
 
     if gauge == "analytic":
         refs = model.analytic_eigensystem(ts)[1]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +383,16 @@ class TestCliCommands:
         assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_CONFIG
         assert "configuration error: t_end: grid step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("omega0", [1e155, 1e160])
+    def test_huge_static_field_is_not_degenerate(self, tmp_path, capsys, omega0):
+        # the degeneracy scale overflowed past ‖H‖ ~ 1.3e154, so this static field
+        # exited 3; the diagnostics' own overflow warnings are not errors here
+        scenario_path = self._write(tmp_path, omega0=omega0, omega=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli.main(["verify", str(scenario_path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_IDENTITY), capsys.readouterr().err
+
     @pytest.mark.parametrize("steps", [1_000_001, 10**400], ids=["bound_plus_one", "400_digits"])
     def test_steps_past_the_bound_exit_config(self, tmp_path, capsys, monkeypatch, steps):
         scenario_path = self._write(tmp_path, steps=steps)
@@ -547,6 +558,21 @@ class TestShippedScenarios:
         tight = strict.report.summary["criteria_true_fraction"]
         assert loose == {"a": 1.0, "b": 1.0, "c": 1.0}
         assert all(tight[key] < loose[key] for key in "abc")
+
+    @pytest.mark.parametrize("undefined", [0.0, 0.3, 1.0])
+    def test_criteria_fractions_equal_the_per_column_means(self, undefined):
+        # the reference: one mean per column, (a) over its non-NaN samples only
+        rng = np.random.default_rng(7)
+        ratios = rng.uniform(0.0, 0.2, size=(1001, 3))
+        ratios[rng.random(1001) < undefined, 0] = np.nan
+        holds = ratios < 0.1
+        defined = ~np.isnan(ratios[:, 0])
+        expected = {
+            "a": float(np.mean(holds[defined, 0])) if np.any(defined) else None,
+            "b": float(np.mean(holds[:, 1])),
+            "c": float(np.mean(holds[:, 2])),
+        }
+        assert adiab.runner._criteria_fractions(ratios, 0.1) == expected
 
     def test_report_serialization_round_trip(self, tmp_path):
         sc = parse_scenario(json.dumps(small_doc(name="round")))

@@ -13,7 +13,14 @@ import adiab.runner
 import adiab.tracking
 from adiab.diagnostics import run_diagnostics
 from adiab.linalg import stack_matmul
-from adiab.models import SchwingerParams, custom_model, random_smooth_model, schwinger_model
+from adiab.models import (
+    Model,
+    SchwingerParams,
+    custom_model,
+    random_smooth_model,
+    schwinger_model,
+    transformed_hamiltonian,
+)
 from adiab.propagate import (
     TimeGrid,
     _accumulate,
@@ -39,6 +46,13 @@ class TestTimeGrid:
         grid = TimeGrid(0.0, 1.0, 4)
         assert np.allclose(grid.samples, [0.0, 0.25, 0.5, 0.75, 1.0], atol=0)
         assert grid.h == 0.25
+
+    def test_samples_formed_once_and_read_only(self):
+        grid = TimeGrid(-1.0, 2.0, 7)
+        assert grid.samples is grid.samples
+        assert np.array_equal(grid.samples, np.linspace(-1.0, 2.0, 8))
+        with pytest.raises(ValueError, match="read-only"):
+            grid.samples[3] = 0.0
 
     def test_refined(self):
         grid = TimeGrid(0.0, 2.0, 10).refined()
@@ -223,8 +237,8 @@ def _solver_counts(monkeypatch) -> dict:
     """Count step stacks, eigensolves and Hermitian validations from here on."""
     counts = {"_step_unitaries": 0, "hermitian_eigendecompose": 0, "require_hermitian": 0}
     _counting(monkeypatch, adiab.propagate, "_step_unitaries", counts)
-    # the eigensolver is looked up in linalg, in tracking and in the runner
-    for module in (adiab.linalg, adiab.tracking, adiab.runner):
+    # the eigensolver is looked up in linalg and in tracking
+    for module in (adiab.linalg, adiab.tracking):
         _counting(monkeypatch, module, "hermitian_eigendecompose", counts)
     _counting(monkeypatch, adiab.linalg, "require_hermitian", counts)
     return counts
@@ -299,11 +313,65 @@ class TestTransformedPair:
         counts = _solver_counts(monkeypatch)
         assert run_scenario(_short_scenario()).report.passed
         # A on the half-step lattice and B on the grid; the d = 2 step exponentials
-        # solve no eigenproblem, so only B's track and A's one eigensolve do; four
-        # stacks validated
+        # solve no eigenproblem and A's eigenvectors are its closed form, so only
+        # B's track solves one; three stacks validated (A's midpoint H, B's H at
+        # the samples and at the midpoints)
         assert counts == {
-            "_step_unitaries": 2, "hermitian_eigendecompose": 2, "require_hermitian": 4
+            "_step_unitaries": 2, "hermitian_eigendecompose": 1, "require_hermitian": 3
         }
+
+    def test_pair_run_forms_each_operator_once(self, monkeypatch):
+        # H_a once on the half-step lattice and once on its midpoints; H_b once
+        # over the lattice and Ḣ_b once, for the report's interior samples
+        base = schwinger_model(_short_scenario().params)
+        shapes = {"hamiltonian": [], "derivative": [], "analytic_eigensystem": []}
+
+        def counted(name):
+            def f(t):
+                shapes[name].append(np.shape(t))
+                return getattr(base, name)(t)
+
+            return f
+
+        model_a = Model(dim=2, **{name: counted(name) for name in shapes})
+        monkeypatch.setattr(adiab.runner, "schwinger_model", lambda params: model_a)
+        counts = {"transformed_hamiltonian": 0}
+        _counting(monkeypatch, adiab.propagate, "transformed_hamiltonian", counts)
+        assert run_scenario(_short_scenario()).report.passed
+        # 250 steps: 501 lattice points, 500 fine midpoints, 251 samples
+        assert shapes == {
+            "hamiltonian": [(500,), (501,)], "derivative": [(249,)], "analytic_eigensystem": [(251,)]
+        }
+        assert counts == {"transformed_hamiltonian": 2}
+
+    @pytest.mark.parametrize(
+        "pick",
+        [
+            lambda lattice: float(lattice[37]),
+            lambda lattice: lattice[[0, 3, 4, 10, 57, 200, 57]],
+            lambda lattice: lattice,
+            lambda lattice: lattice[::2],
+            lambda lattice: lattice[1::2],
+            lambda lattice: lattice[20:30:3].reshape(2, 2),
+        ],
+        ids=["scalar", "uneven", "lattice", "samples", "midpoints", "2d"],
+    )
+    def test_operators_match_per_call_construction(self, pick):
+        # B's H and Ḣ against U_a read off the lattice and -U_a† H_a U_a formed per call
+        model_a = schwinger_model(SLOW)
+        grid = TimeGrid(0.0, 1.0, 100)
+        model_b, lattice_a = marzlin_sanders_model(model_a, grid)
+        fine = grid.refined()
+        t = pick(fine.samples)
+        j = np.rint((np.asarray(t) - fine.t_start) / fine.h).astype(np.intp)
+        us = lattice_a.propagators[j]
+        for name in ("hamiltonian", "derivative"):
+            expected = transformed_hamiltonian(us, getattr(model_a, name)(t))
+            actual = getattr(model_b, name)(t)
+            assert actual.shape == np.shape(t) + (2, 2)
+            assert max_abs(actual - expected) <= 1e-15, name
+            if np.ndim(t) == 1:
+                assert actual.strides[0] == actual.itemsize, name  # time-contiguous
 
     @pytest.mark.parametrize("gauge", ["auto", "analytic-reference"])
     def test_system_a_matches_a_full_pipeline_on_the_lattice(self, monkeypatch, gauge):
@@ -373,7 +441,7 @@ class TestTransformedPair:
         model_b, _ = marzlin_sanders_model(schwinger_model(SLOW), TimeGrid(0.0, 1.0, 100))
         with pytest.raises(ValueError, match="lattice"):
             model_b.hamiltonian(0.0012345)
-        ts = TimeGrid(0.0, 1.0, 200).samples  # the half-step lattice
+        ts = TimeGrid(0.0, 1.0, 200).samples.copy()  # the half-step lattice
         ts[37] = 0.18612345
         with pytest.raises(ValueError, match=r"lattice; got t=0\.18612345$"):
             model_b.hamiltonian(ts)

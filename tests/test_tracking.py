@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,16 @@ class TestTrack:
         model = custom_model(lambda t: np.diag([0.0, 1.0]).astype(complex), dim=2)
         with pytest.raises(ValueError, match="closed-form"):
             track(model, TimeGrid(0.0, 1.0, 10), gauge="analytic")
+
+    @pytest.mark.parametrize("omega0", [1e155, 1e160])
+    def test_huge_static_field_is_not_degenerate(self, omega0):
+        # the degeneracy scale is max |E_i|; a Frobenius norm's squares overflow
+        # past ‖H‖ ~ 1.3e154, and every sample then read as degenerate
+        model = schwinger_model(SchwingerParams(omega0, 0.0, 1.5707963))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = track(model, TimeGrid(0.0, 2.0, 50))
+        assert np.allclose(path.eigenvalues, [-0.5 * omega0, 0.5 * omega0], rtol=1e-15, atol=0)
 
 
 class TestEigenvectorDerivatives:
