@@ -27,6 +27,7 @@ gauge; an imaginary residue above 1e-6 raises ``GaugeError``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,21 @@ class DiagnosticsResult:
         return np.abs(self.c[:, self.level])
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (K, dim) stack, bit for bit ``np.linalg.norm(x, axis=1)``.
+
+    That form squares the entries, which overflows once one passes about
+    1.3e154. A finite row whose norm comes out non-finite is taken again by
+    ``hypot``, which forms no square; every other row keeps the plain bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.add.reduce((x.conj() * x).real, axis=1))
+    if not norms.max() < math.inf:  # NaN compares False too
+        redo = ~np.isfinite(norms) & np.isfinite(x).all(axis=1)
+        norms[redo] = np.hypot.reduce(np.abs(x[redo]), axis=1)
+    return norms
+
+
 def run_diagnostics(
     states: np.ndarray,
     path: SpectralPath,
@@ -120,8 +136,8 @@ def run_diagnostics(
     # beta_n: trapezoid sums of beta_dot from zero, real under a smooth gauge.
     beta_dot = -e_n + 1j * np.einsum("kj,kj->k", vn.conj(), vdot_n)
     increments = 0.5 * path.grid.h * (beta_dot[1:] + beta_dot[:-1])
-    raw = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
-    imag_residue = float(np.max(np.abs(raw.imag)))
+    raw = np.concatenate([[0.0 + 0.0j], increments.cumsum()])
+    imag_residue = float(np.abs(raw.imag).max())
     if imag_residue > _PHASE_IMAG_ATOL:
         raise GaugeError(f"accumulated phase has imaginary residue {imag_residue:.3e}; gauge broken")
     beta = raw.real.copy()
@@ -139,9 +155,9 @@ def run_diagnostics(
     proj_ddot = np.einsum("kjm,kj->km", v.conj(), ddot_vectors)
     coupling = np.einsum("kjm,kj->km", v.conj(), vdot_n)
 
-    d_norm = np.linalg.norm(d_vectors, axis=1)
-    ddot_norm = np.linalg.norm(ddot_vectors, axis=1)
-    equivalence = np.linalg.norm(combo, axis=1)
+    d_norm = _row_norms(d_vectors)
+    ddot_norm = _row_norms(ddot_vectors)
+    equivalence = _row_norms(combo)
     lam = np.abs(proj_ddot[:, n] + 1j * e_n * proj_d[:, n])
     defined = np.abs(e_n) > _ZERO_ENERGY_ATOL
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -159,10 +175,13 @@ def run_diagnostics(
     # Division rounds monotonically in the divisor, so x / min|gap| is max_m x / |gap_m| exactly.
     # numpy reduces short C-order rows one by one, so the minimum reads a Fortran-order copy:
     # a no-op for the time-contiguous dim-2 gaps, a real copy for the C-order ones above.
-    criterion_a = np.where(defined, d_norm * np.abs(e_n), np.nan)
-    ratios = np.stack([criterion_a, ddot_norm, equivalence], axis=1)
-    ratios /= np.nanmin(np.asfortranarray(abs_gap), axis=1)[:, np.newaxis]
-    norm_error = np.abs(np.linalg.norm(states, axis=1) - 1.0)
+    # fmin skips NaN, as nanmin does, without its Python-level checks.
+    ratios = np.empty((len(e_n), 3), order="F")
+    ratios[:, 0] = np.where(defined, d_norm * np.abs(e_n), np.nan)
+    ratios[:, 1] = ddot_norm
+    ratios[:, 2] = equivalence
+    ratios /= np.fmin.reduce(np.asfortranarray(abs_gap), axis=1)[:, np.newaxis]
+    norm_error = np.abs(_row_norms(states) - 1.0)
     probability_defect = np.abs(np.einsum("km->k", np.abs(c) ** 2) - 1.0)
     return DiagnosticsResult(
         level=n,

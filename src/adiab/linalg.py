@@ -13,11 +13,21 @@ with M² = r²·1, and the SU(2) rotation. The per-matrix LAPACK cost (about
 Intended for dimensions 2..64; no sparsity, no large-N tricks.
 
 Every product of two matrix stacks in the package goes through one kernel,
-``stack_matmul``. numpy's ``matmul`` (and two-operand ``einsum``) pays a
-dispatch per matrix, about 0.4 µs for a 2×2 complex product, which dominates
-the two-level runs. So when the contracted dimension is 2 the kernel writes
-the product as two broadcast multiplies and one add over the whole stack;
-above that the per-matrix cost is arithmetic, and it is ``np.matmul``.
+``stack_matmul``. numpy's ``matmul`` pays a dispatch per matrix, about
+0.4 µs for a 2×2 complex product, which dominates the two-level runs. So
+when the contracted dimension is 2 the kernel takes one of two whole-stack
+forms, chosen by the length of the longer operand's stack. Up to 256
+matrices it is one ``np.einsum("...ij,...jk->...ik")`` call, whose loop
+runs in C but costs more per matrix; above that it is two broadcast
+multiplies and one add. Measured on a shared 2-core host with numpy 2.4,
+median of 15, time-contiguous (K, 2, 2) products, einsum against
+broadcast: 5.5 against 10.3 µs at K = 4, 7.9 against 10.9 at 64, 15.2
+against 15.3 at 256, 23.9 against 19.3 at 512 and 40.4 against 26.7 at
+1 000. A (K, 2, 2) by (K, 2, 1) product crosses near K = 300, and one by a
+single (2, 1) vector near 150. The two forms differ only in the rounding
+of the complex products, by a few ulps. Every product, either form, still
+goes through ``stack_matmul``: the choice is the kernel's alone. Above
+dimension 2 the per-matrix cost is arithmetic, and it is ``np.matmul``.
 
 Layout rule: a d = 2 stack is allocated time-contiguous (Fortran order,
 ``strides[0] == itemsize``) where it is created, in ``models._two_by_two``,
@@ -29,11 +39,11 @@ loops once over K samples. On one core of a Xeon with numpy 2.4, at
 K = 40 001 a (K, 2) ``np.linalg.norm(axis=1)`` takes 1 054 µs in C order
 against 400 µs time-contiguous, bit for bit the same, and the (K, 2, 2) gap
 broadcast ``w[:, :, None] - w[:, None, :]`` 1 020 µs against 122 µs; at
-K = 1 001 a d = 2 ``stack_matmul`` takes 75 µs against 20 µs. Above d = 2 the stacks stay C order, as LAPACK and the
-Taylor exponential give them, so ``np.matmul`` keeps its BLAS path.
-Layout changes speed, not results, beyond rounding: numpy's complex
-multiply rounds differently in its contiguous loop, so the running
-propagators may move in the last bits.
+K = 1 001 a d = 2 ``stack_matmul`` takes 75 µs against 20 µs. Above d = 2
+the stacks stay C order, as LAPACK and the Taylor exponential give them,
+so ``np.matmul`` keeps its BLAS path. Layout changes speed, not results,
+beyond rounding: numpy's complex multiply rounds differently in its
+contiguous loop, so the running propagators may move in the last bits.
 """
 
 from __future__ import annotations
@@ -56,6 +66,8 @@ __all__ = [
 
 HERMITIAN_ATOL = 1e-12
 NORMALIZED_ATOL = 1e-9
+# the longest d = 2 stack that stack_matmul multiplies by one einsum call
+_EINSUM_MAX_STACK = 256
 
 
 class ConvergenceError(RuntimeError):
@@ -78,9 +90,8 @@ def require_hermitian(h) -> np.ndarray:
     if not np.isfinite(stack).all():
         finite = np.all(np.isfinite(stack), axis=(1, 2))
         raise ValueError(f"operator{_which(h, finite)} contains non-finite entries")
-    defects = np.abs(stack - np.swapaxes(stack.conj(), 1, 2))
-    if not np.max(defects, initial=0.0) <= HERMITIAN_ATOL:
-        defects = np.max(defects, axis=(1, 2))
+    defects = _hermitian_defects(stack)
+    if not defects.max(initial=0.0) <= HERMITIAN_ATOL:
         ok = defects <= HERMITIAN_ATOL
         defect = defects[np.argmin(ok)]
         raise ValueError(
@@ -88,6 +99,18 @@ def require_hermitian(h) -> np.ndarray:
             f"(defect {defect:.3e} > {HERMITIAN_ATOL:.1e})"
         )
     return h
+
+
+def _hermitian_defects(stack: np.ndarray) -> np.ndarray:
+    """max_ij |h[i,j] - conj(h[j,i])| of each matrix of a finite (K, d, d) stack."""
+    if stack.shape[-1] == 2:
+        # Bit for bit the general form from three planes: |h_ii - conj h_ii| is
+        # exactly 2|Im h_ii|, and the two off-diagonal defects are equal.
+        return np.maximum(
+            np.abs(stack[:, 0, 1] - stack[:, 1, 0].conj()),
+            2 * np.maximum(np.abs(stack[:, 0, 0].imag), np.abs(stack[:, 1, 1].imag)),
+        )
+    return np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
 
 
 def _which(h: np.ndarray, ok: np.ndarray) -> str:
@@ -99,7 +122,7 @@ def require_normalized(v) -> np.ndarray:
     v = np.asarray(v)
     if v.ndim != 1:
         raise ValueError("state must be a 1-D vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("state contains non-finite entries")
     defect = abs(np.linalg.norm(v) - 1.0)
     if defect > NORMALIZED_ATOL:
@@ -230,7 +253,7 @@ def _taylor_exponential(h: np.ndarray, s: float) -> np.ndarray:
     diagonal = _diagonal(x)
     mu = diagonal.real.sum(axis=-1) / h.shape[-1]
     diagonal -= mu[..., np.newaxis]
-    theta = abs(s) * float(np.max(np.sum(np.abs(x), axis=-2), initial=0.0))
+    theta = abs(s) * float(np.abs(x).sum(axis=-2).max(initial=0.0))
     if not math.isfinite(theta):
         raise ValueError(f"time s = {s} overflows |s|·‖H‖₁ in the exponential")
     squarings = max(0, math.ceil(math.log2(theta))) if theta > 1 else 0
@@ -264,13 +287,17 @@ def stack_matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None)
     """``a @ b`` for matrices or stacks of them, broadcast as ``np.matmul`` does.
 
     Both operands have at least two dimensions. When the contracted dimension
-    is 2 the product is ``a[..., :, 0:1] * b[..., 0:1, :] + a[..., :, 1:2] *
-    b[..., 1:2, :]`` over the whole stack; otherwise it is ``np.matmul``.
-    Writes into ``out`` when given and returns it; on the dim-2 path ``out``
-    must not share memory with ``a`` or ``b``.
+    is 2 the product is one ``np.einsum`` call while the longer operand's
+    stack holds at most 256 matrices, and ``a[..., :, 0:1] * b[..., 0:1, :] +
+    a[..., :, 1:2] * b[..., 1:2, :]`` over the whole stack above that (see the
+    module docstring); otherwise it is ``np.matmul``. Writes into ``out``
+    when given and returns it; on the dim-2 path ``out`` must not share memory
+    with ``a`` or ``b``.
     """
     if a.shape[-1] != 2 or b.shape[-2] != 2:
         return np.matmul(a, b, out=out)
+    if max(math.prod(a.shape[:-2]), math.prod(b.shape[:-2])) <= _EINSUM_MAX_STACK:
+        return np.einsum("...ij,...jk->...ik", a, b, out=out)
     out = np.multiply(a[..., :, 0:1], b[..., 0:1, :], out=out)
     out += a[..., :, 1:2] * b[..., 1:2, :]
     return out

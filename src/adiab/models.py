@@ -80,8 +80,9 @@ def _half_sin_sq(theta: float) -> float:
 
 def _phase(x) -> np.ndarray:
     """e^{-ix} elementwise, built from real cosines and sines."""
-    ph = np.empty(np.shape(x), dtype=np.complex128)
-    ph.real = np.cos(x)
+    cos = np.cos(x)
+    ph = np.empty(cos.shape, dtype=np.complex128)
+    ph.real = cos
     ph.imag = -np.sin(x)
     return ph
 
@@ -91,8 +92,7 @@ def _two_by_two(a00, a01, a10, a11) -> np.ndarray:
 
     The stack is time-contiguous (Fortran order), the layout rule of ``adiab.linalg``.
     """
-    shape = np.broadcast_shapes(*map(np.shape, (a00, a01, a10, a11)))
-    out = np.empty(shape + (2, 2), dtype=np.complex128, order="F")
+    out = np.empty(np.broadcast(a00, a01, a10, a11).shape + (2, 2), dtype=np.complex128, order="F")
     out[..., 0, 0] = a00
     out[..., 0, 1] = a01
     out[..., 1, 0] = a10
@@ -126,7 +126,9 @@ def schwinger_analytic_eigensystem(p: SchwingerParams, t) -> tuple[np.ndarray, n
     half_cos = math.cos(0.5 * p.theta)
     up = _phase(0.5 * p.omega * t)
     dn = up.conj()
-    w = np.broadcast_to(np.array([-0.5 * p.omega0, 0.5 * p.omega0]), np.shape(t) + (2,)).copy()
+    w = np.empty(up.shape + (2,))
+    w[..., 0] = -0.5 * p.omega0
+    w[..., 1] = 0.5 * p.omega0
     return w, _two_by_two(up * half_sin, up * half_cos, -dn * half_cos, dn * half_sin)
 
 
@@ -281,7 +283,7 @@ def transformed_hamiltonian(u_at_t: np.ndarray, h_at_t: np.ndarray) -> np.ndarra
         raise ValueError(
             f"dimension mismatch: propagator {u_at_t.shape} vs operator {h_at_t.shape}"
         )
-    m = stack_matmul(stack_matmul(np.swapaxes(u_at_t.conj(), -2, -1), h_at_t), u_at_t)
-    m += np.swapaxes(m.conj(), -2, -1)
+    m = stack_matmul(stack_matmul(u_at_t.conj().swapaxes(-2, -1), h_at_t), u_at_t)
+    m += m.conj().swapaxes(-2, -1)
     m *= -0.5
     return m

@@ -197,7 +197,7 @@ def marzlin_sanders_model(model_a: Model, grid: TimeGrid) -> tuple[Model, Trajec
         # Eigenpairs of -U†HU are (-E_i, U† v_i); ascending order reverses.
         def analytic_eigensystem(t) -> tuple[np.ndarray, np.ndarray]:
             w, v = model_a.analytic_eigensystem(t)
-            udag = np.swapaxes(lattice_read(us, t).conj(), -2, -1)
+            udag = lattice_read(us, t).conj().swapaxes(-2, -1)
             return -w[..., ::-1], stack_matmul(udag, v)[..., ::-1]
 
     return (

@@ -10,6 +10,7 @@ the bytes are those of one string of every float's repr.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -118,9 +119,9 @@ def run_pipeline(model: Model, grid: TimeGrid, n: int, gauge: str = "transport")
 
 def _unitarity_drift(trajectory: Trajectory) -> float:
     us = trajectory.propagators
-    grams = stack_matmul(np.swapaxes(us.conj(), -2, -1), us)
+    grams = stack_matmul(us.conj().swapaxes(-2, -1), us)
     grams -= np.eye(us.shape[1])
-    return float(np.max(np.abs(grams)))
+    return float(np.abs(grams).max())
 
 
 def _perturbation_residual(model: Model, path: SpectralPath) -> float:
@@ -138,14 +139,14 @@ def _perturbation_residual(model: Model, path: SpectralPath) -> float:
         upper += vc[:, 0, 0] * dv[:, 0, 1] + vc[:, 1, 0] * dv[:, 1, 1]
         lower = (vc[:, 0, 1] * hv[:, 0, 0] + vc[:, 1, 1] * hv[:, 1, 0]) / -gap
         lower += vc[:, 0, 1] * dv[:, 0, 0] + vc[:, 1, 1] * dv[:, 1, 0]
-        return float(max(np.max(np.abs(upper)), np.max(np.abs(lower))))
-    vh = np.swapaxes(v.conj(), -2, -1)
+        return float(max(np.abs(upper).max(), np.abs(lower).max()))
+    vh = v.conj().swapaxes(-2, -1)
     mats = stack_matmul(stack_matmul(vh, hdots), v)
     couplings = stack_matmul(vh, dv)
     gaps = w[:, :, np.newaxis] - w[:, np.newaxis, :]
     off = ~np.eye(path.dim, dtype=bool)
     residual = mats[:, off] / gaps[:, off] + couplings[:, off]
-    return float(np.max(np.abs(residual)))
+    return float(np.abs(residual).max())
 
 
 def _off_levels(dim: int, n: int) -> list[int]:
@@ -156,7 +157,7 @@ def _column_max(a: np.ndarray) -> list[float]:
     # numpy reduces axis 0 of a C-order array one short row at a time. The
     # dim-2 stacks are time-contiguous already, so this copies nothing there;
     # above dim 2 the stacks are C order and the copy still pays. max is exact.
-    return np.max(np.asfortranarray(a), axis=0).tolist()
+    return np.asfortranarray(a).max(axis=0).tolist()
 
 
 def _criteria_fractions(ratios: np.ndarray, margin: float) -> dict:
@@ -199,23 +200,23 @@ def _build_report(
         _column_max, (np.abs(diag.c), np.abs(diag.q), np.abs(diag.r), diag.qac)
     )
 
+    # fmax/fmin skip NaN, as nanmax/nanmin do, without their Python-level checks
+    max_cn = float(np.fmax.reduce(diag.cn_residual))
     summary = {
-        "max_decomposition_residual": float(np.nanmax(diag.residual)),
-        "max_lambda_residual": float(np.max(diag.lam)),
+        "max_decomposition_residual": float(np.fmax.reduce(diag.residual, axis=None)),
+        "max_lambda_residual": float(diag.lam.max()),
         "max_unitarity_drift": _unitarity_drift(pipeline.trajectory),
-        "max_norm_error": float(np.max(diag.norm_error)),
-        "max_probability_defect": float(np.max(diag.probability_defect)),
+        "max_norm_error": float(diag.norm_error.max()),
+        "max_probability_defect": float(diag.probability_defect.max()),
         # c_n is reconstructed only where E_n != 0, so the maximum may not exist.
-        "max_cn_reconstruction_residual": (
-            None if np.all(np.isnan(diag.cn_residual)) else float(np.nanmax(diag.cn_residual))
-        ),
+        "max_cn_reconstruction_residual": None if math.isnan(max_cn) else max_cn,
         "max_perturbation_residual": _perturbation_residual(pipeline.model, pipeline.path),
         "berry_imag_residue": diag.beta_imag_residue,
         "max_abs_c": {str(i + 1): value for i, value in enumerate(max_c)},
         "max_abs_q": {str(m + 1): max_q[m] for m in off},
         "max_abs_r": {str(m + 1): max_r[m] for m in off},
         "max_qac": {str(m + 1): max_qac[m] for m in off},
-        "min_fidelity": float(np.min(diag.fidelity())),
+        "min_fidelity": float(diag.fidelity().min()),
         "criteria_true_fraction": _criteria_fractions(diag.criteria_ratios, th.margin),
     }
 
@@ -292,14 +293,15 @@ def run_scenario(scenario: Scenario) -> RunResult:
     states_a = stack_matmul(propagators_a, psi0[:, np.newaxis])[..., 0]
     fidelity_a = np.abs(np.einsum("kj,kj->k", vectors_a[:, :, n].conj(), states_a))
     products = stack_matmul(pipeline_b.trajectory.propagators, propagators_a)
-    inverse_residual = float(np.max(np.abs(products - np.eye(model_a.dim))))
-    fidelity_b = pipeline_b.diagnostics.fidelity()
+    inverse_residual = float(np.abs(products - np.eye(model_a.dim)).max())
+    min_fidelity_a = float(fidelity_a.min())
+    min_fidelity_b = float(pipeline_b.diagnostics.fidelity().min())
     extras = {
         "max_inverse_residual": inverse_residual,
-        "min_fidelity_system_a": float(np.min(fidelity_a)),
-        "min_fidelity_system_b": float(np.min(fidelity_b)),
-        "system_b_loses_adiabaticity": bool(np.min(fidelity_b) < 0.9),
-        "system_a_stays_adiabatic": bool(np.min(fidelity_a) > 0.99),
+        "min_fidelity_system_a": min_fidelity_a,
+        "min_fidelity_system_b": min_fidelity_b,
+        "system_b_loses_adiabaticity": min_fidelity_b < 0.9,
+        "system_a_stays_adiabatic": min_fidelity_a > 0.99,
     }
     report = _build_report(scenario, pipeline_b, extras)
     return RunResult(scenario=scenario, pipeline=pipeline_b, report=report)

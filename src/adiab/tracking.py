@@ -94,7 +94,7 @@ def _first(mask: np.ndarray) -> Optional[int]:
 
 
 def _min_gaps(w: np.ndarray) -> np.ndarray:
-    return np.min(np.diff(w, axis=1), axis=1, initial=np.inf)
+    return (w[:, 1:] - w[:, :-1]).min(axis=1, initial=np.inf)
 
 
 def _gap_failure(min_gaps: np.ndarray, scales: np.ndarray, ts: np.ndarray):
@@ -184,7 +184,7 @@ def track(
     eigenvalues, raw = hermitian_eigendecompose(hs)
     # the scale max_i |E_i| is ‖H‖₂, at most the Frobenius norm, and has no
     # squares to overflow past ‖H‖ ~ 1e154
-    gap = _gap_failure(_min_gaps(eigenvalues), np.max(np.abs(eigenvalues), axis=1), ts)
+    gap = _gap_failure(_min_gaps(eigenvalues), np.abs(eigenvalues).max(axis=1), ts)
 
     if gauge == "analytic":
         refs = model.analytic_eigensystem(ts)[1]
@@ -192,7 +192,7 @@ def track(
         _raise_first(gap, _floor_failure(overlaps, "vs closed form", ts))
         phases = _unit(overlaps).conj()
     else:
-        pairs = stack_matmul(np.swapaxes(raw[:-1].conj(), -2, -1), raw[1:])
+        pairs = stack_matmul(raw[:-1].conj().swapaxes(-2, -1), raw[1:])
         steps = np.diagonal(pairs, axis1=1, axis2=2)
         _raise_first(
             gap,

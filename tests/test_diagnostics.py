@@ -151,6 +151,30 @@ class TestDifferenceVectorDerivative:
             assert np.max(run.pipeline.diagnostics.lam) <= 1e-7
 
 
+@pytest.mark.parametrize("omega0", [1e155, 1e300])
+def test_huge_static_field_norms_are_finite(omega0):
+    # Past entries of about 1.3e154 the squares in ||Ḋ|| and ||i Ḋ - E_n D||
+    # overflow. For a static field Ė_n = 0 and beta_dot = -E_n, so in the
+    # eigenbasis Ḋ = -i (E_m (c_m - δ_mn e^{i beta}))_m and
+    # i Ḋ - E_n D = ((E_m - E_n) c_m)_m; the oracle takes both norms of the
+    # entries divided by omega0, then scales back.
+    p = SchwingerParams(omega0, 0.0, math.pi / 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pipe = run_pipeline(schwinger_model(p), TimeGrid(0.0, 2.0, 50), 0)
+    diag = pipe.diagnostics
+    w = pipe.path.eigenvalues / omega0
+    gaps = diag.c.copy()
+    gaps[:, 0] -= np.exp(1j * diag.beta)
+    for value in (diag.d_norm, diag.ddot_norm, diag.equivalence):
+        assert np.isfinite(value).all()
+    assert np.max(diag.ddot_norm) > 1e154  # the plain squares would overflow
+    assert max_abs(diag.d_norm - np.linalg.norm(gaps, axis=1)) <= 1e-12
+    assert max_abs(diag.ddot_norm - omega0 * np.linalg.norm(w * gaps, axis=1)) <= 1e-12 * omega0
+    equivalence = omega0 * np.linalg.norm((w - w[:, :1]) * diag.c, axis=1)
+    assert max_abs(diag.equivalence - equivalence) <= 1e-12 * omega0
+
+
 class TestQTerm:
     def test_static_case_vanishes(self, static_run):
         assert np.nanmax(np.abs(static_run.pipeline.diagnostics.q)) <= 1e-12

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from oracles import eigh_exponential, max_abs
 from adiab.linalg import (
+    _EINSUM_MAX_STACK,
     HERMITIAN_ATOL,
     ConvergenceError,
+    _hermitian_defects,
     hermitian_eigendecompose,
     require_hermitian,
     require_normalized,
@@ -130,6 +132,35 @@ class TestStacks:
         with pytest.raises(ValueError, match="operator 3 of the stack is not Hermitian"):
             unitary_exponential(stack, 0.1)
 
+    @pytest.mark.parametrize(
+        "entry, delta",
+        [((0, 0), 3e-9j), ((1, 1), -7e-10j), ((0, 1), 2e-9 + 1e-9j), ((1, 0), -4e-9)],
+        ids=["imag_diagonal_0", "imag_diagonal_1", "upper", "lower"],
+    )
+    def test_two_level_defect_is_the_general_formula(self, entry, delta):
+        # the dim-2 check reads three planes; its defect, message and named matrix
+        # must be those of max_ij |h_ij - conj h_ji|
+        stack = np.stack([random_hermitian(2, seed) for seed in range(6)])
+        stack[3][entry] += delta
+        general = np.abs(stack - np.swapaxes(stack.conj(), 1, 2)).max(axis=(1, 2))
+        assert np.array_equal(_hermitian_defects(stack), general)
+        with pytest.raises(ValueError) as info:
+            require_hermitian(stack)
+        assert str(info.value) == (
+            f"operator 3 of the stack is not Hermitian (defect {general[3]:.3e} > {HERMITIAN_ATOL:.1e})"
+        )
+        with pytest.raises(ValueError) as info:
+            require_hermitian(stack[3])
+        assert str(info.value) == f"operator is not Hermitian (defect {general[3]:.3e} > {HERMITIAN_ATOL:.1e})"
+
+    def test_two_level_defects_match_the_general_formula_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        stack = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+        stack *= np.logspace(-300, 300, 200)[:, np.newaxis, np.newaxis]
+        for layout in (stack, np.asfortranarray(stack)):
+            general = np.abs(layout - np.swapaxes(layout.conj(), 1, 2)).max(axis=(1, 2))
+            assert np.array_equal(_hermitian_defects(layout), general)
+
     def test_nonfinite_member_named(self):
         stack = np.stack([random_hermitian(2, seed) for seed in range(3)])
         stack[2, 1, 1] = np.inf
@@ -161,7 +192,7 @@ def assert_matmul(got, a, b):
 
 @pytest.mark.parametrize("d", [2, 3, 8])
 class TestStackMatmul:
-    """``stack_matmul`` is ``a @ b``: slice sums at d = 2, ``np.matmul`` above."""
+    """``stack_matmul`` is ``a @ b``: the dim-2 forms at d = 2, ``np.matmul`` above."""
 
     def test_matches_matmul(self, d):
         a, b = random_stack((17, d, d), 1), random_stack((17, d, d), 2)
@@ -190,6 +221,57 @@ class TestStackMatmul:
         assert_matmul(buf[0::2], a_before, buf_before[1::2])
         assert np.array_equal(buf[1::2], buf_before[1::2])
         assert np.array_equal(a, a_before)
+
+
+# d = 2 stack lengths on both sides of stack_matmul's einsum/broadcast choice
+STACK_LENGTHS = [1, 17, _EINSUM_MAX_STACK, _EINSUM_MAX_STACK + 1, 1000]
+
+
+def assert_layout(got, order):
+    # a d = 2 product keeps its inputs' layout; a length-1 axis has no layout
+    if order == "F":
+        assert got.shape[0] == 1 or got.strides[0] == got.itemsize
+    else:
+        assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("k", STACK_LENGTHS)
+class TestStackMatmulLengths:
+    """Both dim-2 forms of ``stack_matmul``: one einsum call up to the boundary, broadcast above."""
+
+    def test_matches_matmul(self, k, order):
+        a = np.asarray(random_stack((k, 2, 2), 11), order=order)
+        b = np.asarray(random_stack((k, 2, 2), 12), order=order)
+        got = stack_matmul(a, b)
+        assert_matmul(got, a, b)
+        assert_layout(got, order)
+
+    def test_out_is_a_strided_slice_of_the_input_buffer(self, k, order):
+        a = np.asarray(random_stack((k, 2, 2), 13), order=order)
+        buf = np.asarray(random_stack((2 * k, 2, 2), 14), order=order)
+        a_before, buf_before = a.copy(), buf.copy()
+        out = buf[0::2]
+        assert stack_matmul(a, buf[1::2], out=out) is out
+        assert_matmul(buf[0::2], a_before, buf_before[1::2])
+        assert np.array_equal(buf[1::2], buf_before[1::2])
+
+    def test_single_matrix_broadcasts_against_a_stack(self, k, order):
+        single = random_stack((2, 2), 15)
+        stack = np.asarray(random_stack((k, 2, 2), 16), order=order)
+        got = stack_matmul(single, stack)
+        assert_matmul(got, single, stack)
+        assert_layout(got, order)
+        # with the single matrix on the right, numpy picks the layout in both forms
+        assert_matmul(stack_matmul(stack, single), stack, single)
+
+    def test_stack_times_one_vector(self, k, order):
+        stack = np.asarray(random_stack((k, 2, 2), 17), order=order)
+        vector = random_stack((2, 1), 18)
+        got = stack_matmul(stack, vector)
+        assert got.shape == (k, 2, 1)
+        assert_matmul(got, stack, vector)
+        assert_layout(got, order)
 
 
 class TestUnitaryExponential:

@@ -141,10 +141,12 @@ def _sequential_products(unitaries):
 
 
 class TestAccumulate:
-    # d = 2 takes the slice-sum branch of stack_matmul, d > 2 np.matmul; odd
-    # and even K both reach the out= write of the even prefixes
+    # d = 2 takes the dim-2 forms of stack_matmul, d > 2 np.matmul; odd and
+    # even K both reach the out= write of the even prefixes. At K = 600 the
+    # first level multiplies 300 pairs, past the einsum boundary of 256, so one
+    # scan runs the broadcast form there and the einsum form below
     @pytest.mark.parametrize("dim", [2, 3, 8, 16])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 64, 600])
     def test_matches_sequential_product(self, k, dim):
         us = _random_unitaries(k, dim, seed=100 * k + dim)
         out = _accumulate(us)
