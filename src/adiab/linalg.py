@@ -292,10 +292,18 @@ def stack_matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None)
     a[..., :, 1:2] * b[..., 1:2, :]`` over the whole stack above that (see the
     module docstring); otherwise it is ``np.matmul``. Writes into ``out``
     when given and returns it; on the dim-2 path ``out`` must not share memory
-    with ``a`` or ``b``.
+    with ``a`` or ``b``. A stack times a single matrix, on either side, gives
+    a stack in the stack's layout; left to itself numpy would lay out the
+    result of a stack times one (2, 2) matrix neither in C order nor
+    time-contiguous.
     """
     if a.shape[-1] != 2 or b.shape[-2] != 2:
         return np.matmul(a, b, out=out)
+    if out is None and a.ndim != b.ndim and min(a.ndim, b.ndim) == 2:
+        stack = a if a.ndim > 2 else b
+        out = np.empty_like(
+            stack, dtype=np.result_type(a, b), shape=stack.shape[:-2] + (a.shape[-2], b.shape[-1])
+        )
     if max(math.prod(a.shape[:-2]), math.prod(b.shape[:-2])) <= _EINSUM_MAX_STACK:
         return np.einsum("...ij,...jk->...ik", a, b, out=out)
     out = np.multiply(a[..., :, 0:1], b[..., 0:1, :], out=out)

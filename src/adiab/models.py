@@ -29,6 +29,7 @@ __all__ = [
     "schwinger_hamiltonian",
     "schwinger_hamiltonian_derivative",
     "schwinger_analytic_eigensystem",
+    "schwinger_analytic_eigenvector",
     "schwinger_analytic_amplitudes",
     "schwinger_model",
     "custom_model",
@@ -130,6 +131,26 @@ def schwinger_analytic_eigensystem(p: SchwingerParams, t) -> tuple[np.ndarray, n
     w[..., 0] = -0.5 * p.omega0
     w[..., 1] = 0.5 * p.omega0
     return w, _two_by_two(up * half_sin, up * half_cos, -dn * half_cos, dn * half_sin)
+
+
+def schwinger_analytic_eigenvector(p: SchwingerParams, t, n: int) -> np.ndarray:
+    """Column ``n`` of ``schwinger_analytic_eigensystem``'s eigenvectors alone.
+
+    Bit for bit that column, shaped ``np.shape(t) + (2,)`` and
+    time-contiguous, as the column is in the full stack; neither the
+    eigenvalues nor the other column are formed.
+    """
+    if n not in (0, 1):
+        raise ValueError(f"level {n} out of range for dim 2")
+    up = _phase(0.5 * p.omega * t)
+    v = np.empty(up.shape + (2,), dtype=np.complex128, order="F")
+    if n == 0:
+        v[..., 0] = up * math.sin(0.5 * p.theta)
+        v[..., 1] = -up.conj() * math.cos(0.5 * p.theta)
+    else:
+        v[..., 0] = up * math.cos(0.5 * p.theta)
+        v[..., 1] = up.conj() * math.sin(0.5 * p.theta)
+    return v
 
 
 def schwinger_analytic_amplitudes(p: SchwingerParams, t):

@@ -46,7 +46,10 @@ class TimeGrid:
     The step h must be finite and at least 1e8 float spacings (ulps) of the
     larger endpoint, so samples, midpoints and half-step lattices resolve.
     ``samples`` is formed once per grid and is read-only, since every layer
-    of a run shares the same array; copy it to change it.
+    of a run shares the same array; copy it to change it. Its values are
+    bit for bit ``np.linspace(t_start, t_end, steps + 1)``: the same
+    arithmetic, k·h + t_start with the last sample set to ``t_end``, without
+    that function's Python-level set-up.
     """
 
     t_start: float
@@ -75,7 +78,10 @@ class TimeGrid:
 
     @cached_property
     def samples(self) -> np.ndarray:
-        ts = np.linspace(self.t_start, self.t_end, self.steps + 1)
+        ts = np.arange(self.steps + 1, dtype=float)
+        ts *= self.h
+        ts += self.t_start
+        ts[-1] = self.t_end
         ts.flags.writeable = False
         return ts
 
@@ -163,27 +169,34 @@ def marzlin_sanders_model(model_a: Model, grid: TimeGrid) -> tuple[Model, Trajec
     hs = transformed_hamiltonian(us, model_a.hamiltonian(fine.samples))
     t0 = fine.t_start
     hf = fine.h
+    last = us.shape[0] - 1
 
     def lattice_read(stack: np.ndarray, t) -> np.ndarray:
         """``stack`` at each time of ``t``; every time must lie on the lattice."""
         t = np.asarray(t, dtype=float)
-        j = np.rint((t - t0) / hf)
-        on = (j >= 0) & (j < us.shape[0]) & (np.abs(t0 + j * hf - t) <= 1e-6 * hf)
-        if not on.all():
+        j, miss = np.empty_like(t), np.empty_like(t)  # arrays even for a single time
+        np.subtract(t, t0, out=j)
+        j /= hf
+        # Clipped into range, an index off the lattice's ends names an end point
+        # at least half a step from t, so the one distance test also tests the range.
+        np.rint(j, out=j).clip(0, last, out=j)
+        np.multiply(j, hf, out=miss)
+        miss += t0
+        miss -= t
+        if not np.abs(miss, out=miss).max(initial=0.0) <= 1e-6 * hf:  # NaN fails too
             raise ValueError(
                 "transformed model is defined only on its construction lattice; "
-                f"got t={float(t[~on].flat[0])!r}"
+                f"got t={float(t[~(miss <= 1e-6 * hf)].flat[0])!r}"
             )
-        j = j.astype(np.intp)
         out = np.empty_like(stack, shape=j.shape + stack.shape[1:])  # keeps the stack's layout
         if j.ndim == 1 and j.size > 1:
-            step = j[1] - j[0]
+            first, step = int(j[0]), int(j[1] - j[0])
             if step > 0 and (j[1:] - j[:-1] == step).all():
                 # evenly spaced, as the samples and midpoints are: one strided copy,
                 # where np.take would first copy a time-contiguous stack to C order
-                out[...] = stack[j[0] : j[-1] + 1 : step]
+                out[...] = stack[first : int(j[-1]) + 1 : step]
                 return out
-        return np.take(stack, j, axis=0, out=out)
+        return np.take(stack, j.astype(np.intp), axis=0, out=out)
 
     def hamiltonian(t) -> np.ndarray:
         return lattice_read(hs, t)

@@ -19,7 +19,7 @@ import numpy as np
 
 from adiab.diagnostics import DiagnosticsResult, run_diagnostics
 from adiab.linalg import stack_matmul
-from adiab.models import Model, schwinger_model
+from adiab.models import Model, schwinger_analytic_eigenvector, schwinger_model
 from adiab.propagate import TimeGrid, Trajectory, evolve, marzlin_sanders_model
 from adiab.scenario import SCHEMA_VERSION, Scenario
 from adiab.tracking import SpectralPath, track
@@ -271,8 +271,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
     lattice over which B's operators are formed once, and is neither tracked
     nor diagnosed: the report reads of A only its propagators at the even
     lattice points, for the U_B U_A residual, and its fidelity
-    |<E_n(t)|U_a(t) E_n(0)>|, with E_n from A's closed-form eigensystem, the
-    one B's analytic gauge uses. Fidelity is gauge-free, and A's levels are
+    |<E_n(t)|U_a(t) E_n(0)>|, with E_n, and only E_n, formed from A's
+    closed-form eigensystem, the one B's analytic gauge uses. Fidelity is gauge-free, and A's levels are
     ±omega0/2 in ascending order at every t, so the closed form names level
     n at every sample and no eigenproblem is solved for A.
     """
@@ -288,10 +288,10 @@ def run_scenario(scenario: Scenario) -> RunResult:
     model_b, lattice_a = marzlin_sanders_model(model_a, grid)
     pipeline_b = run_pipeline(model_b, grid, n, gauge)
     propagators_a = lattice_a.propagators[::2]
-    vectors_a = model_a.analytic_eigensystem(grid.samples)[1]
-    psi0 = vectors_a[0, :, n] / np.linalg.norm(vectors_a[0, :, n])
+    vector_a = schwinger_analytic_eigenvector(scenario.params, grid.samples, n)
+    psi0 = vector_a[0] / np.linalg.norm(vector_a[0])
     states_a = stack_matmul(propagators_a, psi0[:, np.newaxis])[..., 0]
-    fidelity_a = np.abs(np.einsum("kj,kj->k", vectors_a[:, :, n].conj(), states_a))
+    fidelity_a = np.abs(np.einsum("kj,kj->k", vector_a.conj(), states_a))
     products = stack_matmul(pipeline_b.trajectory.propagators, propagators_a)
     inverse_residual = float(np.abs(products - np.eye(model_a.dim)).max())
     min_fidelity_a = float(fidelity_a.min())

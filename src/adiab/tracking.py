@@ -79,8 +79,10 @@ def _unit(z: np.ndarray) -> np.ndarray:
 def _default_phases(frame: np.ndarray) -> np.ndarray:
     """Per-column phases making the first nonzero component real positive."""
     dim = frame.shape[1]
-    first = np.argmax(np.abs(frame) > 1e-12, axis=0)  # 0 for an all-zero column
+    first = (np.abs(frame) > 1e-12).argmax(axis=0)  # 0 for an all-zero column
     z = frame[first, np.arange(dim)]
+    if z.all():  # every column has a nonzero entry, as every eigenvector does
+        return np.conjugate(_unit(z), out=z)
     phases = np.ones(dim, dtype=np.complex128)
     nonzero = z != 0.0
     phases[nonzero] = _unit(z[nonzero]).conj()
@@ -89,8 +91,9 @@ def _default_phases(frame: np.ndarray) -> np.ndarray:
 
 def _first(mask: np.ndarray) -> Optional[int]:
     """Index of the first sample (axis 0) at which ``mask`` holds anywhere."""
-    rows = mask.reshape(mask.shape[0], -1).any(axis=1)
-    return int(np.argmax(rows)) if rows.any() else None
+    rows = mask if mask.ndim == 1 else mask.reshape(mask.shape[0], -1).any(axis=1)
+    k = int(rows.argmax())  # 0 when nothing holds
+    return k if rows[k] else None
 
 
 def _min_gaps(w: np.ndarray) -> np.ndarray:
@@ -128,11 +131,19 @@ def _order_failure(pair_overlaps: np.ndarray, ts: np.ndarray):
     """(sample, LevelCrossingError) where the level order first breaks, or None.
 
     ``pair_overlaps[k]`` holds <E_i(t_k)|E_j(t_k+1)>; level i must overlap
-    most with level i of the next frame.
+    most with level i of the next frame, the first index winning a tie, as
+    in ``argmax``. At d = 2 that reads four planes: row 0 breaks where
+    |p00| < |p01|, row 1 where |p11| <= |p10|, which spares ``argmax`` its
+    pass over a length-2 axis at every sample.
     """
     dim = pair_overlaps.shape[1]
-    hits = np.argmax(np.abs(pair_overlaps), axis=2)
-    k = _first(hits != np.arange(dim))
+    if dim == 2:
+        a = np.abs(pair_overlaps)
+        broken = a[:, 0, 0] < a[:, 0, 1]
+        broken |= a[:, 1, 1] <= a[:, 1, 0]
+    else:
+        broken = np.abs(pair_overlaps).argmax(axis=2) != np.arange(dim)
+    k = _first(broken)
     if k is None:
         return None
     return k + 1, LevelCrossingError(
@@ -152,10 +163,13 @@ def _fill_derivatives(vectors: np.ndarray, h: float) -> np.ndarray:
     """Second-order stencils: central inside, one-sided at the endpoints."""
     if vectors.shape[0] < 3:
         raise ValueError("derivative stencils need at least three samples")
+    # the numerators first, then one division of the whole stack, bit for bit
+    # the division of each numerator on its own
     d = np.empty_like(vectors)
-    d[1:-1] = (vectors[2:] - vectors[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * vectors[0] + 4.0 * vectors[1] - vectors[2]) / (2.0 * h)
-    d[-1] = (3.0 * vectors[-1] - 4.0 * vectors[-2] + vectors[-3]) / (2.0 * h)
+    np.subtract(vectors[2:], vectors[:-2], out=d[1:-1])
+    np.subtract(-3.0 * vectors[0] + 4.0 * vectors[1], vectors[2], out=d[0])
+    np.add(3.0 * vectors[-1] - 4.0 * vectors[-2], vectors[-3], out=d[-1])
+    d /= 2.0 * h
     return d
 
 
@@ -203,8 +217,9 @@ def track(
         # its overlap with the already-fixed previous frame real positive.
         phases = np.empty_like(eigenvalues, dtype=np.complex128)
         phases[0] = _default_phases(raw[0])
-        phases[1:] = phases[0] * np.cumprod(_unit(steps).conj(), axis=0)
-        phases = _unit(phases)
+        turns = _unit(steps)
+        np.multiply(phases[0], np.conjugate(turns, out=turns).cumprod(axis=0), out=phases[1:])
+        phases /= np.abs(phases)
 
     eigenvectors = raw * phases[:, np.newaxis, :]
     return SpectralPath(

@@ -257,13 +257,20 @@ class TestStackMatmulLengths:
         assert np.array_equal(buf[1::2], buf_before[1::2])
 
     def test_single_matrix_broadcasts_against_a_stack(self, k, order):
+        # on either side, in either form, the product keeps the stack's layout
         single = random_stack((2, 2), 15)
         stack = np.asarray(random_stack((k, 2, 2), 16), order=order)
-        got = stack_matmul(single, stack)
-        assert_matmul(got, single, stack)
-        assert_layout(got, order)
-        # with the single matrix on the right, numpy picks the layout in both forms
-        assert_matmul(stack_matmul(stack, single), stack, single)
+        full = np.asarray(np.broadcast_to(single, stack.shape), order=order)
+        for a, b, stacked in ((single, stack, (full, stack)), (stack, single, (stack, full))):
+            got = stack_matmul(a, b)
+            assert_matmul(got, a, b)
+            assert_layout(got, order)
+            if k > 1:  # the result's axes run in the stack's stride order
+                assert list(np.argsort(got.strides)) == list(np.argsort(stack.strides))
+            # into a given out, and against the single matrix stacked out, the same bits
+            out = np.empty_like(stack)
+            assert stack_matmul(a, b, out=out) is out and np.array_equal(out, got)
+            assert np.array_equal(stack_matmul(*stacked), got)
 
     def test_stack_times_one_vector(self, k, order):
         stack = np.asarray(random_stack((k, 2, 2), 17), order=order)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from adiab.models import (
     SchwingerParams,
     custom_model,
     random_smooth_model,
+    schwinger_analytic_eigenvector,
     schwinger_model,
     transformed_hamiltonian,
 )
@@ -53,6 +55,13 @@ class TestTimeGrid:
         assert np.array_equal(grid.samples, np.linspace(-1.0, 2.0, 8))
         with pytest.raises(ValueError, match="read-only"):
             grid.samples[3] = 0.0
+
+    @pytest.mark.parametrize(
+        "args",
+        [(0.0, 12.0, 250), (0.0, 12.0, 500), (0.0, 40.0, 40000), (-3.7, 2.2, 977), (-5.0, -1.0, 3), (1e3, 1e3 + 1.0, 12345)],
+    )
+    def test_samples_bit_for_bit_linspace(self, args):
+        assert np.array_equal(TimeGrid(*args).samples, np.linspace(args[0], args[1], args[2] + 1))
 
     def test_refined(self):
         grid = TimeGrid(0.0, 2.0, 10).refined()
@@ -324,7 +333,8 @@ class TestTransformedPair:
 
     def test_pair_run_forms_each_operator_once(self, monkeypatch):
         # H_a once on the half-step lattice and once on its midpoints; H_b once
-        # over the lattice and Ḣ_b once, for the report's interior samples
+        # over the lattice and Ḣ_b once, for the report's interior samples; of
+        # A's closed-form eigensystem only column n, once, for A's fidelity
         base = schwinger_model(_short_scenario().params)
         shapes = {"hamiltonian": [], "derivative": [], "analytic_eigensystem": []}
 
@@ -337,13 +347,21 @@ class TestTransformedPair:
 
         model_a = Model(dim=2, **{name: counted(name) for name in shapes})
         monkeypatch.setattr(adiab.runner, "schwinger_model", lambda params: model_a)
+        columns = []
+
+        def column(params, t, n):
+            columns.append((np.shape(t), n))
+            return schwinger_analytic_eigenvector(params, t, n)
+
+        monkeypatch.setattr(adiab.runner, "schwinger_analytic_eigenvector", column)
         counts = {"transformed_hamiltonian": 0}
         _counting(monkeypatch, adiab.propagate, "transformed_hamiltonian", counts)
         assert run_scenario(_short_scenario()).report.passed
         # 250 steps: 501 lattice points, 500 fine midpoints, 251 samples
         assert shapes == {
-            "hamiltonian": [(500,), (501,)], "derivative": [(249,)], "analytic_eigensystem": [(251,)]
+            "hamiltonian": [(500,), (501,)], "derivative": [(249,)], "analytic_eigensystem": []
         }
+        assert columns == [((251,), _short_scenario().level - 1)]
         assert counts == {"transformed_hamiltonian": 2}
 
     @pytest.mark.parametrize(
@@ -447,6 +465,51 @@ class TestTransformedPair:
         ts[37] = 0.18612345
         with pytest.raises(ValueError, match=r"lattice; got t=0\.18612345$"):
             model_b.hamiltonian(ts)
+
+    @pytest.mark.parametrize("where", ["off", "before", "after"])
+    def test_evenly_spaced_off_lattice_times_rejected(self, where):
+        # one distance test covers the range too: the same error, naming the same time
+        model_b, _ = marzlin_sanders_model(schwinger_model(SLOW), TimeGrid(0.0, 1.0, 100))
+        fine = TimeGrid(0.0, 1.0, 200)
+        hf = fine.h
+        if where == "off":
+            ts = fine.samples[::2] + 1e-3 * hf  # the samples, each off by 1e-3 of a step
+            bad = ts[0]
+        elif where == "before":
+            ts = fine.samples[:50] - 10 * hf  # evenly spaced, the first ten before t_start
+            bad = ts[0]
+        else:
+            ts = fine.samples[-50:] + 10 * hf  # the last ten past t_end
+            bad = ts[40]
+        assert np.allclose(np.diff(ts), np.diff(ts)[0], rtol=1e-9, atol=0)
+        message = "defined only on its construction lattice; got t=" + re.escape(repr(float(bad))) + "$"
+        for read in (model_b.hamiltonian, model_b.derivative):
+            with pytest.raises(ValueError, match=message):
+                read(ts)
+            with pytest.raises(ValueError, match=message):
+                read(float(bad))
+        with pytest.raises(ValueError, match="lattice; got t=nan"):
+            model_b.hamiltonian(np.array([0.0, math.nan]))
+
+    @pytest.mark.parametrize(
+        "pick",
+        [
+            lambda lattice: lattice[[0, 3, 4, 10, 57, 200, 57]],
+            lambda lattice: lattice[[200, 100, 0]],
+            lambda lattice: lattice[20:30:3].reshape(2, 2),
+            lambda lattice: lattice[[5, 5, 5]],
+            lambda lattice: lattice[[7]],
+            lambda lattice: lattice[:0],
+        ],
+        ids=["uneven", "descending", "2d", "repeated", "one", "empty"],
+    )
+    def test_reads_equal_take(self, pick):
+        model_b, _ = marzlin_sanders_model(schwinger_model(SLOW), TimeGrid(0.0, 1.0, 100))
+        fine = TimeGrid(0.0, 1.0, 200)
+        hs = model_b.hamiltonian(fine.samples)
+        t = pick(fine.samples)
+        j = np.rint((t - fine.t_start) / fine.h).astype(np.intp)
+        assert np.array_equal(model_b.hamiltonian(t), np.take(hs, j, axis=0))
 
     def test_attached_closed_forms(self):
         model_a = schwinger_model(SLOW)

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -41,3 +43,52 @@ def test_bench_pairs_gain_rule():
     assert result["wins"] == 10 and result["parent_iqr"] == 0.75 and result["gap"] == 0.5
     assert not result["holds"]
     assert rule(parent, [p + 1.0 for p in parent], higher_is_better=True)["holds"]
+
+
+def test_compare_outputs_on_small_pairs():
+    # the comparison only, on in-memory texts; no batch runs here
+    compare = _load("compare_outputs")
+    csv_a = "t,abs_c_1\n0.0,1.0\n0.5,0.25\n"
+    row = compare.compare_file("x.csv", csv_a, csv_a)
+    assert row == {"file": "x.csv", "worst": 0.0, "flags_equal": True, "identical": True}
+    moved = compare.compare_file("x.csv", csv_a, "t,abs_c_1\n0.0,1.0\n0.5,0.25000000000001\n")
+    assert 0.0 < moved["worst"] < 2e-14 and moved["flags_equal"] and not moved["identical"]
+    assert compare.verdict([moved], atol=1e-12) and not compare.verdict([moved], atol=1e-15)
+    # a different header or row count is a flag difference
+    assert not compare.compare_file("x.csv", csv_a, "t,abs_c_2\n0.0,1.0\n0.5,0.25\n")["flags_equal"]
+    assert not compare.compare_file("x.csv", csv_a, "t,abs_c_1\n0.0,1.0\n")["flags_equal"]
+    # NaN against NaN is equal; NaN against a number is not
+    assert compare.compare_file("x.csv", "a\nnan\n", "a\nnan\n")["worst"] == 0.0
+    assert compare.compare_file("x.csv", "a\nnan\n", "a\n1.0\n")["worst"] == math.inf
+
+    report = {
+        "summary": {"max_lambda_residual": 1e-9, "criteria_true_fraction": {"a": 0.5, "b": 1.0, "c": None}},
+        "regime": {"qac_violated": True, "description": "adiabatic approximation holds"},
+        "checks": {"lambda": {"value": 1e-9, "tolerance": 1e-7, "pass": True}},
+        "pass": True,
+    }
+
+    def changed(path, value):
+        doc = json.loads(json.dumps(report))
+        *keys, last = path
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[last] = value
+        return compare.compare_file("x.report.json", json.dumps(report), json.dumps(doc))
+
+    moved = changed(("summary", "max_lambda_residual"), 1e-9 + 3e-13)
+    assert 2e-13 < moved["worst"] < 4e-13 and moved["flags_equal"]
+    assert not compare.verdict([moved], atol=1e-13)
+    # verdicts, pass and regime flags and criteria fractions must be equal, however close
+    for path, value in [
+        (("pass",), False),
+        (("checks", "lambda", "pass"), False),
+        (("regime", "qac_violated"), False),
+        (("regime", "description"), "adiabatic approximation fails"),
+        (("summary", "criteria_true_fraction", "a"), 0.5 + 1e-16),
+        (("summary", "criteria_true_fraction", "c"), 0.0),
+    ]:
+        row = changed(path, value)
+        assert not row["flags_equal"], path
+        assert not compare.verdict([row], atol=1.0), path

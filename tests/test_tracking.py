@@ -7,9 +7,11 @@ import pytest
 import oracles
 from oracles import max_abs, rotate_gauge
 from adiab.diagnostics import GaugeError, run_diagnostics
+from adiab.linalg import hermitian_eigendecompose, stack_matmul
 from adiab.models import (
     SchwingerParams,
     custom_model,
+    random_smooth_model,
     schwinger_analytic_eigensystem,
     schwinger_model,
 )
@@ -18,6 +20,10 @@ from adiab.runner import _perturbation_residual
 from adiab.tracking import (
     DegeneracyError,
     LevelCrossingError,
+    _default_phases,
+    _fill_derivatives,
+    _order_failure,
+    _unit,
     track,
 )
 
@@ -306,3 +312,134 @@ class TestRotateGauge:
         rotated = rotate_gauge(slow_analytic_path, phases)
         assert max_abs(rotated.eigenvalues - slow_analytic_path.eigenvalues) == 0.0
         assert max_abs(rotated.eigenvectors - slow_analytic_path.eigenvectors) > 0.01
+
+
+def argmax_order_failure(pairs, ts):
+    """The general order check: the first sample where some row's largest overlap is off the diagonal."""
+    broken = (np.argmax(np.abs(pairs), axis=2) != np.arange(pairs.shape[1])).any(axis=1)
+    if not broken.any():
+        return None
+    k = int(np.argmax(broken))
+    return k + 1, (
+        f"eigenvalue order broke between samples {k} and {k + 1} (t={ts[k + 1]:.6g}); "
+        "suspected level crossing"
+    )
+
+
+def as_found(failure):
+    return None if failure is None else (failure[0], str(failure[1]))
+
+
+def tied_overlaps(k, rng):
+    """(k, 2, 2) overlaps near the identity, some rows tied in magnitude, in both phases."""
+    pairs = np.empty((k, 2, 2), dtype=complex)
+    pairs[:, 0, 0] = pairs[:, 1, 1] = 0.8 + 0.6j
+    pairs[:, 0, 1] = pairs[:, 1, 0] = 0.1 + 0.2j
+    # equal moduli, different phases: hypot is symmetric and sign-blind
+    ties = {
+        "row0": (0, 1, [0.6 + 0.8j, -0.8 + 0.6j, 0.8 - 0.6j]),
+        "row1": (1, 0, [0.6 - 0.8j, -0.6 - 0.8j, 0.8 + 0.6j]),
+    }
+    for row, other, values in ties.values():
+        at = rng.choice(k, size=3, replace=False)
+        for j, value in zip(at, values):
+            pairs[j, row, other] = value
+            assert abs(pairs[j, row, other]) == abs(pairs[j, row, row])
+    return pairs
+
+
+class TestOrderCheck:
+    """The d = 2 order check from planes names what ``argmax``'s first-index rule names."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("row", [0, 1, None])
+    def test_exact_magnitude_ties(self, order, row):
+        # a tie on row 0 keeps level 0 (argmax takes index 0), on row 1 breaks it
+        rng = np.random.default_rng(3 if row is None else row)
+        pairs = tied_overlaps(40, rng)
+        if row is not None:  # only that row's ties
+            other = 1 - row
+            keep = np.abs(pairs[:, other, row]) == np.abs(pairs[:, other, other])
+            pairs[keep, other, row] = 0.1 + 0.2j
+        pairs = np.asarray(pairs, order=order)
+        ts = np.linspace(0.0, 1.0, 41)
+        expected = argmax_order_failure(pairs, ts)
+        assert as_found(_order_failure(pairs, ts)) == expected
+        if row == 0:
+            assert expected is None
+        else:
+            assert expected is not None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_stacks(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 600))
+        pairs = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+        pairs[:, [0, 1], [0, 1]] *= 3.0  # mostly ordered, so failures land anywhere
+        pairs = np.asarray(pairs, order="F" if seed % 2 else "C")
+        ts = np.linspace(-1.0, 2.0, k + 1)
+        assert as_found(_order_failure(pairs, ts)) == argmax_order_failure(pairs, ts)
+        ordered = pairs.copy()
+        ordered[:, [0, 1], [0, 1]] = 10.0
+        assert _order_failure(ordered, ts) is None
+
+    def test_general_dim_keeps_argmax(self):
+        rng = np.random.default_rng(9)
+        pairs = rng.normal(size=(50, 3, 3)) + 1j * rng.normal(size=(50, 3, 3))
+        pairs[:, [0, 1, 2], [0, 1, 2]] *= 4.0
+        ts = np.linspace(0.0, 1.0, 51)
+        assert as_found(_order_failure(pairs, ts)) == argmax_order_failure(pairs, ts)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestTransportBitForBit:
+    """The stencils and transport phases in fewer passes give the former per-part bits."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stencils(self, order, dim):
+        rng = np.random.default_rng(dim)
+        v = rng.normal(size=(30, dim, dim)) + 1j * rng.normal(size=(30, dim, dim))
+        v[:, 0, 0] = 0.0  # exact zeros, in every part, keep their signs
+        v[5:, 1, 0] = -0.0j
+        v = np.asarray(v, order=order)
+        h = 0.0137
+        expected = np.empty_like(v)
+        expected[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+        expected[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+        expected[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+        got = _fill_derivatives(v, h)
+        assert np.array_equal(bits(got), bits(expected))
+        assert got.strides == expected.strides
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_default_phases(self, dim):
+        rng = np.random.default_rng(dim)
+        frame = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        frame[0, 0] = 1e-13  # below the 1e-12 floor: the next entry names the phase
+        for f in (frame, np.asfortranarray(frame)):
+            first = np.argmax(np.abs(f) > 1e-12, axis=0)
+            z = f[first, np.arange(dim)]
+            assert np.array_equal(bits(_default_phases(f)), bits(_unit(z).conj()))
+        frame[:, 1] = 0.0  # an all-zero column keeps phase 1
+        z = frame[np.argmax(np.abs(frame) > 1e-12, axis=0), np.arange(dim)]
+        expected = np.ones(dim, dtype=np.complex128)
+        expected[z != 0] = _unit(z[z != 0]).conj()
+        assert np.array_equal(bits(_default_phases(frame)), bits(expected))
+
+    @pytest.mark.parametrize("which", ["tilted", "dim3"])
+    def test_transport_phases(self, which):
+        # the whole transport gauge against the former chain of whole-array steps
+        model = schwinger_model(TILTED) if which == "tilted" else random_smooth_model(3, seed=5)
+        grid = TimeGrid(0.0, 3.0, 300)
+        w, raw = hermitian_eigendecompose(model.hamiltonian(grid.samples))
+        steps = np.diagonal(stack_matmul(raw[:-1].conj().swapaxes(-2, -1), raw[1:]), axis1=1, axis2=2)
+        phases = np.empty_like(w, dtype=np.complex128)
+        phases[0] = _unit(raw[0][np.argmax(np.abs(raw[0]) > 1e-12, axis=0), np.arange(model.dim)]).conj()
+        phases[1:] = phases[0] * np.cumprod(_unit(steps).conj(), axis=0)
+        phases = _unit(phases)
+        expected = raw * phases[:, np.newaxis, :]
+        assert np.array_equal(bits(track(model, grid).eigenvectors), bits(expected))
