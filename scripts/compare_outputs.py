@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Compare what two checkouts emit for the shipped scenarios.
 
-    python3 scripts/compare_outputs.py PARENT CHANGE [--atol 1e-12] [--work DIR]
+    python3 scripts/compare_outputs.py PARENT CHANGE [--atol 1e-12] [--work DIR] [--scenarios DIR]
 
 PARENT and CHANGE are two checkouts. The script runs ``adiab batch
 scenarios`` in each, from its own ``src/``, into a directory of its own
 under a scratch directory (``--work``, or a temporary one that is removed
-afterwards). For every file either side wrote it prints one row: the worst
-|Δ| over the CSV's floats or over the report's floats, whether every flag
-is equal (in a report: verdicts and the other strings, pass and regime
-flags, integers, and the whole ``criteria_true_fraction``; in a CSV: the
-header and the shape), and whether the bytes are identical. NaN against
-NaN counts as equal, as does a float against an equal float.
+afterwards). ``--scenarios`` runs another directory of scenario documents
+instead, the same one for both sides.
+
+For every file either side wrote it prints one row: the worst |Δ| over the
+CSV's floats or over the report's floats, whether every flag is equal (in
+a report: verdicts and the other strings, pass and regime flags, integers,
+and the whole ``criteria_true_fraction``; in a CSV: the header and the
+shape), and whether the bytes are identical. NaN against NaN counts as
+equal, as does a float against an equal float.
 
 It exits 1 when a worst |Δ| passes ``--atol`` (default 1e-12), when any flag
 differs or when a file is missing on one side, and 0 otherwise.
@@ -97,11 +100,11 @@ def verdict(rows: list, atol: float) -> bool:
     return all(row["worst"] <= atol and row["flags_equal"] for row in rows)
 
 
-def _batch(checkout: Path, out: Path) -> int:
+def _batch(checkout: Path, scenarios: str, out: Path) -> int:
     out.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "adiab", "batch", "scenarios", "--out", str(out.resolve())],
+        [sys.executable, "-m", "adiab", "batch", scenarios, "--out", str(out.resolve())],
         cwd=checkout,
         env=env,
         capture_output=True,
@@ -129,11 +132,15 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--atol", type=float, default=1e-12, help="largest |Δ| allowed (default 1e-12)")
     parser.add_argument("--work", type=Path, help="scratch directory for the outputs (default: temporary)")
+    parser.add_argument(
+        "--scenarios", default="scenarios", help="scenario directory (default: each checkout's scenarios)"
+    )
     args = parser.parse_args(argv)
+    scenarios = args.scenarios if args.scenarios == "scenarios" else str(Path(args.scenarios).resolve())
 
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work if args.work is not None else Path(tmp)
-        codes = {side: _batch(getattr(args, side), work / side) for side in ("parent", "change")}
+        codes = {side: _batch(getattr(args, side), scenarios, work / side) for side in ("parent", "change")}
         rows = _compare_dirs(work / "parent", work / "change")
 
     print(f"{'file':<32}{'worst |Δ|':>12}  flags equal  identical")

@@ -93,17 +93,20 @@ class DiagnosticsResult:
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a (K, dim) stack, bit for bit ``np.linalg.norm(x, axis=1)``.
+    """Euclidean norms over axis 1, bit for bit ``np.linalg.norm(x, axis=1)``.
 
-    That form squares the entries, which overflows once one passes about
-    1.3e154. A finite row whose norm comes out non-finite is taken again by
-    ``hypot``, which forms no square; every other row keeps the plain bits.
+    ``x`` is a (K, dim) stack of vectors, or a (K, dim, m) stack of m
+    columns, whose (K, m) norms are those of each column on its own. The
+    plain form squares the entries, which overflows once one passes about
+    1.3e154. A finite vector whose norm comes out non-finite is taken again
+    by ``hypot``, which forms no square; every other norm keeps the plain bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.add.reduce((x.conj() * x).real, axis=1))
     if not norms.max() < math.inf:  # NaN compares False too
-        redo = ~np.isfinite(norms) & np.isfinite(x).all(axis=1)
-        norms[redo] = np.hypot.reduce(np.abs(x[redo]), axis=1)
+        vectors = np.moveaxis(x, 1, -1)  # (K, m, dim), one vector per norm
+        redo = ~np.isfinite(norms) & np.isfinite(vectors).all(axis=-1)
+        norms[redo] = np.hypot.reduce(np.abs(vectors[redo]), axis=-1)
     return norms
 
 
@@ -136,38 +139,46 @@ def run_diagnostics(
     # beta_n: trapezoid sums of beta_dot from zero, real under a smooth gauge.
     beta_dot = -e_n + 1j * np.einsum("kj,kj->k", vn.conj(), vdot_n)
     increments = 0.5 * path.grid.h * (beta_dot[1:] + beta_dot[:-1])
-    raw = np.concatenate([[0.0 + 0.0j], increments.cumsum()])
+    raw = np.empty_like(beta_dot)
+    raw[0] = 0.0
+    increments.cumsum(out=raw[1:])
     imag_residue = float(np.abs(raw.imag).max())
     if imag_residue > _PHASE_IMAG_ATOL:
         raise GaugeError(f"accumulated phase has imaginary residue {imag_residue:.3e}; gauge broken")
     beta = raw.real.copy()
     phase = np.exp(1j * beta)
 
-    # Ḋ from the equation of motion, as in the module docstring.
-    d_vectors = states - phase[:, np.newaxis] * vn
+    # The five vectors of the split, one column each: psi, D, Ḋ (from the
+    # equation of motion, as in the module docstring), Ė_n and i Ḋ - E_n D.
+    samples, dim = states.shape
+    vectors = np.empty((samples, dim, 5), dtype=np.complex128, order="F" if dim == 2 else "C")
+    vectors[:, :, 0] = states
+    d_vectors = np.subtract(states, phase[:, np.newaxis] * vn, out=vectors[:, :, 1])
     h_psi = stack_matmul(path.hamiltonians, states[:, :, np.newaxis])[:, :, 0]
-    ddot_vectors = -1j * h_psi - phase[:, np.newaxis] * (vdot_n + 1j * beta_dot[:, np.newaxis] * vn)
-    combo = 1j * ddot_vectors - e_n[:, np.newaxis] * d_vectors
+    ddot_vectors = np.subtract(
+        -1j * h_psi,
+        phase[:, np.newaxis] * (vdot_n + 1j * beta_dot[:, np.newaxis] * vn),
+        out=vectors[:, :, 2],
+    )
+    vectors[:, :, 3] = vdot_n
+    np.subtract(1j * ddot_vectors, e_n[:, np.newaxis] * d_vectors, out=vectors[:, :, 4])
 
-    # Projections <E_m|x> onto every level at every sample.
-    c = np.einsum("kjm,kj->km", v.conj(), states)
-    proj_d = np.einsum("kjm,kj->km", v.conj(), d_vectors)
-    proj_ddot = np.einsum("kjm,kj->km", v.conj(), ddot_vectors)
-    coupling = np.einsum("kjm,kj->km", v.conj(), vdot_n)
+    # Projections <E_m|x> of the first four onto every level at every sample,
+    # one product; norms of all five, one pass.
+    proj = np.empty_like(vectors, shape=(samples, dim, 4))
+    stack_matmul(v.conj().swapaxes(1, 2), vectors[:, :, :4], out=proj)
+    c, proj_d, proj_ddot, coupling = (proj[:, :, i] for i in range(4))
+    norms = _row_norms(vectors)
+    d_norm, ddot_norm, equivalence = norms[:, 1], norms[:, 2], norms[:, 4]
 
-    d_norm = _row_norms(d_vectors)
-    ddot_norm = _row_norms(ddot_vectors)
-    equivalence = _row_norms(combo)
     lam = np.abs(proj_ddot[:, n] + 1j * e_n * proj_d[:, n])
     defined = np.abs(e_n) > _ZERO_ENERGY_ATOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cn_res = np.where(defined, np.abs(c[:, n] - (phase + 1j * proj_ddot[:, n] / e_n)), np.nan)
-
     # A NaN gap on the tracked column carries through every off-level array.
     gap = w - e_n[:, np.newaxis]
     gap[:, n] = np.nan
     abs_gap = np.abs(gap)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cn_res = np.where(defined, np.abs(c[:, n] - (phase + 1j * proj_ddot[:, n] / e_n)), np.nan)
         q = 1j * phase[:, np.newaxis] * coupling / gap
         r = (-e_n[:, np.newaxis] * proj_d + 1j * proj_ddot) / gap
     qac = np.abs(coupling) / abs_gap
@@ -181,7 +192,7 @@ def run_diagnostics(
     ratios[:, 1] = ddot_norm
     ratios[:, 2] = equivalence
     ratios /= np.fmin.reduce(np.asfortranarray(abs_gap), axis=1)[:, np.newaxis]
-    norm_error = np.abs(_row_norms(states) - 1.0)
+    norm_error = np.abs(norms[:, 0] - 1.0)
     probability_defect = np.abs(np.einsum("km->k", np.abs(c) ** 2) - 1.0)
     return DiagnosticsResult(
         level=n,

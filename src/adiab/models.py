@@ -145,11 +145,11 @@ def schwinger_analytic_eigenvector(p: SchwingerParams, t, n: int) -> np.ndarray:
     up = _phase(0.5 * p.omega * t)
     v = np.empty(up.shape + (2,), dtype=np.complex128, order="F")
     if n == 0:
-        v[..., 0] = up * math.sin(0.5 * p.theta)
-        v[..., 1] = -up.conj() * math.cos(0.5 * p.theta)
+        np.multiply(up, math.sin(0.5 * p.theta), out=v[..., 0])
+        np.multiply(-up.conj(), math.cos(0.5 * p.theta), out=v[..., 1])
     else:
-        v[..., 0] = up * math.cos(0.5 * p.theta)
-        v[..., 1] = up.conj() * math.sin(0.5 * p.theta)
+        np.multiply(up, math.cos(0.5 * p.theta), out=v[..., 0])
+        np.multiply(up.conj(), math.sin(0.5 * p.theta), out=v[..., 1])
     return v
 
 

@@ -78,11 +78,13 @@ def _unit(z: np.ndarray) -> np.ndarray:
 
 def _default_phases(frame: np.ndarray) -> np.ndarray:
     """Per-column phases making the first nonzero component real positive."""
+    magnitudes = np.abs(frame[0])
+    if (magnitudes > 1e-12).all():  # the first row names every phase, as it mostly does
+        unit = frame[0] / magnitudes
+        return np.conjugate(unit, out=unit)
     dim = frame.shape[1]
-    first = (np.abs(frame) > 1e-12).argmax(axis=0)  # 0 for an all-zero column
+    first = np.argmax(np.abs(frame) > 1e-12, axis=0)  # 0 for an all-zero column
     z = frame[first, np.arange(dim)]
-    if z.all():  # every column has a nonzero entry, as every eigenvector does
-        return np.conjugate(_unit(z), out=z)
     phases = np.ones(dim, dtype=np.complex128)
     nonzero = z != 0.0
     phases[nonzero] = _unit(z[nonzero]).conj()
@@ -91,12 +93,19 @@ def _default_phases(frame: np.ndarray) -> np.ndarray:
 
 def _first(mask: np.ndarray) -> Optional[int]:
     """Index of the first sample (axis 0) at which ``mask`` holds anywhere."""
-    rows = mask if mask.ndim == 1 else mask.reshape(mask.shape[0], -1).any(axis=1)
+    if mask.ndim == 1:
+        rows = mask
+    elif mask.shape[1:] == (2,):  # two planes; any() over a length-2 axis runs K short loops
+        rows = mask[:, 0] | mask[:, 1]
+    else:
+        rows = mask.reshape(mask.shape[0], -1).any(axis=1)
     k = int(rows.argmax())  # 0 when nothing holds
     return k if rows[k] else None
 
 
 def _min_gaps(w: np.ndarray) -> np.ndarray:
+    if w.shape[1] == 2:  # the one gap, bit for bit its minimum with inf
+        return w[:, 1] - w[:, 0]
     return (w[:, 1:] - w[:, :-1]).min(axis=1, initial=np.inf)
 
 
@@ -197,8 +206,13 @@ def track(
     hs = model.hamiltonian(ts)
     eigenvalues, raw = hermitian_eigendecompose(hs)
     # the scale max_i |E_i| is ‖H‖₂, at most the Frobenius norm, and has no
-    # squares to overflow past ‖H‖ ~ 1e154
-    gap = _gap_failure(_min_gaps(eigenvalues), np.abs(eigenvalues).max(axis=1), ts)
+    # squares to overflow past ‖H‖ ~ 1e154; at d = 2 from the two planes
+    magnitudes = np.abs(eigenvalues)
+    if model.dim == 2:
+        scales = np.maximum(magnitudes[:, 0], magnitudes[:, 1])
+    else:
+        scales = magnitudes.max(axis=1)
+    gap = _gap_failure(_min_gaps(eigenvalues), scales, ts)
 
     if gauge == "analytic":
         refs = model.analytic_eigensystem(ts)[1]

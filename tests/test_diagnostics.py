@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import adiab.diagnostics
 import adiab.runner
 import oracles
 from oracles import max_abs
@@ -149,6 +150,69 @@ class TestDifferenceVectorDerivative:
     def test_tracked_level_projection_identity(self, slow_run, fast_run):
         for run in (slow_run, fast_run):
             assert np.max(run.pipeline.diagnostics.lam) <= 1e-7
+
+
+def plain_norms(x):
+    # the squares alone, as np.linalg.norm takes them, overflow and all
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(np.add.reduce((x.conj() * x).real, axis=1))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_fused_norms_equal_each_column_alone(order, dim):
+    rng = np.random.default_rng(dim)
+    x = np.asarray(rng.normal(size=(300, dim, 5)) + 1j * rng.normal(size=(300, dim, 5)), order=order)
+    norms = adiab.diagnostics._row_norms(x)
+    assert norms.shape == (300, 5)
+    for i in range(5):
+        column = np.ascontiguousarray(x[:, :, i]) if order == "C" else np.asfortranarray(x[:, :, i])
+        assert np.array_equal(bits(norms[:, i]), bits(np.linalg.norm(column, axis=1)))
+
+
+def test_fused_norms_redo_only_the_overflowing_column():
+    # one column at 1e200: its squares overflow, so only its norms are taken
+    # again by hypot; the other four keep the plain bits
+    rng = np.random.default_rng(7)
+    x = np.asfortranarray(rng.normal(size=(251, 2, 5)) + 1j * rng.normal(size=(251, 2, 5)))
+    x[:, :, 3] *= 1e200
+    plain = plain_norms(x)
+    assert np.isinf(plain[:, 3]).all() and np.isfinite(np.delete(plain, 3, axis=1)).all()
+    norms = adiab.diagnostics._row_norms(x)
+    assert np.array_equal(bits(np.delete(norms, 3, axis=1)), bits(np.delete(plain, 3, axis=1)))
+    oracle = 1e200 * np.linalg.norm(x[:, :, 3] / 1e200, axis=1)
+    assert max_abs(norms[:, 3] / oracle - 1.0) <= 1e-15  # a few ulps
+    # a non-finite entry stays non-finite, in its own norm only
+    x[5, 1, 0] = np.nan
+    x[9, 0, 2] = np.inf
+    norms = adiab.diagnostics._row_norms(x)
+    assert np.isnan(norms[5, 0]) and np.isinf(norms[9, 2])
+    assert np.isfinite(np.delete(norms[5], 0)).all() and np.isfinite(np.delete(norms[9], 2)).all()
+
+
+@pytest.mark.parametrize("steps", [200, 600])
+def test_fused_projections(steps):
+    # one product V† [psi D Ḋ Ė_n]: the einsum form at most 256 samples is the
+    # former per-vector einsum bit for bit; the broadcast form above moves a few ulps
+    pipe = run_pipeline(schwinger_model(SLOW), TimeGrid(0.0, steps * 0.01, steps), 0)
+    diag, path = pipe.diagnostics, pipe.path
+    v = path.eigenvectors
+    c = np.einsum("kjm,kj->km", v.conj(), pipe.trajectory.states)
+    coupling = np.einsum("kjm,kj->km", v.conj(), path.derivatives[:, :, 0])
+    gap = path.eigenvalues - path.eigenvalues[:, :1]
+    qac = np.abs(coupling[:, 1]) / np.abs(gap[:, 1])
+    if steps + 1 <= 256:
+        assert np.array_equal(bits(diag.c), bits(c))
+        assert np.array_equal(bits(diag.qac[:, 1]), bits(qac))
+    else:
+        assert max_abs(diag.c - c) <= 2e-15
+        assert max_abs(diag.qac[:, 1] - qac) <= 1e-14
+    for name in ("c", "q", "r", "qac", "residual"):  # time-contiguous at d = 2
+        assert getattr(diag, name).strides[0] == getattr(diag, name).itemsize, name
 
 
 @pytest.mark.parametrize("omega0", [1e155, 1e300])
