@@ -23,6 +23,12 @@ differencing D itself is left to test oracles, keeping O(h) noise out of
 1e-7 scale residuals. The accumulated phase beta_n is the trapezoid
 integral of that same beta_dot from t_start. It is real under a smooth
 gauge; an imaginary residue above 1e-6 raises ``GaugeError``.
+
+Each quantity is one whole-stack pass. psi, D, Ḋ, Ė_n and i Ḋ - E_n D are
+the five columns of one (K+1, d, 5) stack, time-contiguous at d = 2. One
+product V† [psi D Ḋ Ė_n] gives c and every projection <E_m|x> the split
+reads, and one norm pass over the stack gives ||psi||, ||D||, ||Ḋ|| and
+||i Ḋ - E_n D||.
 """
 
 from __future__ import annotations

@@ -299,12 +299,16 @@ def stack_matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None)
     """
     if a.shape[-1] != 2 or b.shape[-2] != 2:
         return np.matmul(a, b, out=out)
-    if out is None and a.ndim != b.ndim and min(a.ndim, b.ndim) == 2:
-        stack = a if a.ndim > 2 else b
-        out = np.empty_like(
-            stack, dtype=np.result_type(a, b), shape=stack.shape[:-2] + (a.shape[-2], b.shape[-1])
-        )
-    if max(math.prod(a.shape[:-2]), math.prod(b.shape[:-2])) <= _EINSUM_MAX_STACK:
+    if a.ndim == b.ndim == 3:  # two stacks, as nearly every product is
+        longer = max(len(a), len(b))
+    else:
+        longer = max(math.prod(a.shape[:-2]), math.prod(b.shape[:-2]))
+        if out is None and min(a.ndim, b.ndim) == 2 and a.ndim != b.ndim:
+            stack = a if a.ndim > 2 else b
+            out = np.empty_like(
+                stack, dtype=np.result_type(a, b), shape=stack.shape[:-2] + (a.shape[-2], b.shape[-1])
+            )
+    if longer <= _EINSUM_MAX_STACK:
         return np.einsum("...ij,...jk->...ik", a, b, out=out)
     out = np.multiply(a[..., :, 0:1], b[..., 0:1, :], out=out)
     out += a[..., :, 1:2] * b[..., 1:2, :]

@@ -10,6 +10,12 @@ down in one of two ways:
   eigensystem. Only available for models that provide one; this is the
   gauge in which the rotating-field closed-form amplitudes are stated.
 
+Level identity is checked between consecutive frames: level i must
+overlap most with level i of the next frame, and by at least 0.5. At d = 2
+the order check reads the four overlap planes, |p00| < |p01| or
+|p11| <= |p10| marking a break, which is ``argmax``'s first-index rule on
+ties; above d = 2 it is ``argmax`` over each row.
+
 Every path carries the eigenvector derivatives Ė_i from second-order
 stencils, in either gauge. The accumulated phase, the couplings <E_m|Ė_n>
 and their gap-weighted ratios are formed once, in ``adiab.diagnostics``.
