@@ -173,7 +173,7 @@ def run_diagnostics(
     # one product; norms of all five, one pass.
     proj = np.empty_like(vectors, shape=(samples, dim, 4))
     stack_matmul(v.conj().swapaxes(1, 2), vectors[:, :, :4], out=proj)
-    c, proj_d, proj_ddot, coupling = (proj[:, :, i] for i in range(4))
+    c, proj_d, proj_ddot, coupling = proj.transpose(2, 0, 1)
     norms = _row_norms(vectors)
     d_norm, ddot_norm, equivalence = norms[:, 1], norms[:, 2], norms[:, 4]
 
@@ -199,7 +199,12 @@ def run_diagnostics(
     ratios[:, 2] = equivalence
     ratios /= np.fmin.reduce(np.asfortranarray(abs_gap), axis=1)[:, np.newaxis]
     norm_error = np.abs(norms[:, 0] - 1.0)
-    probability_defect = np.abs(np.einsum("km->k", np.abs(c) ** 2) - 1.0)
+    probabilities = np.abs(c) ** 2
+    if dim == 2:  # einsum's sum from zero, bit for bit, without its set-up
+        total = probabilities[:, 0] + probabilities[:, 1]
+    else:
+        total = np.einsum("km->k", probabilities)
+    probability_defect = np.abs(total - 1.0)
     return DiagnosticsResult(
         level=n,
         times=path.times,

@@ -221,15 +221,19 @@ def unitary_exponential(h, s: float) -> np.ndarray:
         return _taylor_exponential(h, s)
     a0, az, b, _, r = _pauli_split(h)
     angle = s * r
-    sinc = np.divide(np.sin(angle), r, out=np.full_like(r, s), where=r > 0)
+    sinc = np.empty_like(r)
+    sinc.fill(s)
+    np.divide(np.sin(angle), r, out=sinc, where=r > 0)
     phase = np.exp(-1j * s * a0)
     cos = phase * np.cos(angle)
     isin = 1j * phase * sinc  # u = cos·1 - isin·M, both carrying the phase
     u = np.empty(h.shape, dtype=np.complex128, order="F")
-    u[..., 0, 0] = cos - isin * az
-    u[..., 1, 1] = cos + isin * az
-    u[..., 0, 1] = -isin * b
-    u[..., 1, 0] = -isin * b.conj()
+    isin_az = isin * az
+    np.subtract(cos, isin_az, out=u[..., 0, 0])
+    np.add(cos, isin_az, out=u[..., 1, 1])
+    minus_isin = -isin
+    np.multiply(minus_isin, b, out=u[..., 0, 1])
+    np.multiply(minus_isin, b.conj(), out=u[..., 1, 0])
     return u
 
 

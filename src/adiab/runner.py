@@ -272,9 +272,10 @@ def run_scenario(scenario: Scenario) -> RunResult:
     nor diagnosed: the report reads of A only its propagators at the even
     lattice points, for the U_B U_A residual, and its fidelity
     |<E_n(t)|U_a(t) E_n(0)>|, with E_n, and only E_n, formed from A's
-    closed-form eigensystem, the one B's analytic gauge uses. Fidelity is gauge-free, and A's levels are
-    ±omega0/2 in ascending order at every t, so the closed form names level
-    n at every sample and no eigenproblem is solved for A.
+    closed-form eigensystem, the one B's analytic gauge uses. Fidelity is
+    gauge-free, and A's levels are ±omega0/2 in ascending order at every t,
+    so the closed form names level n at every sample and no eigenproblem is
+    solved for A.
     """
     grid = TimeGrid(scenario.t_start, scenario.t_end, scenario.steps)
     gauge = "analytic" if scenario.gauge == "analytic-reference" else "transport"

@@ -125,39 +125,39 @@ def _gap_failure(min_gaps: np.ndarray, scales: np.ndarray, ts: np.ndarray):
     )
 
 
-def _floor_failure(overlaps: np.ndarray, what: str, ts: np.ndarray, offset: int = 0):
+def _floor_failure(magnitudes: np.ndarray, what: str, ts: np.ndarray, offset: int = 0):
     """(sample, LevelCrossingError) for the first overlap below the floor, or None.
 
-    ``overlaps`` is (samples, dim), its row k belonging to sample k + offset.
+    ``magnitudes`` holds the overlaps' moduli, (samples, dim), its row k
+    belonging to sample k + offset.
     """
-    low = np.abs(overlaps) < _OVERLAP_FLOOR
+    low = magnitudes < _OVERLAP_FLOOR
     k = _first(low)
     if k is None:
         return None
     i = int(np.argmax(low[k]))
     k_at = k + offset
     return k_at, LevelCrossingError(
-        f"level {i} {what}: overlap magnitude {abs(overlaps[k, i]):.3f} fell below "
+        f"level {i} {what}: overlap magnitude {magnitudes[k, i]:.3f} fell below "
         f"{_OVERLAP_FLOOR} at sample {k_at} (t={ts[k_at]:.6g})"
     )
 
 
-def _order_failure(pair_overlaps: np.ndarray, ts: np.ndarray):
+def _order_failure(magnitudes: np.ndarray, ts: np.ndarray):
     """(sample, LevelCrossingError) where the level order first breaks, or None.
 
-    ``pair_overlaps[k]`` holds <E_i(t_k)|E_j(t_k+1)>; level i must overlap
+    ``magnitudes[k]`` holds |<E_i(t_k)|E_j(t_k+1)>|; level i must overlap
     most with level i of the next frame, the first index winning a tie, as
     in ``argmax``. At d = 2 that reads four planes: row 0 breaks where
     |p00| < |p01|, row 1 where |p11| <= |p10|, which spares ``argmax`` its
     pass over a length-2 axis at every sample.
     """
-    dim = pair_overlaps.shape[1]
+    dim = magnitudes.shape[1]
     if dim == 2:
-        a = np.abs(pair_overlaps)
-        broken = a[:, 0, 0] < a[:, 0, 1]
-        broken |= a[:, 1, 1] <= a[:, 1, 0]
+        broken = magnitudes[:, 0, 0] < magnitudes[:, 0, 1]
+        broken |= magnitudes[:, 1, 1] <= magnitudes[:, 1, 0]
     else:
-        broken = np.abs(pair_overlaps).argmax(axis=2) != np.arange(dim)
+        broken = magnitudes.argmax(axis=2) != np.arange(dim)
     k = _first(broken)
     if k is None:
         return None
@@ -213,31 +213,34 @@ def track(
     eigenvalues, raw = hermitian_eigendecompose(hs)
     # the scale max_i |E_i| is ‖H‖₂, at most the Frobenius norm, and has no
     # squares to overflow past ‖H‖ ~ 1e154; at d = 2 from the two planes
-    magnitudes = np.abs(eigenvalues)
+    abs_energies = np.abs(eigenvalues)
     if model.dim == 2:
-        scales = np.maximum(magnitudes[:, 0], magnitudes[:, 1])
+        scales = np.maximum(abs_energies[:, 0], abs_energies[:, 1])
     else:
-        scales = magnitudes.max(axis=1)
+        scales = abs_energies.max(axis=1)
     gap = _gap_failure(_min_gaps(eigenvalues), scales, ts)
 
     if gauge == "analytic":
         refs = model.analytic_eigensystem(ts)[1]
         overlaps = np.einsum("kji,kji->ki", refs.conj(), raw)
-        _raise_first(gap, _floor_failure(overlaps, "vs closed form", ts))
-        phases = _unit(overlaps).conj()
+        magnitudes = np.abs(overlaps)
+        _raise_first(gap, _floor_failure(magnitudes, "vs closed form", ts))
+        phases = np.conjugate(overlaps / magnitudes)
     else:
+        # every overlap's modulus once, for both checks and the transport
         pairs = stack_matmul(raw[:-1].conj().swapaxes(-2, -1), raw[1:])
-        steps = np.diagonal(pairs, axis1=1, axis2=2)
+        magnitudes = np.abs(pairs)
+        step_magnitudes = magnitudes.diagonal(0, 1, 2)
         _raise_first(
             gap,
-            _order_failure(pairs, ts),
-            _floor_failure(steps, "continuity", ts, offset=1),
+            _order_failure(magnitudes, ts),
+            _floor_failure(step_magnitudes, "continuity", ts, offset=1),
         )
         # Discrete parallel transport: each frame takes the phase that makes
         # its overlap with the already-fixed previous frame real positive.
         phases = np.empty_like(eigenvalues, dtype=np.complex128)
         phases[0] = _default_phases(raw[0])
-        turns = _unit(steps)
+        turns = pairs.diagonal(0, 1, 2) / step_magnitudes
         np.multiply(phases[0], np.conjugate(turns, out=turns).cumprod(axis=0), out=phases[1:])
         phases /= np.abs(phases)
 

@@ -211,6 +211,9 @@ def test_fused_projections(steps):
     else:
         assert max_abs(diag.c - c) <= 2e-15
         assert max_abs(diag.qac[:, 1] - qac) <= 1e-14
+    # the d = 2 probability sum from planes is einsum's sum from zero
+    total = np.einsum("km->k", np.abs(diag.c) ** 2)
+    assert np.array_equal(bits(diag.probability_defect), bits(np.abs(total - 1.0)))
     for name in ("c", "q", "r", "qac", "residual"):  # time-contiguous at d = 2
         assert getattr(diag, name).strides[0] == getattr(diag, name).itemsize, name
 

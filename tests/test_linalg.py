@@ -12,6 +12,7 @@ from adiab.linalg import (
     HERMITIAN_ATOL,
     ConvergenceError,
     _hermitian_defects,
+    _pauli_split,
     hermitian_eigendecompose,
     require_hermitian,
     require_normalized,
@@ -281,7 +282,37 @@ class TestStackMatmulLengths:
         assert_layout(got, order)
 
 
+def rabi_rotation_per_entry(h, s):
+    """The d = 2 closed form, each entry formed on its own: the reference for its bits."""
+    a0, az, b, _, r = _pauli_split(h)
+    angle = s * r
+    sinc = np.divide(np.sin(angle), r, out=np.full_like(r, s), where=r > 0)
+    phase = np.exp(-1j * s * a0)
+    cos = phase * np.cos(angle)
+    isin = 1j * phase * sinc
+    u = np.empty(h.shape, dtype=np.complex128, order="F")
+    u[..., 0, 0] = cos - isin * az
+    u[..., 1, 1] = cos + isin * az
+    u[..., 0, 1] = -isin * b
+    u[..., 1, 0] = -isin * b.conj()
+    return u
+
+
 class TestUnitaryExponential:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", [1, 17, 501])
+    def test_two_level_bit_for_bit_the_per_entry_form(self, k, order):
+        rng = np.random.default_rng(k)
+        m = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+        h = m + m.conj().swapaxes(1, 2)
+        h[::5] = 0.3 * np.eye(2)  # r = 0, where sin(s r)/r is s
+        h = np.asarray(h, order=order)
+        for s in (0.01, -2.5, 0.0):
+            for x in (h, h[0]):
+                got = np.ascontiguousarray(unitary_exponential(x, s))
+                want = np.ascontiguousarray(rabi_rotation_per_entry(x, s))
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_zero_time_is_identity(self):
         for d in (2, 3, 8):
             assert np.array_equal(unitary_exponential(random_hermitian(d, 5), 0.0), np.eye(d))

@@ -58,7 +58,14 @@ class TestTimeGrid:
 
     @pytest.mark.parametrize(
         "args",
-        [(0.0, 12.0, 250), (0.0, 12.0, 500), (0.0, 40.0, 40000), (-3.7, 2.2, 977), (-5.0, -1.0, 3), (1e3, 1e3 + 1.0, 12345)],
+        [
+            (0.0, 12.0, 250),
+            (0.0, 12.0, 500),
+            (0.0, 40.0, 40000),
+            (-3.7, 2.2, 977),
+            (-5.0, -1.0, 3),
+            (1e3, 1e3 + 1.0, 12345),
+        ],
     )
     def test_samples_bit_for_bit_linspace(self, args):
         assert np.array_equal(TimeGrid(*args).samples, np.linspace(args[0], args[1], args[2] + 1))

@@ -336,11 +336,11 @@ def tied_overlaps(k, rng):
     pairs[:, 0, 0] = pairs[:, 1, 1] = 0.8 + 0.6j
     pairs[:, 0, 1] = pairs[:, 1, 0] = 0.1 + 0.2j
     # equal moduli, different phases: hypot is symmetric and sign-blind
-    ties = {
-        "row0": (0, 1, [0.6 + 0.8j, -0.8 + 0.6j, 0.8 - 0.6j]),
-        "row1": (1, 0, [0.6 - 0.8j, -0.6 - 0.8j, 0.8 + 0.6j]),
-    }
-    for row, other, values in ties.values():
+    ties = [
+        (0, 1, [0.6 + 0.8j, -0.8 + 0.6j, 0.8 - 0.6j]),
+        (1, 0, [0.6 - 0.8j, -0.6 - 0.8j, 0.8 + 0.6j]),
+    ]
+    for row, other, values in ties:
         at = rng.choice(k, size=3, replace=False)
         for j, value in zip(at, values):
             pairs[j, row, other] = value
@@ -364,7 +364,7 @@ class TestOrderCheck:
         pairs = np.asarray(pairs, order=order)
         ts = np.linspace(0.0, 1.0, 41)
         expected = argmax_order_failure(pairs, ts)
-        assert as_found(_order_failure(pairs, ts)) == expected
+        assert as_found(_order_failure(np.abs(pairs), ts)) == expected
         if row == 0:
             assert expected is None
         else:
@@ -378,17 +378,17 @@ class TestOrderCheck:
         pairs[:, [0, 1], [0, 1]] *= 3.0  # mostly ordered, so failures land anywhere
         pairs = np.asarray(pairs, order="F" if seed % 2 else "C")
         ts = np.linspace(-1.0, 2.0, k + 1)
-        assert as_found(_order_failure(pairs, ts)) == argmax_order_failure(pairs, ts)
+        assert as_found(_order_failure(np.abs(pairs), ts)) == argmax_order_failure(pairs, ts)
         ordered = pairs.copy()
         ordered[:, [0, 1], [0, 1]] = 10.0
-        assert _order_failure(ordered, ts) is None
+        assert _order_failure(np.abs(ordered), ts) is None
 
     def test_general_dim_keeps_argmax(self):
         rng = np.random.default_rng(9)
         pairs = rng.normal(size=(50, 3, 3)) + 1j * rng.normal(size=(50, 3, 3))
         pairs[:, [0, 1, 2], [0, 1, 2]] *= 4.0
         ts = np.linspace(0.0, 1.0, 51)
-        assert as_found(_order_failure(pairs, ts)) == argmax_order_failure(pairs, ts)
+        assert as_found(_order_failure(np.abs(pairs), ts)) == argmax_order_failure(pairs, ts)
 
 
 def bits(a):
@@ -419,6 +419,8 @@ class TestTransportBitForBit:
     def test_default_phases(self, dim):
         rng = np.random.default_rng(dim)
         frame = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for f in (frame, np.asfortranarray(frame)):  # the first row names every phase
+            assert np.array_equal(bits(_default_phases(f)), bits(_unit(f[0]).conj()))
         frame[0, 0] = 1e-13  # below the 1e-12 floor: the next entry names the phase
         for f in (frame, np.asfortranarray(frame)):
             first = np.argmax(np.abs(f) > 1e-12, axis=0)
