@@ -16,8 +16,16 @@ and the whole ``criteria_true_fraction``; in a CSV: the header and the
 shape), and whether the bytes are identical. NaN against NaN counts as
 equal, as does a float against an equal float.
 
+No shipped scenario is above two levels, so the script also runs, in each
+checkout, ``run_pipeline(random_smooth_model(d, seed=3), TimeGrid(0, 0.004·K,
+K), 1)`` at d = 3, 8 and 16 (K = 400), and prints one row per d: the worst
+|Δ| over the arrays ``eigenvalues``, ``states``, ``c``, ``q``, ``r``,
+``residual``, ``probability_defect`` and ``criteria_ratios``, whether their
+names and shapes agree, whether every array is bit for bit the same, and
+which arrays are not.
+
 It exits 1 when a worst |Δ| passes ``--atol`` (default 1e-12), when any flag
-differs or when a file is missing on one side, and 0 otherwise.
+differs or when a file or a run is missing on one side, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -33,7 +41,26 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 EXACT_KEYS = ("criteria_true_fraction",)
+DENSE_DIMS = (3, 8, 16)
+DENSE_STEPS = 400
+DENSE_ARRAYS = ("eigenvalues", "states", "c", "q", "r", "residual", "probability_defect", "criteria_ratios")
+# run in a checkout's own interpreter: argv is dim, steps, the .npz to write
+_DENSE_RUN = """
+import sys
+import numpy as np
+from adiab.models import random_smooth_model
+from adiab.propagate import TimeGrid
+from adiab.runner import run_pipeline
+dim, steps = int(sys.argv[1]), int(sys.argv[2])
+run = run_pipeline(random_smooth_model(dim, seed=3), TimeGrid(0.0, 0.004 * steps, steps), 1)
+d = run.diagnostics
+np.savez(sys.argv[3], eigenvalues=run.path.eigenvalues, states=run.trajectory.states, c=d.c, q=d.q,
+         r=d.r, residual=d.residual, probability_defect=d.probability_defect,
+         criteria_ratios=d.criteria_ratios)
+"""
 
 
 def _delta(a: float, b: float) -> float:
@@ -95,6 +122,33 @@ def compare_file(name: str, parent: str, change: str) -> dict:
     return {"file": name, "worst": worst, "flags_equal": flags, "identical": parent == change}
 
 
+def compare_arrays(name: str, parent: dict, change: dict) -> dict:
+    """One run's row: worst |Δ| over its arrays, names and shapes equal, bits identical.
+
+    ``parent`` and ``change`` map array names to numpy arrays, and an empty
+    mapping stands for a run that failed; ``moved`` lists the arrays that
+    are not bit for bit the same. NaN against NaN counts as equal, as in
+    the files.
+    """
+    if not (parent and change) or list(parent) != list(change) or any(
+        parent[k].shape != change[k].shape for k in parent
+    ):
+        return {"file": name, "worst": math.inf, "flags_equal": False, "identical": False,
+                "moved": list(parent or change)}
+    worst, moved = 0.0, []
+    for key, a in parent.items():
+        b = change[key]
+        if np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes():
+            continue
+        moved.append(key)
+        with np.errstate(invalid="ignore"):
+            delta = np.abs(a - b)
+            delta[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
+        delta[np.isnan(delta)] = math.inf
+        worst = max(worst, float(delta.max(initial=0.0)))
+    return {"file": name, "worst": worst, "flags_equal": True, "identical": not moved, "moved": moved}
+
+
 def verdict(rows: list, atol: float) -> bool:
     """Whether every row is within ``atol`` and has equal flags."""
     return all(row["worst"] <= atol and row["flags_equal"] for row in rows)
@@ -111,6 +165,28 @@ def _batch(checkout: Path, scenarios: str, out: Path) -> int:
         text=True,
     )
     return proc.returncode
+
+
+def _dense_run(checkout: Path, dim: int, out: Path) -> dict:
+    # the arrays of one dense run in ``checkout``, or {} when the run fails
+    out.parent.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    cmd = [sys.executable, "-c", _DENSE_RUN, str(dim), str(DENSE_STEPS), str(out.resolve())]
+    if subprocess.run(cmd, cwd=checkout, env=env, capture_output=True).returncode != 0:
+        return {}
+    with np.load(out) as arrays:
+        return {key: arrays[key] for key in DENSE_ARRAYS}
+
+
+def _compare_dense(parent: Path, change: Path, work: Path) -> list:
+    return [
+        compare_arrays(
+            f"random_smooth_model d={dim}",
+            _dense_run(parent, dim, work / "parent_dense" / f"d{dim}.npz"),
+            _dense_run(change, dim, work / "change_dense" / f"d{dim}.npz"),
+        )
+        for dim in DENSE_DIMS
+    ]
 
 
 def _compare_dirs(parent: Path, change: Path) -> list:
@@ -142,6 +218,7 @@ def main(argv=None) -> int:
         work = args.work if args.work is not None else Path(tmp)
         codes = {side: _batch(getattr(args, side), scenarios, work / side) for side in ("parent", "change")}
         rows = _compare_dirs(work / "parent", work / "change")
+        dense = _compare_dense(args.parent, args.change, work)
 
     print(f"{'file':<32}{'worst |Δ|':>12}  flags equal  identical")
     for row in rows:
@@ -150,7 +227,13 @@ def main(argv=None) -> int:
     worst = max((row["worst"] for row in rows), default=0.0)
     print(f"\n{identical} of {len(rows)} files byte-identical; worst |Δ| {worst:.3e} (atol {args.atol:.1e})")
     print(f"batch exit codes: parent {codes['parent']}, change {codes['change']}")
-    ok = verdict(rows, args.atol) and codes["parent"] == codes["change"]
+    print(f"\n{'run (K = ' + str(DENSE_STEPS) + ', level 1)':<32}{'worst |Δ|':>12}  flags equal  identical  moved")
+    for row in dense:
+        print(
+            f"{row['file']:<32}{row['worst']:>12.3e}  {str(row['flags_equal']):<11}  "
+            f"{str(row['identical']):<9}  {', '.join(row['moved']) or '-'}"
+        )
+    ok = verdict(rows + dense, args.atol) and codes["parent"] == codes["change"]
     print("outputs agree" if ok else "outputs DIFFER")
     return 0 if ok else 1
 

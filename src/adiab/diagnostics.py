@@ -199,12 +199,7 @@ def run_diagnostics(
     ratios[:, 2] = equivalence
     ratios /= np.fmin.reduce(np.asfortranarray(abs_gap), axis=1)[:, np.newaxis]
     norm_error = np.abs(norms[:, 0] - 1.0)
-    probabilities = np.abs(c) ** 2
-    if dim == 2:  # einsum's sum from zero, bit for bit, without its set-up
-        total = probabilities[:, 0] + probabilities[:, 1]
-    else:
-        total = np.einsum("km->k", probabilities)
-    probability_defect = np.abs(total - 1.0)
+    probability_defect = np.abs((np.abs(c) ** 2).sum(axis=1) - 1.0)
     return DiagnosticsResult(
         level=n,
         times=path.times,

@@ -8,26 +8,16 @@ operators, one per time sample. Above d = 2 the eigensolver is one LAPACK
 scaled Taylor polynomial evaluated by stack products, so a run solves one
 eigenproblem per time point. At d = 2 both are closed forms over the whole
 stack, from the split H = a0·1 + M with M traceless: the eigenpairs a0 ± r
-with M² = r²·1, and the SU(2) rotation. The per-matrix LAPACK cost (about
-2 µs for a complex 2×2 matrix) would otherwise dominate the two-level runs.
-Intended for dimensions 2..64; no sparsity, no large-N tricks.
+with M² = r²·1, and the SU(2) rotation. Intended for dimensions 2..64.
 
 Every product of two matrix stacks in the package goes through one kernel,
-``stack_matmul``. numpy's ``matmul`` pays a dispatch per matrix, about
-0.4 µs for a 2×2 complex product, which dominates the two-level runs. So
-when the contracted dimension is 2 the kernel takes one of two whole-stack
-forms, chosen by the length of the longer operand's stack. Up to 256
-matrices it is one ``np.einsum("...ij,...jk->...ik")`` call, whose loop
-runs in C but costs more per matrix; above that it is two broadcast
-multiplies and one add. Measured on a shared 2-core host with numpy 2.4,
-median of 15, time-contiguous (K, 2, 2) products, einsum against
-broadcast: 5.5 against 10.3 µs at K = 4, 7.9 against 10.9 at 64, 15.2
-against 15.3 at 256, 23.9 against 19.3 at 512 and 40.4 against 26.7 at
-1 000. A (K, 2, 2) by (K, 2, 1) product crosses near K = 300, and one by a
-single (2, 1) vector near 150. The two forms differ only in the rounding
-of the complex products, by a few ulps. Every product, either form, still
-goes through ``stack_matmul``: the choice is the kernel's alone. Above
-dimension 2 the per-matrix cost is arithmetic, and it is ``np.matmul``.
+``stack_matmul``: ``np.matmul`` above dimension 2, where the per-matrix cost
+is arithmetic. At dimension 2 numpy's ``matmul`` pays a dispatch per matrix,
+about 0.4 µs, so the kernel takes a whole-stack form chosen by the longer
+operand's stack length: one ``np.einsum("...ij,...jk->...ik")`` call up to
+256 matrices, two broadcast multiplies and one add above. A (K, 2, 2) by
+(K, 2, 1) product crosses near K = 300, and one by a single (2, 1) vector
+near 150. The forms differ only in the rounding of complex products.
 
 Layout rule: a d = 2 stack is allocated time-contiguous (Fortran order,
 ``strides[0] == itemsize``) where it is created, in ``models._two_by_two``,
@@ -41,9 +31,24 @@ against 400 µs time-contiguous, bit for bit the same, and the (K, 2, 2) gap
 broadcast ``w[:, :, None] - w[:, None, :]`` 1 020 µs against 122 µs; at
 K = 1 001 a d = 2 ``stack_matmul`` takes 75 µs against 20 µs. Above d = 2
 the stacks stay C order, as LAPACK and the Taylor exponential give them,
-so ``np.matmul`` keeps its BLAS path. Layout changes speed, not results,
-beyond rounding: numpy's complex multiply rounds differently in its
-contiguous loop, so the running propagators may move in the last bits.
+so ``np.matmul`` keeps its BLAS path. Layout changes only rounding: numpy's
+complex multiply rounds differently in its contiguous loop.
+
+Forks: a d = 2 or per-call shortcut folds into the general form when what the general
+form adds is under 0.5 % of one round of every benchmark workload (about 7 µs of ``pair``,
+65 of ``dense``, 230 of ``panels``) and of every shipped scenario's run. Kept, shortcut
+against general form (shared 2-core host, numpy 2.4, timeit min, K = 251 unless stated):
+- closed-form eigenpairs and exponential: 46 against 283 µs for LAPACK ``eigh`` alone;
+- the layout rule above;
+- ``stack_matmul``'s two forms: 3.1 against 6.3 µs at K = 4, 22.6 against 27.6 at K = 1 000;
+- ``stack_matmul``'s length of two stacks from their first axes: 0.3 against 0.6 µs;
+- ``_hermitian_defects`` from three planes: 0.72 against 2.7 ms at K = 40 001;
+- ``tracking._order_failure`` from four planes: 2.3 against 9.9 µs;
+- ``runner._perturbation_residual``'s two off-diagonal entries: 101 against 116 µs;
+- ``tracking._default_phases`` from the first row: 4.2 against 10.3 µs;
+- ``TimeGrid.samples`` as linspace's arithmetic: 3.3 against 5.5 µs, two grids per pair;
+- ``lattice_read``'s evenly spaced slice: 1.2 against 10.1 µs, as ``np.take`` copies the lattice;
+- ``diagnostics._row_norms``'s ``hypot`` redo, for range not speed: past 1.3e154 it stays finite.
 """
 
 from __future__ import annotations
@@ -294,7 +299,7 @@ def stack_matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None)
     is 2 the product is one ``np.einsum`` call while the longer operand's
     stack holds at most 256 matrices, and ``a[..., :, 0:1] * b[..., 0:1, :] +
     a[..., :, 1:2] * b[..., 1:2, :]`` over the whole stack above that (see the
-    module docstring); otherwise it is ``np.matmul``. Writes into ``out``
+    module docstring's forks); otherwise it is ``np.matmul``. Writes into ``out``
     when given and returns it; on the dim-2 path ``out`` must not share memory
     with ``a`` or ``b``. A stack times a single matrix, on either side, gives
     a stack in the stack's layout; left to itself numpy would lay out the

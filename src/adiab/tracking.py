@@ -11,10 +11,7 @@ down in one of two ways:
   gauge in which the rotating-field closed-form amplitudes are stated.
 
 Level identity is checked between consecutive frames: level i must
-overlap most with level i of the next frame, and by at least 0.5. At d = 2
-the order check reads the four overlap planes, |p00| < |p01| or
-|p11| <= |p10| marking a break, which is ``argmax``'s first-index rule on
-ties; above d = 2 it is ``argmax`` over each row.
+overlap most with level i of the next frame, and by at least 0.5.
 
 Every path carries the eigenvector derivatives Ė_i from second-order
 stencils, in either gauge. The accumulated phase, the couplings <E_m|Ė_n>
@@ -99,20 +96,9 @@ def _default_phases(frame: np.ndarray) -> np.ndarray:
 
 def _first(mask: np.ndarray) -> Optional[int]:
     """Index of the first sample (axis 0) at which ``mask`` holds anywhere."""
-    if mask.ndim == 1:
-        rows = mask
-    elif mask.shape[1:] == (2,):  # two planes; any() over a length-2 axis runs K short loops
-        rows = mask[:, 0] | mask[:, 1]
-    else:
-        rows = mask.reshape(mask.shape[0], -1).any(axis=1)
+    rows = mask if mask.ndim == 1 else mask.any(axis=1)
     k = int(rows.argmax())  # 0 when nothing holds
     return k if rows[k] else None
-
-
-def _min_gaps(w: np.ndarray) -> np.ndarray:
-    if w.shape[1] == 2:  # the one gap, bit for bit its minimum with inf
-        return w[:, 1] - w[:, 0]
-    return (w[:, 1:] - w[:, :-1]).min(axis=1, initial=np.inf)
 
 
 def _gap_failure(min_gaps: np.ndarray, scales: np.ndarray, ts: np.ndarray):
@@ -148,9 +134,8 @@ def _order_failure(magnitudes: np.ndarray, ts: np.ndarray):
 
     ``magnitudes[k]`` holds |<E_i(t_k)|E_j(t_k+1)>|; level i must overlap
     most with level i of the next frame, the first index winning a tie, as
-    in ``argmax``. At d = 2 that reads four planes: row 0 breaks where
-    |p00| < |p01|, row 1 where |p11| <= |p10|, which spares ``argmax`` its
-    pass over a length-2 axis at every sample.
+    in ``argmax``. At d = 2 that reads four planes (``adiab.linalg``'s
+    forks): row 0 breaks where |p00| < |p01|, row 1 where |p11| <= |p10|.
     """
     dim = magnitudes.shape[1]
     if dim == 2:
@@ -212,13 +197,9 @@ def track(
     hs = model.hamiltonian(ts)
     eigenvalues, raw = hermitian_eigendecompose(hs)
     # the scale max_i |E_i| is ‖H‖₂, at most the Frobenius norm, and has no
-    # squares to overflow past ‖H‖ ~ 1e154; at d = 2 from the two planes
-    abs_energies = np.abs(eigenvalues)
-    if model.dim == 2:
-        scales = np.maximum(abs_energies[:, 0], abs_energies[:, 1])
-    else:
-        scales = abs_energies.max(axis=1)
-    gap = _gap_failure(_min_gaps(eigenvalues), scales, ts)
+    # squares to overflow past ‖H‖ ~ 1e154
+    min_gaps = (eigenvalues[:, 1:] - eigenvalues[:, :-1]).min(axis=1, initial=np.inf)
+    gap = _gap_failure(min_gaps, np.abs(eigenvalues).max(axis=1), ts)
 
     if gauge == "analytic":
         refs = model.analytic_eigensystem(ts)[1]

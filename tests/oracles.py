@@ -13,6 +13,11 @@ for the kernel forms, and so is the eigendecomposition form of exp(-i s H),
 the reference for the exponential: the closed-form two-level rotation, and
 the Taylor polynomial by stack products above d = 2.
 
+``frame_changed`` and ``shifted`` are two transforms of a ``Model`` that
+leave every gauge-free magnitude of the split unchanged: a constant frame
+change H → W H W† and a shift H → H + a·1. They need no closed form, so
+they test the split above d = 2.
+
 ``one_string_csv`` is the CSV writer as it was before emission went out in
 row blocks: every float formatted, the whole file joined into one string.
 It is the byte reference for the block writer.
@@ -28,7 +33,7 @@ from dataclasses import replace
 import numpy as np
 
 from adiab.diagnostics import run_diagnostics
-from adiab.models import SchwingerParams, schwinger_analytic_eigensystem, schwinger_hamiltonian
+from adiab.models import Model, SchwingerParams, schwinger_analytic_eigensystem, schwinger_hamiltonian
 from adiab.propagate import TimeGrid
 from adiab.tracking import SpectralPath, _fill_derivatives
 
@@ -157,6 +162,22 @@ def rotate_gauge(path: SpectralPath, phases: np.ndarray) -> SpectralPath:
         eigenvectors=rotated,
         derivatives=_fill_derivatives(rotated, path.grid.h),
     )
+
+
+def frame_changed(model: Model, w: np.ndarray) -> Model:
+    """H → W H W† for a constant unitary W: the levels stay, the eigenvectors turn by W."""
+    wh = w.conj().T
+    return Model(
+        dim=model.dim,
+        hamiltonian=lambda t: w @ model.hamiltonian(t) @ wh,
+        derivative=lambda t: w @ model.derivative(t) @ wh,
+    )
+
+
+def shifted(model: Model, a: float) -> Model:
+    """H → H + a·1: every level moves by a, the eigenvectors and Ḣ stay."""
+    shift = a * np.eye(model.dim)
+    return Model(dim=model.dim, hamiltonian=lambda t: model.hamiltonian(t) + shift, derivative=model.derivative)
 
 
 def one_string_csv(result) -> bytes:

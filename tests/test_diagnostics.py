@@ -242,6 +242,31 @@ def test_huge_static_field_norms_are_finite(omega0):
     assert max_abs(diag.equivalence - equivalence) <= 1e-12 * omega0
 
 
+def _gauge_free(diag) -> dict:
+    return {
+        "|c|": np.abs(diag.c), "|Q|": np.abs(diag.q), "|R|": np.abs(diag.r), "qac": diag.qac,
+        "residual": diag.residual, "||D||": diag.d_norm, "lambda": diag.lam,
+    }
+
+
+@pytest.mark.parametrize("dim", [3, 8])
+def test_split_invariant_under_frame_change_and_shift(dim):
+    # No closed form above d = 2: a constant frame change H → W H W† and a shift
+    # H → H + a·1 must leave every gauge-free magnitude alone, in transport gauge.
+    # The bound is 50x the worst move, 2.0e-12, that ROADMAP's baseline records.
+    model = random_smooth_model(dim, seed=3)
+    grid = TimeGrid(0.0, 0.004 * 200, 200)
+    rng = np.random.default_rng(11)
+    w, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    for n in (0, dim - 1):
+        base = _gauge_free(run_pipeline(model, grid, n).diagnostics)
+        for transformed in (oracles.frame_changed(model, w), oracles.shifted(model, 3.7)):
+            moved = _gauge_free(run_pipeline(transformed, grid, n).diagnostics)
+            for name, values in base.items():
+                assert np.array_equal(np.isnan(values), np.isnan(moved[name])), (n, name)
+                assert np.nanmax(np.abs(values - moved[name])) <= 1e-10, (n, name)
+
+
 class TestQTerm:
     def test_static_case_vanishes(self, static_run):
         assert np.nanmax(np.abs(static_run.pipeline.diagnostics.q)) <= 1e-12

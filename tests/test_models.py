@@ -16,7 +16,6 @@ from adiab.models import (
     random_smooth_model,
     schwinger_analytic_amplitudes,
     schwinger_analytic_eigensystem,
-    schwinger_analytic_eigenvector,
     schwinger_hamiltonian,
     schwinger_hamiltonian_derivative,
     schwinger_model,
@@ -126,20 +125,6 @@ class TestAnalyticEigensystem:
         _, vp = schwinger_analytic_eigensystem(p, t + step)
         _, vm = schwinger_analytic_eigensystem(p, t - step)
         assert max_abs(dv - (vp - vm) / (2 * step)) < 1e-8
-
-
-    @pytest.mark.parametrize("n", [0, 1])
-    @pytest.mark.parametrize("t", [0.7, np.linspace(-3.0, 9.0, 301)], ids=["scalar", "grid"])
-    def test_one_eigenvector_is_its_column_bit_for_bit(self, n, t):
-        for p in (SchwingerParams(1.0, 0.1, math.pi / 2), SchwingerParams(2.5, 7.0, 0.3)):
-            column = schwinger_analytic_eigensystem(p, t)[1][..., n]
-            got = schwinger_analytic_eigenvector(p, t, n)
-            assert got.shape == column.shape and got.strides == column.strides
-            assert np.array_equal(*(np.ascontiguousarray(a).view(np.int64) for a in (got, column)))
-
-    def test_one_eigenvector_level_out_of_range(self):
-        with pytest.raises(ValueError, match="level 2"):
-            schwinger_analytic_eigenvector(SchwingerParams(1.0, 0.1, 0.5), 0.0, 2)
 
 
 class TestAnalyticAmplitudes:

@@ -19,7 +19,6 @@ from adiab.models import (
     SchwingerParams,
     custom_model,
     random_smooth_model,
-    schwinger_analytic_eigenvector,
     schwinger_model,
     transformed_hamiltonian,
 )
@@ -340,8 +339,8 @@ class TestTransformedPair:
 
     def test_pair_run_forms_each_operator_once(self, monkeypatch):
         # H_a once on the half-step lattice and once on its midpoints; H_b once
-        # over the lattice and Ḣ_b once, for the report's interior samples; of
-        # A's closed-form eigensystem only column n, once, for A's fidelity
+        # over the lattice and Ḣ_b once, for the report's interior samples; A's
+        # closed-form eigensystem once, on the samples, for A's fidelity
         base = schwinger_model(_short_scenario().params)
         shapes = {"hamiltonian": [], "derivative": [], "analytic_eigensystem": []}
 
@@ -354,21 +353,13 @@ class TestTransformedPair:
 
         model_a = Model(dim=2, **{name: counted(name) for name in shapes})
         monkeypatch.setattr(adiab.runner, "schwinger_model", lambda params: model_a)
-        columns = []
-
-        def column(params, t, n):
-            columns.append((np.shape(t), n))
-            return schwinger_analytic_eigenvector(params, t, n)
-
-        monkeypatch.setattr(adiab.runner, "schwinger_analytic_eigenvector", column)
         counts = {"transformed_hamiltonian": 0}
         _counting(monkeypatch, adiab.propagate, "transformed_hamiltonian", counts)
         assert run_scenario(_short_scenario()).report.passed
         # 250 steps: 501 lattice points, 500 fine midpoints, 251 samples
         assert shapes == {
-            "hamiltonian": [(500,), (501,)], "derivative": [(249,)], "analytic_eigensystem": []
+            "hamiltonian": [(500,), (501,)], "derivative": [(249,)], "analytic_eigensystem": [(251,)]
         }
-        assert columns == [((251,), _short_scenario().level - 1)]
         assert counts == {"transformed_hamiltonian": 2}
 
     @pytest.mark.parametrize(
@@ -384,21 +375,42 @@ class TestTransformedPair:
         ids=["scalar", "uneven", "lattice", "samples", "midpoints", "2d"],
     )
     def test_operators_match_per_call_construction(self, pick):
-        # B's H and Ḣ against U_a read off the lattice and -U_a† H_a U_a formed per call
-        model_a = schwinger_model(SLOW)
+        # B's H and Ḣ against U_a read off the lattice and -U_a† H_a U_a formed per
+        # call, for a two-level A and a three-level one, whose stacks are C order
         grid = TimeGrid(0.0, 1.0, 100)
-        model_b, lattice_a = marzlin_sanders_model(model_a, grid)
         fine = grid.refined()
         t = pick(fine.samples)
         j = np.rint((np.asarray(t) - fine.t_start) / fine.h).astype(np.intp)
-        us = lattice_a.propagators[j]
-        for name in ("hamiltonian", "derivative"):
-            expected = transformed_hamiltonian(us, getattr(model_a, name)(t))
-            actual = getattr(model_b, name)(t)
-            assert actual.shape == np.shape(t) + (2, 2)
-            assert max_abs(actual - expected) <= 1e-15, name
-            if np.ndim(t) == 1:
-                assert actual.strides[0] == actual.itemsize, name  # time-contiguous
+        for model_a in (schwinger_model(SLOW), random_smooth_model(3, seed=3)):
+            model_b, lattice_a = marzlin_sanders_model(model_a, grid)
+            us = lattice_a.propagators[j]
+            dim = model_a.dim
+            for name in ("hamiltonian", "derivative"):
+                expected = transformed_hamiltonian(us, getattr(model_a, name)(t))
+                actual = getattr(model_b, name)(t)
+                assert actual.shape == np.shape(t) + (dim, dim)
+                assert max_abs(actual - expected) <= 1e-15, (dim, name)
+                if dim > 2:
+                    assert actual.flags.c_contiguous, name
+                elif np.ndim(t) == 1:
+                    assert actual.strides[0] == actual.itemsize, name  # time-contiguous
+
+    def test_three_level_pair_meets_the_runner_tolerances(self):
+        # B tracked and diagnosed above d = 2, with each check the report makes
+        model_a = random_smooth_model(3, seed=3)
+        grid = TimeGrid(0.0, 0.25, 250)
+        model_b, lattice_a = marzlin_sanders_model(model_a, grid)
+        run = run_pipeline(model_b, grid, 0)
+        diag = run.diagnostics
+        assert np.nanmax(diag.residual) <= adiab.runner.DECOMPOSITION_TOL
+        assert diag.lam.max() <= adiab.runner.LAMBDA_TOL
+        assert adiab.runner._unitarity_drift(run.trajectory) <= adiab.runner.UNITARITY_TOL
+        assert diag.norm_error.max() <= adiab.runner.NORM_TOL
+        assert diag.probability_defect.max() <= adiab.runner.PROBABILITY_TOL
+        assert np.nanmax(diag.cn_residual) <= adiab.runner.CN_TOL
+        assert adiab.runner._perturbation_residual(model_b, run.path) <= adiab.runner.PERTURBATION_TOL
+        products = stack_matmul(run.trajectory.propagators, lattice_a.propagators[::2])
+        assert max_abs(products - np.eye(3)) <= adiab.runner.INVERSE_TOL
 
     @pytest.mark.parametrize("gauge", ["auto", "analytic-reference"])
     def test_system_a_matches_a_full_pipeline_on_the_lattice(self, monkeypatch, gauge):

@@ -3,6 +3,8 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -92,3 +94,30 @@ def test_compare_outputs_on_small_pairs():
         row = changed(path, value)
         assert not row["flags_equal"], path
         assert not compare.verdict([row], atol=1.0), path
+
+
+def test_compare_outputs_on_arrays():
+    # the array comparison of the dense runs only; no runs here
+    compare = _load("compare_outputs")
+    q = np.array([[math.nan, 0.5 + 0.25j], [math.nan, complex(-0.0, 1.0)]])
+    arrays = {"c": np.array([[1.0 + 0j, 0.0]]), "q": q, "probability_defect": np.array([0.0, 2e-16])}
+    same = {key: value.copy() for key, value in arrays.items()}
+    row = compare.compare_arrays("d=3", arrays, same)
+    assert row == {"file": "d=3", "worst": 0.0, "flags_equal": True, "identical": True, "moved": []}
+    # one array moved by an ulp: only it is named, and the worst |Δ| is its move
+    moved = dict(same, probability_defect=np.array([0.0, 2e-16 + 2**-105]))
+    row = compare.compare_arrays("d=3", arrays, moved)
+    assert row["moved"] == ["probability_defect"] and not row["identical"] and row["flags_equal"]
+    assert 0.0 < row["worst"] <= 2**-104
+    assert compare.verdict([row], atol=1e-15) and not compare.verdict([row], atol=1e-40)
+    # a flipped zero sign is not bit-identical, though no float moved
+    flipped = dict(same, q=np.array([[math.nan, 0.5 + 0.25j], [math.nan, 0.0 + 1j]]))
+    row = compare.compare_arrays("d=3", arrays, flipped)
+    assert row["moved"] == ["q"] and row["worst"] == 0.0
+    # NaN against a number, a differing shape or name, and a failed run fail at any bound
+    lost = dict(same, q=np.array([[0.0, 0.5 + 0.25j], [math.nan, 1j]]))
+    assert compare.compare_arrays("d=3", arrays, lost)["worst"] == math.inf
+    for other in (dict(same, c=np.zeros((2, 2))), {"c": same["c"], "q": q}, {}):
+        row = compare.compare_arrays("d=3", arrays, other)
+        assert not row["flags_equal"] and not compare.verdict([row], atol=1.0)
+    assert not compare.compare_arrays("d=3", {}, {})["flags_equal"]  # both runs failed
