@@ -10,11 +10,14 @@ afterwards). ``--scenarios`` runs another directory of scenario documents
 instead, the same one for both sides.
 
 For every file either side wrote it prints one row: the worst |Δ| over the
-CSV's floats or over the report's floats, whether every flag is equal (in
-a report: verdicts and the other strings, pass and regime flags, integers,
-and the whole ``criteria_true_fraction``; in a CSV: the header and the
-shape), and whether the bytes are identical. NaN against NaN counts as
-equal, as does a float against an equal float.
+report's floats, or over the CSV columns both sides emit, matched by
+name; whether every flag is equal (in a report: verdicts and the other
+strings, pass and regime flags, integers, and the whole
+``criteria_true_fraction``; in a CSV: the header and the row count); and
+whether the bytes are identical. Below the table it names each CSV column
+that only one side emits, so a change that drops or adds columns still
+shows whether the columns it kept moved. NaN against NaN counts as equal,
+as does a float against an equal float.
 
 No shipped scenario is above two levels, so the script also runs, in each
 checkout, ``run_pipeline(random_smooth_model(d, seed=3), TimeGrid(0, 0.004·K,
@@ -72,18 +75,29 @@ def _delta(a: float, b: float) -> float:
 
 
 def compare_csv(parent: str, change: str) -> tuple:
-    """(worst |Δ| over the floats, whether header and shape agree) of two CSV texts."""
+    """(worst |Δ|, flags equal, columns only one side has) of two CSV texts.
+
+    Columns are matched by header name, and the worst |Δ| runs over the
+    columns both sides emit. The flags are equal when the headers and the
+    row counts are; the third item is ``{"parent": [...], "change": [...]}``.
+    """
     rows_p = list(csv.reader(io.StringIO(parent)))
     rows_c = list(csv.reader(io.StringIO(change)))
-    if not rows_p or not rows_c or rows_p[0] != rows_c[0] or len(rows_p) != len(rows_c):
-        return math.inf, False
+    header_p, header_c = (rows[0] if rows else [] for rows in (rows_p, rows_c))
+    only = {
+        "parent": [name for name in header_p if name not in header_c],
+        "change": [name for name in header_c if name not in header_p],
+    }
+    if not (rows_p and rows_c) or len(rows_p) != len(rows_c):
+        return math.inf, False, only
+    pairs = [(header_p.index(name), header_c.index(name)) for name in header_p if name in header_c]
     worst = 0.0
     for row_p, row_c in zip(rows_p[1:], rows_c[1:]):
-        if len(row_p) != len(row_c):
-            return math.inf, False
-        for a, b in zip(row_p, row_c):
-            worst = max(worst, _delta(float(a), float(b)))
-    return worst, True
+        if len(row_p) != len(header_p) or len(row_c) != len(header_c):
+            return math.inf, False, only
+        for i, j in pairs:
+            worst = max(worst, _delta(float(row_p[i]), float(row_c[j])))
+    return worst, header_p == header_c, only
 
 
 def _walk(parent, change, exact: bool) -> tuple:
@@ -117,9 +131,12 @@ def compare_report(parent: str, change: str) -> tuple:
 
 
 def compare_file(name: str, parent: str, change: str) -> dict:
-    """One file's row: worst |Δ|, flags equal, bytes identical."""
-    worst, flags = (compare_csv if name.endswith(".csv") else compare_report)(parent, change)
-    return {"file": name, "worst": worst, "flags_equal": flags, "identical": parent == change}
+    """One file's row: worst |Δ|, flags equal, bytes identical; a CSV's also its ``only`` columns."""
+    if not name.endswith(".csv"):
+        worst, flags = compare_report(parent, change)
+        return {"file": name, "worst": worst, "flags_equal": flags, "identical": parent == change}
+    worst, flags, only = compare_csv(parent, change)
+    return {"file": name, "worst": worst, "flags_equal": flags, "identical": parent == change, "only": only}
 
 
 def compare_arrays(name: str, parent: dict, change: dict) -> dict:
@@ -223,6 +240,10 @@ def main(argv=None) -> int:
     print(f"{'file':<32}{'worst |Δ|':>12}  flags equal  identical")
     for row in rows:
         print(f"{row['file']:<32}{row['worst']:>12.3e}  {str(row['flags_equal']):<11}  {row['identical']}")
+    for row in rows:
+        for side, names in row.get("only", {}).items():
+            if names:
+                print(f"{row['file']}: only {side} has {', '.join(names)}")
     identical = sum(row["identical"] for row in rows)
     worst = max((row["worst"] for row in rows), default=0.0)
     print(f"\n{identical} of {len(rows)} files byte-identical; worst |Δ| {worst:.3e} (atol {args.atol:.1e})")

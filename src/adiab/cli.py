@@ -11,8 +11,8 @@ non-convergence, broken gauge), 4 internal error (any other exception,
 reported on one stderr line).
 
 ``batch`` runs every file even when some fail, ends with one summary row
-per file (status, peak off-level |c|, max |Q|, max |R|, max coupling
-ratio and the two regime flags) and exits with the highest code seen.
+per file (status, peak off-level |c|, max |R|, max coupling ratio, which
+is max |Q|, and the two regime flags) and exits with the highest code seen.
 """
 
 from __future__ import annotations
@@ -95,19 +95,16 @@ def _cmd_run(args) -> int:
     return _finish(_run_one(Path(args.scenario), Path(args.out)))
 
 
-_TABLE_COLUMNS = (
-    "scenario", "status", "max|c_off|", "max|Q|", "max|R|", "max ratio", "adiab", "ratio>thr"
-)
-_TABLE_WIDTHS = (10, 12, 10, 10, 11, 7, 11)  # after the left-aligned name
+_TABLE_COLUMNS = ("scenario", "status", "max|c_off|", "max|R|", "max ratio", "adiab", "ratio>thr")
+_TABLE_WIDTHS = (10, 12, 10, 11, 7, 11)  # after the left-aligned name
 
 
 def _summary_cells(name: str, code: int, report: Optional[RunReport]) -> list[str]:
     if report is None:
-        return [name, _STATUS[code]] + ["-"] * 6
+        return [name, _STATUS[code]] + ["-"] * 5
     summary, regime = report.summary, report.regime
     maxima = (
-        max(summary["max_abs_c"][label] for label in summary["max_abs_q"]),  # off levels only
-        max(summary["max_abs_q"].values()),
+        max(summary["max_abs_c"][label] for label in summary["max_qac"]),  # off levels only
         max(summary["max_abs_r"].values()),
         max(summary["max_qac"].values()),
     )

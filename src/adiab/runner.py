@@ -196,9 +196,9 @@ def _build_report(
     n = diag.level
     off = _off_levels(diag.dim, n)
     th = scenario.thresholds
-    max_c, max_q, max_r, max_qac = map(
-        _column_max, (np.abs(diag.c), np.abs(diag.q), np.abs(diag.r), diag.qac)
-    )
+    abs_c = np.abs(diag.c)
+    # qac is |Q_m|, so max_abs_q and max_qac are one maximum under two keys
+    max_c, max_r, max_qac = map(_column_max, (abs_c, np.abs(diag.r), diag.qac))
 
     # fmax/fmin skip NaN, as nanmax/nanmin do, without their Python-level checks
     max_cn = float(np.fmax.reduce(diag.cn_residual))
@@ -213,10 +213,10 @@ def _build_report(
         "max_perturbation_residual": _perturbation_residual(pipeline.model, pipeline.path),
         "berry_imag_residue": diag.beta_imag_residue,
         "max_abs_c": {str(i + 1): value for i, value in enumerate(max_c)},
-        "max_abs_q": {str(m + 1): max_q[m] for m in off},
+        "max_abs_q": {str(m + 1): max_qac[m] for m in off},
         "max_abs_r": {str(m + 1): max_r[m] for m in off},
         "max_qac": {str(m + 1): max_qac[m] for m in off},
-        "min_fidelity": float(diag.fidelity().min()),
+        "min_fidelity": float(abs_c[:, n].min()),
         "criteria_true_fraction": _criteria_fractions(diag.criteria_ratios, th.margin),
     }
 
@@ -311,21 +311,23 @@ def run_scenario(scenario: Scenario) -> RunResult:
 def emit_csv(result: RunResult, path) -> Path:
     """One row per grid sample, fixed column order, deterministic bytes.
 
-    The rows go out in blocks of about ``_CSV_BLOCK_FLOATS`` floats, so the
-    text held at once is one block's, whatever the run's length; only the
-    |c|, |Q| and |R| columns are formed whole. Within a block each distinct
-    bit pattern is formatted once: equal bits are an equal float with an
-    equal repr, so the bytes are those of formatting every float.
+    Each quantity has one column: c_i as ``re_c_i`` and ``im_c_i``, and
+    |Q_m| as ``qac_m``, the coupling ratio it equals. The rows go out in
+    blocks of about ``_CSV_BLOCK_FLOATS`` floats, so the text held at once
+    is one block's, whatever the run's length; only the |R| columns are
+    formed whole. Within a block each distinct bit pattern is formatted
+    once: equal bits are an equal float with an equal repr, so the bytes are
+    those of formatting every float.
     """
     diag = result.pipeline.diagnostics
     n = diag.level
     table = {"t": diag.times}  # header name -> column, in column order
     for i, c in enumerate(diag.c.T, 1):
-        table |= {f"re_c_{i}": c.real, f"im_c_{i}": c.imag, f"abs_c_{i}": np.abs(c)}
+        table |= {f"re_c_{i}": c.real, f"im_c_{i}": c.imag}
     for m in _off_levels(diag.dim, n):
         k = m + 1
-        table |= {f"abs_Q_{k}": np.abs(diag.q[:, m]), f"abs_R_{k}": np.abs(diag.r[:, m])}
-        table |= {f"qac_{k}": diag.qac[:, m], f"residual_{k}": diag.residual[:, m]}
+        table |= {f"abs_R_{k}": np.abs(diag.r[:, m]), f"qac_{k}": diag.qac[:, m]}
+        table |= {f"residual_{k}": diag.residual[:, m]}
     table |= {f"beta_{n + 1}": diag.beta, "D_norm": diag.d_norm, "Ddot_norm": diag.ddot_norm}
     table |= {"lambda_residual": diag.lam, "norm_error": diag.norm_error}
     columns = list(table.values())

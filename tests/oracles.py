@@ -186,12 +186,12 @@ def one_string_csv(result) -> bytes:
     n = diag.level
     table = {"t": diag.times}
     for i, c in enumerate(diag.c.T, 1):
-        table |= {f"re_c_{i}": c.real, f"im_c_{i}": c.imag, f"abs_c_{i}": np.abs(c)}
+        table |= {f"re_c_{i}": c.real, f"im_c_{i}": c.imag}
     for m in range(diag.dim):
         if m != n:
             k = m + 1
-            table |= {f"abs_Q_{k}": np.abs(diag.q[:, m]), f"abs_R_{k}": np.abs(diag.r[:, m])}
-            table |= {f"qac_{k}": diag.qac[:, m], f"residual_{k}": diag.residual[:, m]}
+            table |= {f"abs_R_{k}": np.abs(diag.r[:, m]), f"qac_{k}": diag.qac[:, m]}
+            table |= {f"residual_{k}": diag.residual[:, m]}
     table |= {f"beta_{n + 1}": diag.beta, "D_norm": diag.d_norm, "Ddot_norm": diag.ddot_norm}
     table |= {"lambda_residual": diag.lam, "norm_error": diag.norm_error}
     lines = [",".join(table)]

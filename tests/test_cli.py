@@ -123,22 +123,22 @@ def _emitted_header(tmp_path, **overrides) -> str:
 class TestCsvSchema:
     def test_header_matches_documented_layout(self, tmp_path):
         assert _emitted_header(tmp_path) == (
-            "t,re_c_1,im_c_1,abs_c_1,re_c_2,im_c_2,abs_c_2,"
-            "abs_Q_2,abs_R_2,qac_2,residual_2,beta_1,D_norm,Ddot_norm,lambda_residual,norm_error"
+            "t,re_c_1,im_c_1,re_c_2,im_c_2,"
+            "abs_R_2,qac_2,residual_2,beta_1,D_norm,Ddot_norm,lambda_residual,norm_error"
         )
 
     def test_header_for_other_tracked_level(self, tmp_path):
         header = _emitted_header(tmp_path, n=2)
         assert header.startswith("t,re_c_1")
-        assert "abs_Q_1" in header
+        assert "qac_1" in header
         assert "beta_2" in header
 
     def test_four_level_columns(self, tmp_path):
         lines = emit_csv(_four_level_result(), tmp_path / "dense.csv").read_text().splitlines()
         expected = ["t"]
-        expected += [f"{part}_c_{i}" for i in range(1, 5) for part in ("re", "im", "abs")]
+        expected += [f"{part}_c_{i}" for i in range(1, 5) for part in ("re", "im")]
         for m in (1, 3, 4):
-            expected += [f"abs_Q_{m}", f"abs_R_{m}", f"qac_{m}", f"residual_{m}"]
+            expected += [f"abs_R_{m}", f"qac_{m}", f"residual_{m}"]
         expected += ["beta_2", "D_norm", "Ddot_norm", "lambda_residual", "norm_error"]
         assert lines[0].split(",") == expected
         assert len(lines) == 1 + 101
@@ -152,7 +152,7 @@ class TestCsvSchema:
         lines = out.read_text().splitlines()
         assert len(lines) == sc.steps + 2  # header plus endpoints-inclusive samples
         width = len(lines[0].split(","))
-        assert width == 1 + 3 * 2 + 4 * 1 + 5
+        assert width == 1 + 2 * 2 + 3 * 1 + 5
         assert all(len(line.split(",")) == width for line in lines[1:])
         assert "nan" not in out.read_text()
 
@@ -184,11 +184,11 @@ class TestCsvBlockWriter:
 
     @pytest.fixture(scope="class")
     def spanning_run(self):
-        # 701 rows at 16 floats: two full blocks of 256 rows and a partial one
+        # 701 rows at 13 floats: two full blocks of 315 rows and a partial one
         return run_scenario(parse_scenario(json.dumps(small_doc(name="blocks", steps=700))))
 
     # the shipped budget; one row per block; a few rows per block, the last one
-    # partial (701 = 116 * 6 + 5 at dim 2, 101 = 33 * 3 + 2 at dim 4); one block
+    # partial (701 = 100 * 7 + 1 at dim 2, 101 = 25 * 4 + 1 at dim 4); one block
     @pytest.mark.parametrize("budget", [None, 1, 100, 10**6])
     def test_bytes_match_the_one_string_writer(self, tmp_path, monkeypatch, spanning_run, budget):
         if budget is not None:
@@ -220,8 +220,8 @@ class TestCsvBlockWriter:
 
     def test_emission_memory_does_not_grow_with_steps(self, tmp_path):
         # The tracemalloc peak of emit_csv alone may grow by at most 12 bytes per
-        # float column per row, 192 B/row at dim 2; the one-string writer grew by
-        # about 1 000. The whole |c|, |Q| and |R| columns take 32 B/row.
+        # float column per row, 156 B/row at dim 2; the one-string writer grew by
+        # about 1 000. The whole |R| column takes 8 B/row.
         def peak(steps: int) -> int:
             doc = small_doc(name="mem", t_end=steps / 1000, steps=steps)
             result = run_scenario(parse_scenario(json.dumps(doc)))
@@ -232,7 +232,7 @@ class TestCsvBlockWriter:
             finally:
                 tracemalloc.stop()
 
-        width = 16  # floats per row at dim 2
+        width = 13  # floats per row at dim 2
         growth = (peak(8000) - peak(2000)) / 6000
         assert growth <= 12 * width, f"{growth:.0f} B/row"
 
@@ -304,7 +304,7 @@ class TestCliCommands:
         assert [row[:2] for row in rows] == [
             ["a_good", "ok"], ["b_bad", "config"], ["c_good", "ok"]
         ]
-        assert rows[1][2:] == ["-"] * 6
+        assert rows[1][2:] == ["-"] * 5
         assert rows[0][-2:] == ["yes", "no"]
 
     def test_batch_exits_with_highest_code(self, tmp_path, capsys, monkeypatch):

@@ -52,13 +52,19 @@ def test_compare_outputs_on_small_pairs():
     compare = _load("compare_outputs")
     csv_a = "t,abs_c_1\n0.0,1.0\n0.5,0.25\n"
     row = compare.compare_file("x.csv", csv_a, csv_a)
-    assert row == {"file": "x.csv", "worst": 0.0, "flags_equal": True, "identical": True}
+    only_none = {"parent": [], "change": []}
+    assert row == {"file": "x.csv", "worst": 0.0, "flags_equal": True, "identical": True, "only": only_none}
     moved = compare.compare_file("x.csv", csv_a, "t,abs_c_1\n0.0,1.0\n0.5,0.25000000000001\n")
     assert 0.0 < moved["worst"] < 2e-14 and moved["flags_equal"] and not moved["identical"]
     assert compare.verdict([moved], atol=1e-12) and not compare.verdict([moved], atol=1e-15)
     # a different header or row count is a flag difference
     assert not compare.compare_file("x.csv", csv_a, "t,abs_c_2\n0.0,1.0\n0.5,0.25\n")["flags_equal"]
     assert not compare.compare_file("x.csv", csv_a, "t,abs_c_1\n0.0,1.0\n")["flags_equal"]
+    # a CSV without abs_c_1: the shared column t is compared, abs_c_1 named
+    row = compare.compare_file("x.csv", csv_a, "t\n0.0\n0.5\n")
+    assert row["worst"] == 0.0 and not row["flags_equal"]
+    assert row["only"] == {"parent": ["abs_c_1"], "change": []}
+    assert not compare.verdict([row], atol=1.0)
     # NaN against NaN is equal; NaN against a number is not
     assert compare.compare_file("x.csv", "a\nnan\n", "a\nnan\n")["worst"] == 0.0
     assert compare.compare_file("x.csv", "a\nnan\n", "a\n1.0\n")["worst"] == math.inf
@@ -94,6 +100,26 @@ def test_compare_outputs_on_small_pairs():
         row = changed(path, value)
         assert not row["flags_equal"], path
         assert not compare.verdict([row], atol=1.0), path
+
+
+def test_compare_outputs_matches_csv_columns_by_name():
+    # the columns both sides emit are compared by name, wherever each side puts
+    # them; a column only one side has is named and flags the file
+    compare = _load("compare_outputs")
+    parent = "t,abs_c_1,re_c_1,qac_2\n0.0,1.0,0.5,nan\n0.5,0.25,0.125,0.75\n"
+    change = "t,qac_2,re_c_1,extra\n0.0,nan,0.5,9.0\n0.5,0.7500000000001,0.125,9.0\n"
+    worst, flags, only = compare.compare_csv(parent, change)
+    assert 0.0 < worst < 2e-13 and not flags
+    assert only == {"parent": ["abs_c_1"], "change": ["extra"]}
+    # a shared column that moved past the bound shows, though the headers differ
+    moved = change.replace("0.125,9.0", "0.25,9.0")
+    assert compare.compare_csv(parent, moved)[0] == 0.125
+    # the same columns in another order: equal floats, but a flag difference
+    reordered = "t,re_c_1,abs_c_1,qac_2\n0.0,0.5,1.0,nan\n0.5,0.125,0.25,0.75\n"
+    assert compare.compare_csv(parent, reordered) == (0.0, False, {"parent": [], "change": []})
+    # a different row count, or a short row, cannot be compared
+    assert compare.compare_csv(parent, "t,abs_c_1,re_c_1,qac_2\n0.0,1.0,0.5,nan\n")[:2] == (math.inf, False)
+    assert compare.compare_csv(parent, parent.replace("0.125,0.75", "0.125"))[:2] == (math.inf, False)
 
 
 def test_compare_outputs_on_arrays():
