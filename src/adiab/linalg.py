@@ -46,7 +46,6 @@ against general form (shared 2-core host, numpy 2.4, timeit min, K = 251 unless 
 - ``tracking._order_failure`` from four planes: 2.3 against 9.9 µs;
 - ``runner._perturbation_residual``'s two off-diagonal entries: 101 against 116 µs;
 - ``tracking._default_phases`` from the first row: 4.2 against 10.3 µs;
-- ``TimeGrid.samples`` as linspace's arithmetic: 3.3 against 5.5 µs, two grids per pair;
 - ``lattice_read``'s evenly spaced slice: 1.2 against 10.1 µs, as ``np.take`` copies the lattice;
 - ``diagnostics._row_norms``'s ``hypot`` redo, for range not speed: past 1.3e154 it stays finite.
 """
@@ -301,10 +300,11 @@ def stack_matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None)
     a[..., :, 1:2] * b[..., 1:2, :]`` over the whole stack above that (see the
     module docstring's forks); otherwise it is ``np.matmul``. Writes into ``out``
     when given and returns it; on the dim-2 path ``out`` must not share memory
-    with ``a`` or ``b``. A stack times a single matrix, on either side, gives
-    a stack in the stack's layout; left to itself numpy would lay out the
-    result of a stack times one (2, 2) matrix neither in C order nor
-    time-contiguous.
+    with ``a`` or ``b``. The result keeps the stack's layout, level axes
+    included, where numpy left to itself would not: a stack times one
+    (2, 2) matrix, on either side, would come out neither in C order nor
+    time-contiguous, and the broadcast form of two Fortran-order stacks
+    time-contiguous with its level axes swapped.
     """
     if a.shape[-1] != 2 or b.shape[-2] != 2:
         return np.matmul(a, b, out=out)
@@ -319,6 +319,10 @@ def stack_matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None)
             )
     if longer <= _EINSUM_MAX_STACK:
         return np.einsum("...ij,...jk->...ik", a, b, out=out)
-    out = np.multiply(a[..., :, 0:1], b[..., 0:1, :], out=out)
-    out += a[..., :, 1:2] * b[..., 1:2, :]
+    # Neither factor of a broadcast product has strides on both level axes, so
+    # numpy would order those axes as in C; ``order`` keeps the stack's layout.
+    stack = a if a.ndim >= b.ndim else b
+    order = "F" if stack.strides[0] < stack.strides[-1] else "C"
+    out = np.multiply(a[..., :, 0:1], b[..., 0:1, :], out=out, order=order)
+    out += np.multiply(a[..., :, 1:2], b[..., 1:2, :], order=order)
     return out

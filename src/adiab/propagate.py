@@ -45,11 +45,9 @@ class TimeGrid:
 
     The step h must be finite and at least 1e8 float spacings (ulps) of the
     larger endpoint, so samples, midpoints and half-step lattices resolve.
-    ``samples`` is formed once per grid and is read-only, since every layer
-    of a run shares the same array; copy it to change it. Its values are
-    bit for bit ``np.linspace(t_start, t_end, steps + 1)``: the same
-    arithmetic, k·h + t_start with the last sample set to ``t_end``, without
-    that function's Python-level set-up.
+    ``samples`` is ``np.linspace(t_start, t_end, steps + 1)``, formed once
+    per grid and read-only, since every layer of a run shares the same
+    array; copy it to change it.
     """
 
     t_start: float
@@ -78,10 +76,7 @@ class TimeGrid:
 
     @cached_property
     def samples(self) -> np.ndarray:
-        ts = np.arange(self.steps + 1, dtype=float)
-        ts *= self.h
-        ts += self.t_start
-        ts[-1] = self.t_end
+        ts = np.linspace(self.t_start, self.t_end, self.steps + 1)
         ts.flags.writeable = False
         return ts
 

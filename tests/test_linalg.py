@@ -229,11 +229,12 @@ STACK_LENGTHS = [1, 17, _EINSUM_MAX_STACK, _EINSUM_MAX_STACK + 1, 1000]
 
 
 def assert_layout(got, order):
-    # a d = 2 product keeps its inputs' layout; a length-1 axis has no layout
+    # a d = 2 product keeps its inputs' layout, level axes included; a
+    # length-1 stack has no layout
     if order == "F":
-        assert got.shape[0] == 1 or got.strides[0] == got.itemsize
+        assert got.shape[0] == 1 or got.flags.f_contiguous, got.strides
     else:
-        assert got.flags.c_contiguous
+        assert got.flags.c_contiguous, got.strides
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -244,6 +245,14 @@ class TestStackMatmulLengths:
     def test_matches_matmul(self, k, order):
         a = np.asarray(random_stack((k, 2, 2), 11), order=order)
         b = np.asarray(random_stack((k, 2, 2), 12), order=order)
+        got = stack_matmul(a, b)
+        assert_matmul(got, a, b)
+        assert_layout(got, order)
+
+    def test_non_square_right_operand(self, k, order):
+        # the projection pattern, (K, 2, 2) by (K, 2, 4)
+        a = np.asarray(random_stack((k, 2, 2), 19), order=order)
+        b = np.asarray(random_stack((k, 2, 4), 20), order=order)
         got = stack_matmul(a, b)
         assert_matmul(got, a, b)
         assert_layout(got, order)

@@ -362,6 +362,19 @@ class TestTransformedPair:
         }
         assert counts == {"transformed_hamiltonian": 2}
 
+    def test_lattice_operators_are_fortran_order(self):
+        # 250 steps: a 501-point lattice, past stack_matmul's einsum form, whose
+        # broadcast form must keep the lattice stacks' layout
+        grid = TimeGrid(0.0, 2.5, 250)
+        fine = grid.refined()
+        model_a = schwinger_model(SLOW)
+        model_b, lattice_a = marzlin_sanders_model(model_a, grid)
+        us = lattice_a.propagators
+        assert us.shape == (501, 2, 2) and us.flags.f_contiguous
+        assert transformed_hamiltonian(us, model_a.hamiltonian(fine.samples)).flags.f_contiguous
+        # a full read off the lattice is laid out as the lattice stack hs itself
+        assert model_b.hamiltonian(fine.samples).flags.f_contiguous
+
     @pytest.mark.parametrize(
         "pick",
         [
