@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -307,6 +308,36 @@ class TestCliCommands:
         assert rows[1][2:] == ["-"] * 5
         assert rows[0][-2:] == ["yes", "no"]
 
+    def test_batch_table_cells_read_the_reports(self, tmp_path, capsys):
+        # each ok row's value cells are its report's at 5 decimals: the peak
+        # off-level |c|, the largest |R|, the largest coupling ratio (|Q|) and
+        # the two regime flags, over a slow and a fast drive, the upper level
+        # tracked, and the transformed pair
+        batch_dir = tmp_path / "batch"
+        batch_dir.mkdir()
+        self._write(batch_dir, name="a_slow")
+        self._write(batch_dir, name="b_fast", omega=10.0, theta=0.1, t_end=1.0, steps=4000)
+        self._write(batch_dir, name="c_upper", n=2, theta=0.3)
+        self._write(batch_dir, name="d_pair", model="marzlin_sanders", omega=0.5, steps=1000)
+        out_dir = tmp_path / "out"
+        assert cli.main(["batch", str(batch_dir), "--out", str(out_dir)]) == cli.EXIT_OK
+        rows = self._summary_rows(capsys.readouterr().out)
+        assert [row[:2] for row in rows] == [[name, "ok"] for name in ("a_slow", "b_fast", "c_upper", "d_pair")]
+        flags_seen = set()
+        for name, _, *cells in rows:
+            report = json.loads((out_dir / f"{name}.report.json").read_text())
+            summary, regime = report["summary"], report["regime"]
+            off = [label for label in summary["max_abs_c"] if label != str(report["scenario"]["n"])]
+            maxima = (
+                max(summary["max_abs_c"][label] for label in off),
+                max(summary["max_abs_r"][label] for label in off),
+                max(summary["max_qac"][label] for label in off),
+            )
+            flags = (regime["adiabatic_approximation_holds"], regime["qac_violated"])
+            assert cells == [f"{x:.5f}" for x in maxima] + [("no", "yes")[f] for f in flags], name
+            flags_seen.add(flags)
+        assert len(flags_seen) > 1  # the flag cells are not all alike
+
     def test_batch_exits_with_highest_code(self, tmp_path, capsys, monkeypatch):
         batch_dir = tmp_path / "batch"
         batch_dir.mkdir()
@@ -517,6 +548,53 @@ class TestCliCommands:
         monkeypatch.setattr(cli, "run_scenario", lambda scenario: real)
         assert cli.main(["verify", str(scenario_path)]) == cli.EXIT_IDENTITY
         assert "decomposition" in capsys.readouterr().err
+
+
+# The ranges of the exit-contract fuzz: frequencies across the float range and
+# across a resolved one, cone angles, spans up to one whose ω·t overflows, and
+# step counts including one below the minimum; a few gauges are not gauges.
+FUZZ_THETAS = (0.0, 0.1, math.pi / 4, math.pi / 2, math.pi)
+FUZZ_SPANS = ((0.0, 1e-3), (0.0, 1.0), (-5.0, 40.0), (0.0, 1e6), (1e10, 1e10 + 1.0), (0.0, 1e300))
+SCENARIO_KEYS = ("schema_version", "name", "model", "omega0", "omega", "theta", "t_start", "t_end",
+                 "steps", "n", "gauge", "outputs", "thresholds")
+
+
+def fuzz_documents(count: int, seed: int) -> list:
+    """``count`` verify documents drawn from a seeded generator, the same on every run."""
+    rng = random.Random(seed)
+    docs = []
+    for i in range(count):
+        lo, hi = (-300, 300) if i % 2 == 0 else (-6, 7)
+        t_start, t_end = rng.choice(FUZZ_SPANS)
+        docs.append({
+            "model": rng.choice(("schwinger", "marzlin_sanders")),
+            "omega0": 10 ** rng.uniform(lo, hi),
+            "omega": 10 ** rng.uniform(lo, hi),
+            "theta": rng.choice(FUZZ_THETAS),
+            "t_start": t_start,
+            "t_end": t_end,
+            "steps": rng.choice((5, 50, 50, 50, 400)),
+            "n": rng.choice((1, 2)),
+            "gauge": rng.choice(("auto", "analytic-reference", "auto", "analytic-reference", "fancy")),
+        })
+    return docs
+
+
+def test_exit_contract_holds_under_fuzzing(tmp_path, capsys):
+    # derandomised, with no example database: every document exits 0, 1, 2 or 3,
+    # never 4, and every configuration error names the key it rejects
+    codes = []
+    for i, doc in enumerate(fuzz_documents(60, seed=1)):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["verify", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (doc, err)
+        if code == cli.EXIT_CONFIG:
+            key = err.removeprefix("configuration error: ").split(":", 1)[0]
+            assert err.startswith("configuration error: ") and key in SCENARIO_KEYS, (doc, err)
+        codes.append(code)
+    assert set(codes) == {0, 1, 2, 3}, codes  # the documents reach every contracted code
 
 
 class TestModuleEntryPoint:
