@@ -19,7 +19,7 @@ from adiab.linalg import ConvergenceError
 from adiab.models import SchwingerParams, random_smooth_model
 from adiab.propagate import TimeGrid
 from adiab.runner import RunReport, RunResult, emit_csv, run_pipeline, run_scenario
-from adiab.scenario import Scenario, ScenarioError, Thresholds, load_scenario, parse_scenario
+from adiab.scenario import _KNOWN_KEYS, Scenario, ScenarioError, Thresholds, load_scenario, parse_scenario
 from adiab.tracking import DegeneracyError, track
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -555,8 +555,6 @@ class TestCliCommands:
 # step counts including one below the minimum; a few gauges are not gauges.
 FUZZ_THETAS = (0.0, 0.1, math.pi / 4, math.pi / 2, math.pi)
 FUZZ_SPANS = ((0.0, 1e-3), (0.0, 1.0), (-5.0, 40.0), (0.0, 1e6), (1e10, 1e10 + 1.0), (0.0, 1e300))
-SCENARIO_KEYS = ("schema_version", "name", "model", "omega0", "omega", "theta", "t_start", "t_end",
-                 "steps", "n", "gauge", "outputs", "thresholds")
 
 
 def fuzz_documents(count: int, seed: int) -> list:
@@ -592,7 +590,7 @@ def test_exit_contract_holds_under_fuzzing(tmp_path, capsys):
         assert code in (0, 1, 2, 3), (doc, err)
         if code == cli.EXIT_CONFIG:
             key = err.removeprefix("configuration error: ").split(":", 1)[0]
-            assert err.startswith("configuration error: ") and key in SCENARIO_KEYS, (doc, err)
+            assert err.startswith("configuration error: ") and key in _KNOWN_KEYS, (doc, err)
         codes.append(code)
     assert set(codes) == {0, 1, 2, 3}, codes  # the documents reach every contracted code
 
