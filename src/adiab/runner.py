@@ -4,7 +4,13 @@ Outputs are deterministic: identical scenario documents produce
 byte-identical CSV and report files. Floats are rendered with Python's
 shortest round-trip repr, '.' radix, LF line endings. The CSV is written
 in blocks of rows, so its emission memory does not grow with the run;
-the bytes are those of one string of every float's repr.
+the bytes are those of one string of every float's repr. A block's text
+comes from ``_floatfmt``'s whole-array kernel: Schubfach's shortest digits
+in ``uint64`` arithmetic, laid out as repr lays them out. Subnormals,
+infinities and NaNs go to repr one by one. Subnormals do because their
+decimal can have fewer digits than the kernel lays out, and because
+Schubfach keeps two digits for the smallest of them where repr keeps one
+(4.9e-324 against 5e-324).
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from adiab._floatfmt import format_rows
 from adiab.diagnostics import DiagnosticsResult, run_diagnostics
 from adiab.linalg import stack_matmul
 from adiab.models import Model, schwinger_model
@@ -51,7 +58,7 @@ CN_TOL = 1e-7
 PERTURBATION_TOL = 1e-6
 INVERSE_TOL = 1e-6
 
-_CSV_BLOCK_FLOATS = 4096  # floats formatted and written per block of CSV rows
+_CSV_BLOCK_FLOATS = 1536  # floats per block of CSV rows; larger blocks' kernel temporaries page-fault
 
 
 @dataclass
@@ -315,9 +322,13 @@ def emit_csv(result: RunResult, path) -> Path:
     |Q_m| as ``qac_m``, the coupling ratio it equals. The rows go out in
     blocks of about ``_CSV_BLOCK_FLOATS`` floats, so the text held at once
     is one block's, whatever the run's length; only the |R| columns are
-    formed whole. Within a block each distinct bit pattern is formatted
-    once: equal bits are an equal float with an equal repr, so the bytes are
-    those of formatting every float.
+    formed whole. ``format_rows`` turns a whole block into its text, each
+    float exactly as repr gives it: the shortest digits of every normal
+    float are found at once with Schubfach's algorithm, and zeros have a
+    layout of their own. Subnormals, infinities and NaNs are formatted by
+    repr itself; a subnormal's significand lacks the hidden bit, so its
+    decimal can have fewer digits than the kernel lays out, and Schubfach
+    gives ``4.9e-324`` where repr gives ``5e-324``.
     """
     diag = result.pipeline.diagnostics
     n = diag.level
@@ -332,15 +343,11 @@ def emit_csv(result: RunResult, path) -> Path:
     table |= {"lambda_residual": diag.lam, "norm_error": diag.norm_error}
     columns = list(table.values())
     rows = max(1, _CSV_BLOCK_FLOATS // len(columns))
-    row_template = ",".join(["%s"] * len(columns)) + "\n"
     path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as out:
-        out.write(",".join(table) + "\n")
+    with path.open("wb") as out:
+        out.write((",".join(table) + "\n").encode("utf-8"))
         for start in range(0, len(diag.times), rows):
-            block = np.column_stack([column[start : start + rows] for column in columns])
-            bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
-            texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-            out.write((row_template * len(block)) % tuple(texts[inverse].tolist()))
+            out.write(format_rows(np.column_stack([column[start : start + rows] for column in columns])))
     return path
 
 

@@ -19,8 +19,9 @@ change H → W H W† and a shift H → H + a·1. They need no closed form, so
 they test the split above d = 2.
 
 ``one_string_csv`` is the CSV writer as it was before emission went out in
-row blocks: every float formatted, the whole file joined into one string.
-It is the byte reference for the block writer.
+row blocks: every float formatted by ``repr``, the whole file joined into
+one string. It is the byte reference for the block writer, and so also for
+the block float formatter that writer uses in place of ``repr``.
 
 ``rotate_gauge`` turns the gauge of a tracked path and, unlike the rest,
 rebuilds its derivatives with the tracker's own stencils: the gauge tests

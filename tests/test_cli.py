@@ -171,12 +171,17 @@ def _four_level_result() -> RunResult:
 
 
 # Floats whose repr is special: both zeros, NaNs of three bit patterns (all print
-# "nan"), both infinities, subnormals, and each side of the two points where repr
-# switches to exponent notation, 1e16 and 1e-5.
+# "nan"), both infinities, subnormals (the largest, both signs of the smallest),
+# each side of the two points where repr switches to exponent notation, 1e16 and
+# 1e-5, and each layout of the formatter: the smallest and largest normals, three-
+# digit exponents of both signs, 1e23 (its double lies below 10^23), and
+# an integral value positional to the digit.
 SPECIAL_FLOATS = np.array(
     [0.0, -0.0, math.nan, -math.nan, np.int64(0x7FF0000000000001).view(np.float64),
      math.inf, -math.inf, 5e-324, 2.2250738585072e-308, 1e16, 9999999999999998.0,
-     -1e16, 1e-5, 9.999999999999999e-06, 1.0000000000000001e-05, 0.0001, 0.1, -2.5]
+     -1e16, 1e-5, 9.999999999999999e-06, 1.0000000000000001e-05, 0.0001, 0.1, -2.5,
+     2.225073858507201e-308, -5e-324, 2.0**-1022, 1.7976931348623157e308, 1e-300,
+     -1.5e300, 1e23, 123456789012345.0]
 )
 
 
@@ -185,7 +190,7 @@ class TestCsvBlockWriter:
 
     @pytest.fixture(scope="class")
     def spanning_run(self):
-        # 701 rows at 13 floats: two full blocks of 315 rows and a partial one
+        # 701 rows at 13 floats: five full blocks of 118 rows and a partial one
         return run_scenario(parse_scenario(json.dumps(small_doc(name="blocks", steps=700))))
 
     # the shipped budget; one row per block; a few rows per block, the last one

@@ -147,3 +147,17 @@ def test_compare_outputs_on_arrays():
         row = compare.compare_arrays("d=3", arrays, other)
         assert not row["flags_equal"] and not compare.verdict([row], atol=1.0)
     assert not compare.compare_arrays("d=3", {}, {})["flags_equal"]  # both runs failed
+
+
+def test_check_float_repr_finds_no_mismatch(capsys):
+    check = _load("check_float_repr")
+    assert check.main(["--count", "30000", "--seed", "5"]) == 0
+    assert "30000 patterns, seed 5: 0 mismatches" in capsys.readouterr().out
+    # a wrong text is reported as a mismatch
+    values = np.array([0.1, 2.5])
+    real = check.format_rows
+    try:
+        check.format_rows = lambda block: real(block).replace(b"2.5", b"2.50")
+        assert check.mismatches(values) == [(b"2.5", b"2.50")]
+    finally:
+        check.format_rows = real
