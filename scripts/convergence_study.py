@@ -4,6 +4,8 @@
 Propagates the slow rotating-field drive against its closed-form solution
 at a ladder of step counts and prints the worst amplitude error and the
 error ratio between successive refinements (4.0 for a second-order rule).
+The closed form is the test oracle's, ``tests/oracles.amplitudes``: the
+script puts ``tests/`` on ``sys.path``, as pytest does, and imports it.
 
 A practical default when picking step counts by hand: about 1000 steps per
 unit of max(omega0, omega) * span keeps the amplitude error near 1e-6 on
@@ -13,10 +15,14 @@ desk-scale runs.
 import argparse
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from adiab.models import SchwingerParams, schwinger_analytic_amplitudes, schwinger_model
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from oracles import amplitudes
+from adiab.models import SchwingerParams, schwinger_model
 from adiab.propagate import TimeGrid, evolve
 
 
@@ -27,7 +33,7 @@ def amplitude_error(params: SchwingerParams, t_end: float, steps: int) -> float:
     traj = evolve(model, v0[:, 0], grid)
     vectors = model.analytic_eigensystem(grid.samples)[1]
     c = np.einsum("kji,kj->ki", vectors.conj(), traj.states)
-    c1, c2 = schwinger_analytic_amplitudes(params, grid.samples)
+    c1, c2 = amplitudes(params, grid.samples)
     return max(float(np.max(np.abs(c[:, 0] - c1))), float(np.max(np.abs(c[:, 1] - c2))))
 
 

@@ -93,10 +93,6 @@ class DiagnosticsResult:
     def dim(self) -> int:
         return self.c.shape[1]
 
-    def fidelity(self) -> np.ndarray:
-        """|c_n(t)|: overlap magnitude with the phase-dressed eigenstate."""
-        return np.abs(self.c[:, self.level])
-
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms over axis 1, bit for bit ``np.linalg.norm(x, axis=1)``.

@@ -42,6 +42,10 @@ against general form (shared 2-core host, numpy 2.4, timeit min, K = 251 unless 
 - the layout rule above;
 - ``stack_matmul``'s two forms: 3.1 against 6.3 µs at K = 4, 22.6 against 27.6 at K = 1 000;
 - ``stack_matmul``'s length of two stacks from their first axes: 0.3 against 0.6 µs;
+- ``stack_matmul``'s einsum form left in the operands' level order, not forced to Fortran
+  order: ``order="F"`` took 9.7 against 7.8 µs for V†·B at K = 251, where a ``pair``
+  operation makes 16 of its 42 calls, so forcing it would cost about 30 µs of that round;
+  only time-contiguity is relied on, and both forms keep it;
 - ``_hermitian_defects`` from three planes: 0.72 against 2.7 ms at K = 40 001;
 - ``tracking._order_failure`` from four planes: 2.3 against 9.9 µs;
 - ``runner._perturbation_residual``'s two off-diagonal entries: 101 against 116 µs;
@@ -300,11 +304,15 @@ def stack_matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None)
     a[..., :, 1:2] * b[..., 1:2, :]`` over the whole stack above that (see the
     module docstring's forks); otherwise it is ``np.matmul``. Writes into ``out``
     when given and returns it; on the dim-2 path ``out`` must not share memory
-    with ``a`` or ``b``. The result keeps the stack's layout, level axes
-    included, where numpy left to itself would not: a stack times one
-    (2, 2) matrix, on either side, would come out neither in C order nor
-    time-contiguous, and the broadcast form of two Fortran-order stacks
-    time-contiguous with its level axes swapped.
+    with ``a`` or ``b``. A product of time-contiguous stacks is
+    time-contiguous in both forms, and one of C-order stacks C order. The
+    level axes follow the form: the broadcast form is Fortran order, where
+    numpy left to itself would swap them, but the einsum form orders them
+    as the operands' strides do, so V†·B of two Fortran-order stacks comes
+    out time-contiguous and not Fortran order (see the module docstring's
+    forks). A stack times one (2, 2) matrix, on either side, is allocated
+    like the stack, where numpy would make it neither C order nor
+    time-contiguous.
     """
     if a.shape[-1] != 2 or b.shape[-2] != 2:
         return np.matmul(a, b, out=out)

@@ -2,9 +2,10 @@
 
 The rotating-field two-level model is exactly solvable. Its closed-form
 eigensystem ships alongside the matrix form as the tracker's phase
-reference in the analytic gauge, and its closed-form transition amplitudes
-serve the step-size study. Eigenvector derivatives are not shipped: the
-tracker takes them from stencils. Natural units are used throughout
+reference in the analytic gauge. Its closed-form transition amplitudes are
+not shipped: nothing on a run reads them, and the tests and the step-size
+study take them from the test oracles. Eigenvector derivatives are not
+shipped either: the tracker takes them from stencils. Natural units are used throughout
 (hbar = 1), so every frequency is an energy.
 
 Every function of time takes a scalar or an array of times and stacks one
@@ -25,11 +26,9 @@ from adiab.linalg import stack_matmul
 __all__ = [
     "SchwingerParams",
     "Model",
-    "effective_rabi_frequency",
     "schwinger_hamiltonian",
     "schwinger_hamiltonian_derivative",
     "schwinger_analytic_eigensystem",
-    "schwinger_analytic_amplitudes",
     "schwinger_model",
     "custom_model",
     "random_smooth_model",
@@ -60,22 +59,6 @@ class SchwingerParams:
             raise ValueError(f"omega: must be nonnegative and finite, got {self.omega}")
         if not (math.isfinite(self.theta) and 0.0 <= self.theta <= math.pi):
             raise ValueError(f"theta: must lie in [0, pi], got {self.theta}")
-
-
-def effective_rabi_frequency(p: SchwingerParams) -> float:
-    """sqrt(omega0^2 + omega^2 - 2*omega0*omega*cos(theta)).
-
-    Evaluated as sqrt((omega0 - omega)^2 + 4*omega0*omega*sin^2(theta/2)),
-    which has no cancellation when omega ~ omega0 and theta ~ 0.
-    """
-    detuning = p.omega0 - p.omega
-    return math.sqrt(detuning * detuning + 4.0 * p.omega0 * p.omega * _half_sin_sq(p.theta))
-
-
-def _half_sin_sq(theta: float) -> float:
-    # sin^2(theta/2) = (1 - cos(theta))/2 without the cancellation near 0.
-    s = math.sin(0.5 * theta)
-    return s * s
 
 
 def _phase(x) -> np.ndarray:
@@ -120,7 +103,7 @@ def schwinger_analytic_eigensystem(p: SchwingerParams, t) -> tuple[np.ndarray, n
     """Closed-form eigenvalues (-omega0/2, +omega0/2) and eigenvector columns.
 
     The eigenvector phases carry e^{∓iωt/2} factors; this is the fixed gauge
-    in which all closed-form amplitudes below are stated.
+    in which the closed-form amplitudes of the test oracles are stated.
     """
     half_sin = math.sin(0.5 * p.theta)
     half_cos = math.cos(0.5 * p.theta)
@@ -130,28 +113,6 @@ def schwinger_analytic_eigensystem(p: SchwingerParams, t) -> tuple[np.ndarray, n
     w[..., 0] = -0.5 * p.omega0
     w[..., 1] = 0.5 * p.omega0
     return w, _two_by_two(up * half_sin, up * half_cos, -dn * half_cos, dn * half_sin)
-
-
-def schwinger_analytic_amplitudes(p: SchwingerParams, t):
-    """Closed-form (c1, c2) for a run started in the lower eigenstate.
-
-    c1 = cos(ω̃t/2) + i sin(ω̃t/2) (omega0 - omega cos θ)/ω̃
-    c2 = i (omega/ω̃) sin θ sin(ω̃t/2)
-
-    ``t`` may be a scalar or an array, and each amplitude is shaped like it;
-    |c1|^2 + |c2|^2 == 1 identically.
-    """
-    t = np.asarray(t, dtype=float)
-    wt = effective_rabi_frequency(p)
-    half = 0.5 * wt * t
-    if wt > 1e-300:
-        ratio = np.sin(half) / wt
-    else:
-        ratio = 0.5 * t  # sin(x)/x limit for a vanishing effective frequency
-    # omega0 - omega cos(theta), written without cancellation.
-    c1 = np.cos(half) + 1j * ((p.omega0 - p.omega) + 2.0 * p.omega * _half_sin_sq(p.theta)) * ratio
-    c2 = 1j * p.omega * math.sin(p.theta) * ratio
-    return c1, c2
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,12 @@ class Thresholds:
     adiabatic_max_c: float = 0.15
     qac_violation: float = 0.4
 
+    def __post_init__(self):
+        for key in sorted(_THRESHOLD_KEYS):
+            value = getattr(self, key)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise ScenarioError(f"thresholds.{key}: expected a positive number, got {value!r}")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -101,6 +107,16 @@ class Scenario:
     outputs: tuple[str, ...] = OUTPUT_KINDS
 
     def __post_init__(self):
+        # The name names the output files, so it must stay inside the output directory.
+        if not isinstance(self.name, str) or not self.name:
+            raise ScenarioError(f"name: expected a nonempty string, got {self.name!r}")
+        if "/" in self.name or "\0" in self.name or self.name in (".", ".."):
+            raise ScenarioError(f"name: expected a plain file name, got {self.name!r}")
+        if not isinstance(self.outputs, tuple) or not self.outputs:
+            raise ScenarioError(f"outputs: expected a nonempty list, got {self.outputs!r}")
+        for item in self.outputs:
+            if item not in OUTPUT_KINDS:
+                raise ScenarioError(f"outputs: expected entries from {list(OUTPUT_KINDS)}, got {item!r}")
         if self.model_kind not in MODEL_KINDS:
             raise ScenarioError(f"model: expected one of {list(MODEL_KINDS)}, got {self.model_kind!r}")
         if self.gauge not in GAUGE_MODES:
@@ -159,9 +175,11 @@ def _integer(doc: dict, key: str) -> int:
 def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
     """Parse and validate a JSON scenario document.
 
-    Types, the name and the thresholds are checked here; the model, grid,
-    level and gauge ranges are checked once, by ``Scenario`` and
-    ``SchwingerParams``.
+    Only the document's shape is checked here: an object, no unknown keys,
+    numbers where numbers go, a list of outputs and an object of
+    thresholds. Every range and rule is checked once, by ``Scenario``,
+    ``Thresholds`` and ``SchwingerParams``, so a scenario built directly
+    meets the same rules.
     """
     try:
         doc = json.loads(text)
@@ -188,18 +206,9 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
     steps = _integer(doc, "steps")
     level = _integer(doc, "n")
 
-    name = doc.get("name", default_name)
-    if not isinstance(name, str) or not name:
-        raise ScenarioError(f"name: expected a nonempty string, got {name!r}")
-    if "/" in name or "\0" in name or name in (".", ".."):
-        raise ScenarioError(f"name: expected a plain file name, got {name!r}")
-
     outputs = doc.get("outputs", list(OUTPUT_KINDS))
-    if not isinstance(outputs, list) or not outputs:
+    if not isinstance(outputs, list):
         raise ScenarioError(f"outputs: expected a nonempty list, got {outputs!r}")
-    for item in outputs:
-        if item not in OUTPUT_KINDS:
-            raise ScenarioError(f"outputs: expected entries from {list(OUTPUT_KINDS)}, got {item!r}")
 
     thresholds_doc = doc.get("thresholds", {})
     if not isinstance(thresholds_doc, dict):
@@ -207,12 +216,7 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
     bad = sorted(set(thresholds_doc) - _THRESHOLD_KEYS)
     if bad:
         raise ScenarioError(f"thresholds.{bad[0]}: unknown key")
-    values = {}
-    for key in sorted(thresholds_doc):
-        value = _number(f"thresholds.{key}", thresholds_doc[key])
-        if not value > 0:
-            raise ScenarioError(f"thresholds.{key}: expected a positive number, got {value!r}")
-        values[key] = value
+    values = {key: _number(f"thresholds.{key}", thresholds_doc[key]) for key in sorted(thresholds_doc)}
     thresholds = Thresholds(**values)
 
     try:
@@ -221,7 +225,7 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
         raise ScenarioError(str(exc)) from exc
 
     return Scenario(
-        name=name,
+        name=doc.get("name", default_name),
         model_kind=model_kind,
         params=params,
         t_start=t_start,

@@ -7,6 +7,10 @@ residual checks against H itself). No library path builder is used either:
 ``closed_form_path`` assembles its spectral path from those columns and
 hand-written derivatives, with no eigensolver and no stencil.
 
+The closed-form amplitudes, ``amplitudes`` and ``rabi_frequency``, have
+their one copy here: the library does not ship them, and the step-size
+study ``scripts/convergence_study.py`` imports them from this module.
+
 The two report checks are also kept here in the ``einsum`` forms the runner
 used before its products went through ``linalg.stack_matmul``, as references
 for the kernel forms, and so is the eigendecomposition form of exp(-i s H),
@@ -68,15 +72,41 @@ def eigh_exponential(h, s: float) -> np.ndarray:
 
 
 def rabi_frequency(p: SchwingerParams) -> float:
-    return np.sqrt(p.omega0**2 + p.omega**2 - 2.0 * p.omega0 * p.omega * np.cos(p.theta))
+    """sqrt(omega0^2 + omega^2 - 2*omega0*omega*cos(theta)), the effective Rabi frequency.
+
+    Evaluated as sqrt((omega0 - omega)^2 + 4*omega0*omega*sin^2(theta/2)),
+    which has no cancellation when omega ~ omega0 and theta ~ 0.
+    """
+    detuning = p.omega0 - p.omega
+    return math.sqrt(detuning * detuning + 4.0 * p.omega0 * p.omega * _half_sin_sq(p.theta))
+
+
+def _half_sin_sq(theta: float) -> float:
+    # sin^2(theta/2) = (1 - cos(theta))/2 without the cancellation near 0.
+    s = math.sin(0.5 * theta)
+    return s * s
 
 
 def amplitudes(p: SchwingerParams, t):
-    """(c1, c2) of a run started in the lower level, written out by hand."""
+    """Closed-form (c1, c2) of a run started in the lower level (Schwinger 1937).
+
+    c1 = cos(ω̃t/2) + i sin(ω̃t/2) (omega0 - omega cos θ)/ω̃
+    c2 = i (omega/ω̃) sin θ sin(ω̃t/2)
+
+    ``t`` may be a scalar or an array, and each amplitude is shaped like it;
+    |c1|^2 + |c2|^2 == 1 identically. omega0 - omega cos θ is written as
+    (omega0 - omega) + 2 omega sin^2(θ/2), without cancellation, and
+    sin(ω̃t/2)/ω̃ takes its limit t/2 as ω̃ vanishes.
+    """
     t = np.asarray(t, dtype=float)
     wt = rabi_frequency(p)
-    c1 = np.cos(wt * t / 2) + 1j * np.sin(wt * t / 2) * (p.omega0 - p.omega * np.cos(p.theta)) / wt
-    c2 = 1j * (p.omega / wt) * np.sin(p.theta) * np.sin(wt * t / 2)
+    half = 0.5 * wt * t
+    if wt > 1e-300:
+        ratio = np.sin(half) / wt
+    else:
+        ratio = 0.5 * t
+    c1 = np.cos(half) + 1j * ((p.omega0 - p.omega) + 2.0 * p.omega * _half_sin_sq(p.theta)) * ratio
+    c2 = 1j * p.omega * math.sin(p.theta) * ratio
     return c1, c2
 
 

@@ -86,12 +86,22 @@ class TestParseScenario:
             ({"t_start": math.nan}, "t_start: must be finite, got nan"),
             ({"t_end": math.inf}, "t_end: must be finite, got inf"),
             ({"t_start": 3.0, "t_end": 2.0}, "t_end: t_end (2.0) must exceed t_start (3.0)"),
+            ({"name": "../evil"}, "name: expected a plain file name, got '../evil'"),
+            ({"name": ""}, "name: expected a nonempty string, got ''"),
+            ({"outputs": ("pdf",)}, "outputs: expected entries from ['csv', 'report'], got 'pdf'"),
+            ({"outputs": ()}, "outputs: expected a nonempty list, got ()"),
+            ({"thresholds": {"margin": math.nan}}, "thresholds.margin: expected a positive number, got nan"),
+            ({"thresholds": {"qac_violation": -1.0}},
+             "thresholds.qac_violation: expected a positive number, got -1.0"),
         ],
     )
     def test_direct_construction_names_the_key(self, fields, message):
+        # the parser's rules hold for a Scenario or Thresholds built without it;
+        # a "thresholds" entry holds the keyword arguments of a Thresholds
         args = dict(name="direct", model_kind="schwinger", params=SchwingerParams(1.0, 0.1, 0.5),
                     t_start=0.0, t_end=2.0, steps=50, level=1)
         with pytest.raises(ScenarioError) as caught:
+            fields = dict(fields, thresholds=Thresholds(**fields.get("thresholds", {})))
             Scenario(**dict(args, **fields))
         assert str(caught.value) == message
 

@@ -108,7 +108,8 @@ class TestAdiabaticState:
         assert max_abs(adi - expected) <= 1e-12
 
     def test_slow_drive_fidelity_stays_high(self, slow_run):
-        assert np.min(slow_run.pipeline.diagnostics.fidelity()) >= 0.99
+        diag = slow_run.pipeline.diagnostics
+        assert np.min(np.abs(diag.c[:, diag.level])) >= 0.99
 
 
 class TestDifferenceVector:

@@ -291,6 +291,19 @@ class TestStackMatmulLengths:
         assert_layout(got, order)
 
 
+@pytest.mark.parametrize("k", STACK_LENGTHS[1:])
+def test_conjugate_transposed_product_is_time_contiguous(k):
+    # V†·B, diagnostics' projection: the einsum form orders the level axes as the
+    # operands' strides do, not in Fortran order, but in both forms the time axis
+    # stays innermost, the layout the run's inner loops rely on
+    v = np.asfortranarray(random_stack((k, 2, 2), 21))
+    b = np.asfortranarray(random_stack((k, 2, 4), 22))
+    vh = v.conj().swapaxes(-2, -1)
+    got = stack_matmul(vh, b)
+    assert_matmul(got, vh, b)
+    assert got.strides[0] == got.itemsize, got.strides
+
+
 def rabi_rotation_per_entry(h, s):
     """The d = 2 closed form, each entry formed on its own: the reference for its bits."""
     a0, az, b, _, r = _pauli_split(h)

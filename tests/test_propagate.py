@@ -447,7 +447,8 @@ class TestTransformedPair:
         propagators_a = lattice.propagators[::2]
         path = track(model_a, grid, "analytic" if gauge == "analytic-reference" else "transport")
         psi0 = path.eigenvectors[0, :, n] / np.linalg.norm(path.eigenvectors[0, :, n])
-        fidelity = run_diagnostics(propagators_a @ psi0, path, n).fidelity()
+        diag_a = run_diagnostics(propagators_a @ psi0, path, n)
+        fidelity = np.abs(diag_a.c[:, diag_a.level])
         block = result.report.marzlin_sanders
         assert abs(block["min_fidelity_system_a"] - float(np.min(fidelity))) <= 1e-15
 
@@ -575,3 +576,21 @@ class TestTransformedPair:
         assert max_abs(np.abs(da.r[:, 1]) - np.abs(dr.r[:, 1])) <= 1e-7
         assert max_abs(da.qac[:, 1] - dr.qac[:, 1]) <= 1e-7
         assert auto.report.regime == ref.report.regime
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_system_b_fidelity_is_the_summary_min_fidelity(self, level):
+        # the shipped pair, shortened: B's min |c_n| is formed once, by the summary,
+        # and the pair block reads it from there, keys in their report order
+        doc = dict(json.loads(SHIPPED_PAIR.read_text()), steps=1200, t_end=1.2, n=level)
+        report = run_scenario(parse_scenario(json.dumps(doc))).report
+        block, min_fidelity = report.marzlin_sanders, report.summary["min_fidelity"]
+        assert list(block) == [
+            "max_inverse_residual",
+            "min_fidelity_system_a",
+            "min_fidelity_system_b",
+            "system_b_loses_adiabaticity",
+            "system_a_stays_adiabatic",
+        ]
+        assert block["min_fidelity_system_b"] == min_fidelity
+        assert block["system_b_loses_adiabaticity"] == (min_fidelity < 0.9)
+        assert list(report.to_dict())[-1] == "marzlin_sanders"
