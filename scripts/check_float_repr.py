@@ -6,7 +6,8 @@
 Draws N uniform 64-bit patterns (every sign and exponent: normals, and the
 subnormals, infinities and NaNs that the formatter hands to ``repr``) in
 chunks of 2^20 from ``numpy.random.default_rng(S)``, formats each chunk as a
-one-column block, and compares every value's text with ``repr``. It prints
+one-column block (the formatter walks it in its own chunks of whole rows),
+and compares every value's text with ``repr``. It prints
 the count, the seed, the mismatches and the time, names the first few
 mismatches, and exits 1 if there is any. Needs ``src`` on ``PYTHONPATH``.
 """
@@ -20,13 +21,11 @@ import numpy as np
 from adiab._floatfmt import format_rows
 
 CHUNK = 1 << 20
-BLOCK = 1 << 14  # values per formatter call
 
 
 def mismatches(values: np.ndarray) -> list:
     """(repr, formatter text) of every value whose two texts differ."""
-    column = values[:, np.newaxis]
-    got = b"".join([format_rows(column[i : i + BLOCK]) for i in range(0, len(values), BLOCK)])
+    got = format_rows(values[:, np.newaxis])
     want = "".join([f"{v!r}\n" for v in values.tolist()]).encode()
     if got == want:
         return []

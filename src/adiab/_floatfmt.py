@@ -35,15 +35,40 @@ The tables are built on the first call of ``_tables``, not at import: g
 for the 617 decimal exponents k, in Python ints, spread with k and the
 product's shift over the 4 096 cases of exponent field and power of two;
 the digit and exponent characters; the layouts by decpt; the templates.
+
+Every array the kernel forms lives in one workspace per thread, sized for
+``CAPACITY`` floats and kept in a ``threading.local``: each numpy step
+writes into it with ``out=``, so a call allocates no temporary of the
+block's size and the allocator never returns and re-faults its pages (the
+one allocation left is a gather slice's text, under 13 kB). The workspace
+is built on the first block a thread formats, as the tables are, and
+holds 2.55 MB for the life of the thread: 296 bytes a float, and 128 kB
+for one gather slice. A longer block is formatted in chunks of whole rows
+of at most ``CAPACITY`` floats, or of ``CAPACITY`` floats of a row wider
+than that. ``texts`` yields each chunk's text as a view of the workspace,
+which ``emit_csv`` writes without a copy; ``format_rows`` joins them into
+bytes. A thread formats one block at a time: a chunk's view is
+overwritten by the next chunk of any block.
 """
 
 from __future__ import annotations
 
+import threading
+from bisect import bisect_left
 from functools import cache
+from typing import Iterator
 
 import numpy as np
 
-__all__ = ["format_rows"]
+__all__ = ["CAPACITY", "block_buffer", "format_rows", "texts"]
+
+# Floats per kernel call, and the size of the workspace (296 bytes a float).
+# In a sweep of the `panels` benchmark (8 s runs, seeds 31-33, 2-core host),
+# 4 096, 6 144, 8 192, 12 288 and 16 384 raised peak RSS by 1.4, 1.9, 2.5,
+# 3.6 and 4.0 MB over 1 536-float blocks of an allocating kernel, and the
+# throughput by 8-21 %, 14-22 %, 8-25 %, 13-28 % and 24-30 %; 8 192 is the
+# largest that keeps the rise under 3 MB.
+CAPACITY = 8192
 
 _K_MIN, _K_MAX = -324, 292  # the decimal exponents k that normal doubles need
 _DIGITS = 17  # a normal double's decimal, scaled to 17 digits
@@ -54,15 +79,20 @@ _GATHER = 512  # values gathered per index array
 
 # Bytes of a value's record, seven words of four: digits 2..17, then the
 # leading digit and ".e-", then "+0", the separator and a NUL, then the
-# three exponent digits and a NUL.
+# three exponent digits and a NUL. Word j of value i is row j, column i of
+# the workspace's (7, CAPACITY) words.
 _RECORD = 28
 _LEAD, _DOT, _E, _MINUS, _PLUS, _ZERO, _SEP, _NUL, _EXP = 16, 17, 18, 19, 20, 21, 22, 23, 24
-_LEAD_WORD = np.frombuffer(b"0.e-", dtype=np.uint32)[0]
+_COMMA_WORD, _NEWLINE_WORD = np.frombuffer(b"+0,\0+0\n\0", dtype=np.uint32)
+_LEAD_WORDS = np.frombuffer(b"".join(b"%d.e-" % d for d in range(10)), dtype=np.uint32)
 _GROUP_ROWS = np.arange(0, 40000, 10000)[:, np.newaxis]  # each group's row of the lengths
 _ZEROS = 2 * (_DIGITS + 1) * _LAYOUTS  # the templates of 0.0 and -0.0
 
 _M32 = np.uint64(0xFFFFFFFF)
 _M63 = np.uint64(2**63 - 1)
+_FRACTION = np.uint64((1 << 52) - 1)
+_HIDDEN = np.uint64(1 << 52)
+_STEPS = np.array([[10], [1]], dtype=np.uint64)  # from each candidate below to the one above
 
 
 def _layout(negative: bool, n: int, layout: int) -> list:
@@ -100,16 +130,18 @@ def _powers_of_ten() -> list:
 
 @cache
 def _tables() -> tuple:
-    """(binades, group chars, exponent chars, group lengths, layouts, templates), read-only.
+    """(binades, group chars, exponent chars, group lengths, layouts, templates, offsets), read-only.
 
     ``binades[:, e]`` holds, for the biased exponent e & 2047 and, when e >= 2048,
     a zero fraction field: the 32-bit halves of g0 and g1 (g = g1·2^63 + g0,
-    taken from the 617 powers of ten), g1 itself, the shift h, the decimal
-    exponent k, and how far below 4c the rounding interval reaches (2, or 1
+    taken from the 617 powers of ten), the decimal exponent k, g1 itself,
+    the shift h, and how far below 4c the rounding interval reaches (2, or 1
     for a power of two above the smallest binade). Exponent fields 0 and
     2047 take the entries of 1 and 2046; their values go to ``repr``. The
     group and exponent characters are words of four bytes, indexed by a
-    group's value and by |decpt - 1|.
+    group's value and by |decpt - 1|. A template lists the byte positions of
+    its text in the workspace's words for value 0; row i of ``offsets`` moves
+    them to value i of a gather slice.
     """
     g = _powers_of_ten()
     binades = []
@@ -119,7 +151,7 @@ def _tables() -> tuple:
         k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
         h = q + ((-k * 913_124_641_741) >> 38) + 2
         g0, g1 = g[k - _K_MIN] & (2**63 - 1), g[k - _K_MIN] >> 63
-        binades.append([g0 % 2**32, g1 % 2**32, g0 >> 32, g1 >> 32, g1, h, k % 2**64, 2 - irregular])
+        binades.append([g0 % 2**32, g1 % 2**32, g0 >> 32, g1 >> 32, k % 2**64, g1, h, 2 - irregular])
     binades = np.array(binades, dtype=np.uint64).T.copy()
 
     group = np.arange(10000)
@@ -145,106 +177,260 @@ def _tables() -> tuple:
     ]
     rows += [[_ZERO, _DOT, _ZERO, _SEP], [_MINUS, _ZERO, _DOT, _ZERO, _SEP]]
     templates = np.array([row + [_NUL] * (_WIDTH - len(row)) for row in rows], dtype=np.int64)
+    templates = (templates >> 2) * (4 * CAPACITY) + (templates & 3)  # record byte -> word row, byte
+    # 4i on row i, stored whole: numpy buffers an add with a broadcast (rows, 1) column
+    offsets = np.repeat(4 * np.arange(_GATHER)[:, np.newaxis], _WIDTH, axis=1)
     words = chars.T.copy().view(np.uint32).ravel(), exponent_chars.view(np.uint32).ravel()
-    tables = (binades, *words, lengths, layouts, templates)
+    tables = (binades, *words, lengths, layouts, templates, offsets)
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-def _shortest(bits: np.ndarray) -> tuple:
-    """Schubfach's shortest decimal f·10^k of normal doubles, as (f, k)."""
-    t = bits & np.uint64((1 << 52) - 1)
-    exponent = (bits >> 52) & 0x7FF
-    binade = _tables()[0].take(exponent + (t == 0) * np.uint64(2048), axis=1)
+_U64_ROWS, _FLAG_ROWS = 31, 7  # the workspace's uint64 and bool rows
+
+
+class _Workspace:
+    """Every array the kernel forms, for up to ``CAPACITY`` floats.
+
+    ``values`` holds a block that a caller stacks into it. The kernel's
+    per-value arrays are rows of ``u64``, ``flags`` and ``u8``, viewed as
+    (rows, count) for a call of count floats, so that every run of rows is
+    contiguous; a row is reused once its value is spent, and the compact
+    text takes rows 16-19 of ``u64``. ``words`` has rows of CAPACITY, as
+    the templates' byte positions assume. ``index``, ``gathered`` and
+    ``mask`` hold one gather slice.
+    """
+
+    def __init__(self) -> None:
+        self.values = np.empty(CAPACITY)
+        self.u64 = np.empty(_U64_ROWS * CAPACITY, dtype=np.uint64)
+        self.flags = np.empty(_FLAG_ROWS * CAPACITY, dtype=bool)
+        self.u8 = np.empty(5 * CAPACITY, dtype=np.uint8)
+        self.words = np.empty((_RECORD // 4, CAPACITY), dtype=np.uint32)
+        self.index = np.empty((_GATHER, _WIDTH), dtype=np.int64)
+        self.gathered = np.empty((_GATHER, _WIDTH), dtype=np.uint8)
+        self.mask = np.empty((_GATHER, _WIDTH), dtype=bool)
+
+
+_local = threading.local()
+
+
+def _workspace() -> _Workspace:
+    """This thread's workspace, built on its first call."""
+    try:
+        return _local.workspace
+    except AttributeError:
+        _local.workspace = _Workspace()
+        return _local.workspace
+
+
+def _shortest(bits: np.ndarray, r: np.ndarray, flag: np.ndarray) -> tuple:
+    """Schubfach's shortest decimal f·10^k of normal doubles, as (f, k).
+
+    f and k are rows 0 and 6 of the (31, count) uint64 rows ``r``; every
+    other row of ``r``, and rows 0-3 of the bool rows ``flag``, are scratch.
+    """
+    count = len(bits)
+    c, e, binade = r[0], r[1], r[2:10]
+    np.bitwise_and(bits, _FRACTION, out=c)
+    np.right_shift(bits, 52, out=e)
+    e &= 0x7FF
+    np.equal(c, 0, out=flag[0])
+    np.add(e, 2048, out=e, where=flag[0])
+    _tables()[0].take(e.view(np.int64), axis=1, out=binade, mode="clip")
     g_lo, g_hi = binade[0:2, np.newaxis], binade[2:4, np.newaxis]
-    g1, h, k, lower = binade[4:]
-    c = t | np.uint64(1 << 52)
+    k, g1, h, lower = binade[4:]
+    c |= _HIDDEN
     # v and the two ends of its interval, times 4·2^h, each times g0 and g1
-    cb = c << 2
-    cp = np.array([cb, cb - lower, cb + 2])
-    cp <<= h
-    # high 64 bits of the 128-bit products, from 32-bit limbs
-    cp_lo, cp_hi = cp & _M32, cp >> 32
-    u = g_lo * cp_lo
+    cp_hi, cp = r[10:13], r[13:16]
+    np.left_shift(c, 2, out=cp[0])
+    np.subtract(cp[0], lower, out=cp[1])
+    np.add(cp[0], 2, out=cp[2])
+    np.left_shift(cp, h, out=cp)
+    z = binade[5:8]  # the rows of g1, h and lower, each spent before z overwrites it
+    for j in (2, 1, 0):
+        np.multiply(g1, cp[j], out=z[j])
+    # high 64 bits of the 128-bit products, from 32-bit limbs; once the middle
+    # sums u are formed, cp's low limbs are spent and high takes their rows
+    np.right_shift(cp, 32, out=cp_hi)
+    cp &= _M32
+    u, v = r[19:25].reshape(2, 3, count), r[25:31].reshape(2, 3, count)
+    np.multiply(g_lo, cp, out=u)
     u >>= 32
-    u += g_hi * cp_lo
-    high = u & _M32
-    high += g_lo * cp_hi
+    np.multiply(g_hi, cp, out=v)
+    u += v
+    high = r[13:19].reshape(2, 3, count)
+    np.bitwise_and(u, _M32, out=high)
+    np.multiply(g_lo, cp_hi, out=v)
+    high += v
     high >>= 32
     u >>= 32
     high += u
-    high += g_hi * cp_hi
+    np.multiply(g_hi, cp_hi, out=v)
+    high += v
     # floor(g·cp / 2^127), its lost bits folded into the lowest bit (round to odd)
-    z = g1 * cp
     z >>= 1
     z += high[0]
-    vb, vbl, vbr = (high[1] + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+    bounds = high[1]
+    vb, vbl, vbr = bounds
+    np.right_shift(z, 63, out=u[0])
+    bounds += u[0]
+    z &= _M63
+    z += _M63
+    z >>= 63
+    bounds |= z
 
     # The candidates below v: the multiple of 10^(k+1), then of 10^k; the
     # interval holds both ends' candidates, or one, or neither. An odd c
     # leaves the interval's own ends out.
-    out = c & 1
-    s = vb >> 2
-    below = np.array([s // 10 * 10, s])
-    above = below + np.array([[10], [1]], dtype=np.uint64)
-    below_in = vbl + out <= below << 2
-    one_in = below_in != ((above << 2) + out <= vbr)
-    picked = np.where(below_in, below, above)
+    out = e
+    np.bitwise_and(c, 1, out=out)
+    below, above, wide, t1, t2 = r[19:21], r[21:23], r[25:27], r[2], r[3]
+    s = below[1]
+    np.right_shift(vb, 2, out=s)
+    np.floor_divide(s, 10, out=below[0])
+    below[0] *= 10
+    np.add(below, _STEPS, out=above)
+    below_in, one_in = flag[0:2], flag[2:4]
+    np.add(vbl, out, out=t1)
+    np.left_shift(below, 2, out=wide)
+    np.less_equal(t1, wide, out=below_in)
+    np.left_shift(above, 2, out=wide)
+    wide += out
+    np.less_equal(wide, vbr, out=one_in)
+    np.not_equal(below_in, one_in, out=one_in)
+    np.copyto(above, below, where=below_in)  # the picked candidates
     # both or neither of s and s + 1: the nearer to v, the even one on a tie
-    nearest = s + (vb + (s & 1) > (s << 2) + 2)
-    f = np.where(one_in[0], picked[0], np.where(one_in[1], picked[1], nearest))
+    f = c
+    np.bitwise_and(s, 1, out=t1)
+    t1 += vb
+    np.left_shift(s, 2, out=t2)
+    t2 += 2
+    t2 -= t1  # -2..2, so its top bit is set exactly when vb + (s & 1) > 4s + 2
+    t2 >>= 63
+    np.add(s, t2, out=f)
+    np.copyto(f, above[1], where=one_in[1])
+    np.copyto(f, above[0], where=one_in[0])
     return f, k.view(np.int64)
+
+
+def _text(ws: _Workspace, values: np.ndarray, columns: int, first: int) -> np.ndarray:
+    """The CSV text of at most CAPACITY contiguous floats, as a uint8 view of ``ws.u64``.
+
+    ``values`` are row after row of ``columns`` floats, the first at flat
+    position ``first`` of its block, so a row may start or end outside them.
+    """
+    _, group_chars, exponent_chars, lengths, layouts, templates, offsets = _tables()
+    count = len(values)
+    bits = values.view(np.uint64)
+    r = ws.u64[: _U64_ROWS * count].reshape(_U64_ROWS, count)
+    flag = ws.flags[: _FLAG_ROWS * count].reshape(_FLAG_ROWS, count)
+    f, k = _shortest(bits, r, flag)
+
+    # 17 digits: the leading one, then four groups of four
+    short = flag[4]
+    np.less(f, 10**16, out=short)
+    np.multiply(f, 10, out=f, where=short)
+    f = f.view(np.int64)
+    decpt, top, lead, scratch = (row.view(np.int64) for row in r[10:14])
+    t1, t2, pair = r[2], r[3], r[25:27].view(np.int64)
+    np.add(k, _DIGITS, out=decpt)
+    np.subtract(decpt, 1, out=decpt, where=short)
+    np.floor_divide(f, 10**8, out=top)
+    np.floor_divide(top, 10**8, out=lead)
+    groups = r[19:23].view(np.int64)  # upper and lower half of each group of eight
+    halves, upper = groups[1::2], groups[0::2]
+    np.multiply(lead, 10**8, out=halves[0])
+    np.subtract(top, halves[0], out=halves[0])
+    np.multiply(top, 10**8, out=halves[1])
+    np.subtract(f, halves[1], out=halves[1])
+    np.floor_divide(halves, 10**4, out=upper)
+    np.multiply(upper, 10**4, out=pair)
+    halves -= pair
+    words = ws.words[:, :count]
+    for j in range(4):
+        group_chars.take(groups[j], out=words[j], mode="clip")
+    _LEAD_WORDS.take(lead, out=words[4], mode="clip")
+    words[5] = _COMMA_WORD
+    words[5, (columns - 1 - first) % columns :: columns] = _NEWLINE_WORD
+    np.subtract(decpt, 1, out=scratch)
+    np.absolute(scratch, out=scratch)
+    exponent_chars.take(scratch, out=words[6], mode="clip")
+
+    # significant digits: up to the last nonzero digit of the last nonzero group
+    groups += _GROUP_ROWS
+    digits = ws.u8[: 5 * count].reshape(5, count)
+    lengths.take(groups, out=digits[:4], mode="clip")
+    n = digits[4]
+    np.maximum.reduce(digits[:4], axis=0, out=n)
+    negative, template, doubled = r[14], r[15], r[16]
+    np.right_shift(bits, 63, out=negative)
+    np.add(decpt, _DECPT, out=scratch)
+    layouts.take(scratch, out=template, mode="clip")
+    np.copyto(t1, n)
+    np.multiply(negative, _DIGITS + 1, out=t2)
+    t1 += t2
+    t1 *= _LAYOUTS
+    template += t1
+    np.left_shift(bits, 1, out=doubled)  # the bits without the sign
+    zero, normal = flag[5], flag[6]
+    np.equal(doubled, 0, out=zero)
+    np.add(negative, _ZEROS, out=template, where=zero)
+    # subnormals, infinities and NaNs, exponent fields 0 and 2047, go to repr
+    doubled -= np.uint64(1 << 53)
+    np.less(doubled, np.uint64(2046 << 53), out=normal)
+    normal |= zero
+    specials = [] if normal.all() else np.flatnonzero(~normal).tolist()
+
+    # in slices, so that the index stays small; each slice's NUL padding is
+    # dropped as it is copied into the text, rows 16-19, spent by now
+    template = template.view(np.int64)
+    source = ws.words.view(np.uint8).ravel()
+    text = ws.u64.view(np.uint8)[16 * 8 * count : (16 * 8 + _WIDTH) * count]
+    end = 0
+    for start in range(0, count, _GATHER):
+        stop = min(start + _GATHER, count)
+        size = stop - start
+        index, gathered, mask = ws.index[:size], ws.gathered[:size], ws.mask[:size]
+        templates.take(template[start:stop], axis=0, out=index, mode="clip")
+        index += offsets[:size]
+        source[4 * start :].take(index, out=gathered, mode="clip")  # words from value start on
+        for i in specials[bisect_left(specials, start) : bisect_left(specials, stop)]:
+            separator = b"\n" if (first + i) % columns == columns - 1 else b","
+            value = repr(float(values[i])).encode() + separator
+            gathered[i - start] = np.frombuffer(value.ljust(_WIDTH, b"\0"), dtype=np.uint8)
+        np.not_equal(gathered, 0, out=mask)
+        piece = gathered[mask]
+        text[end : end + len(piece)] = piece
+        end += len(piece)
+    return text[:end]
+
+
+def block_buffer(rows: int, columns: int) -> np.ndarray:
+    """A (rows, columns) float64 array to stack a block into: the workspace's when it fits."""
+    if rows * columns > CAPACITY:
+        return np.empty((rows, columns))
+    return _workspace().values[: rows * columns].reshape(rows, columns)
+
+
+def texts(block: np.ndarray) -> Iterator[np.ndarray]:
+    """The CSV text of a (rows, columns) float64 block, chunk by chunk.
+
+    Each chunk is whole rows of at most ``CAPACITY`` floats, or ``CAPACITY``
+    floats of a row wider than that, and its text is a uint8 view of this
+    thread's workspace: valid until the next chunk, or the next block the
+    thread formats.
+    """
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    columns = block.shape[1]
+    values = block.reshape(-1)
+    ws = _workspace()
+    step = CAPACITY // max(columns, 1) * columns or CAPACITY
+    for first in range(0, len(values), step):
+        yield _text(ws, values[first : first + step], columns, first)
 
 
 def format_rows(block: np.ndarray) -> bytes:
     """The CSV text of a (rows, columns) float64 block, each value as ``repr`` gives it."""
-    block = np.ascontiguousarray(block, dtype=np.float64)
-    rows, columns = block.shape
-    _, group_chars, exponent_chars, lengths, layouts, templates = _tables()
-    bits = block.view(np.uint64).ravel()
-    count = len(bits)
-    f, k = _shortest(bits)
-
-    # 17 digits: the leading one, then four groups of four
-    short = f < 10**16
-    f = np.where(short, f * 10, f).view(np.int64)
-    decpt = (k + _DIGITS) - short
-    high = f // 10**8
-    lead = high // 10**8
-    halves = np.array([high - lead * 10**8, f - high * 10**8])
-    upper = halves // 10**4
-    lower = halves - upper * 10**4
-    groups = np.array([upper[0], lower[0], upper[1], lower[1]])
-    words = np.empty((_RECORD // 4, count), dtype=np.uint32)
-    group_chars.take(groups, out=words[:4])
-    words[4] = _LEAD_WORD
-    np.add(lead, 48, out=words[4:5].view(np.uint8)[0, ::4], casting="unsafe")
-    separators = b"+0,\0" * (columns - 1) + b"+0\n\0"
-    words[5].reshape(rows, columns)[...] = np.frombuffer(separators, dtype=np.uint32)
-    exponent_chars.take(np.abs(decpt - 1), out=words[6])
-
-    # significant digits: up to the last nonzero digit of the last nonzero group
-    n = lengths.take(groups + _GROUP_ROWS).max(axis=0)
-    negative = bits >> 63
-    template = (negative * (_DIGITS + 1) + n) * _LAYOUTS + layouts.take(decpt + _DECPT)
-    doubled = bits << 1  # the bits without the sign
-    zero = doubled == 0
-    template = np.where(zero, _ZEROS + negative, template)
-
-    # in slices, so that no index array outgrows the small temporaries
-    source = words.T.copy().view(np.uint8).ravel()  # the records, one after another
-    text = np.empty((count, _WIDTH), dtype=np.uint8)
-    offsets = np.arange(0, count * _RECORD, _RECORD)[:, np.newaxis]
-    for start in range(0, count, _GATHER):
-        part = slice(start, start + _GATHER)
-        index = templates.take(template[part], axis=0)
-        index += offsets[part]
-        source.take(index, out=text[part])
-    # subnormals, infinities and NaNs: exponent fields 0 and 2047
-    normal = doubled - np.uint64(1 << 53) < np.uint64(2046 << 53)
-    if not (normal | zero).all():
-        for i in np.flatnonzero(~(normal | zero)).tolist():
-            value = repr(float(block.flat[i])).encode() + (b"\n" if i % columns == columns - 1 else b",")
-            text[i] = np.frombuffer(value.ljust(_WIDTH, b"\0"), dtype=np.uint8)
-    return text[text != 0].tobytes()
+    return b"".join([text.tobytes() for text in texts(block)])

@@ -13,6 +13,8 @@ reported on one stderr line).
 ``batch`` runs every file even when some fail, ends with one summary row
 per file (status, peak off-level |c|, max |R|, max coupling ratio, which
 is max |Q|, and the two regime flags) and exits with the highest code seen.
+A file whose ``name`` an earlier file of the batch has written is a
+configuration error: it neither runs nor overwrites the earlier outputs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional
 from adiab.diagnostics import GaugeError
 from adiab.linalg import ConvergenceError
 from adiab.runner import RunReport, RunResult, emit_csv, emit_report, run_scenario
-from adiab.scenario import ScenarioError, load_scenario
+from adiab.scenario import Scenario, ScenarioError, load_scenario
 from adiab.tracking import DegeneracyError, LevelCrossingError
 
 EXIT_OK = 0
@@ -73,8 +75,7 @@ def _failure_code(exc: Exception) -> int:
     return EXIT_INTERNAL
 
 
-def _run_one(path: Path, out_dir: Path) -> RunResult:
-    scenario = load_scenario(path)
+def _run_one(scenario: Scenario, out_dir: Path) -> RunResult:
     result = run_scenario(scenario)
     written = []
     try:
@@ -92,7 +93,7 @@ def _run_one(path: Path, out_dir: Path) -> RunResult:
 
 
 def _cmd_run(args) -> int:
-    return _finish(_run_one(Path(args.scenario), Path(args.out)))
+    return _finish(_run_one(load_scenario(Path(args.scenario)), Path(args.out)))
 
 
 _TABLE_COLUMNS = ("scenario", "status", "max|c_off|", "max|R|", "max ratio", "adiab", "ratio>thr")
@@ -121,13 +122,19 @@ def _cmd_batch(args) -> int:
         raise ScenarioError(f"batch directory {directory} contains no *.json scenarios")
     codes = []
     rows = [_TABLE_COLUMNS]
+    written = {}  # scenario name -> the file whose outputs carry it
     for path in files:
         print(f"== {path.name} ==")
         try:
-            result = _run_one(path, Path(args.out))
+            scenario = load_scenario(path)
+            if scenario.name in written:
+                earlier = written[scenario.name]
+                raise ScenarioError(f"name: {scenario.name!r} is already written by {earlier}")
+            result = _run_one(scenario, Path(args.out))
         except Exception as exc:  # one bad file must not stop the batch
             code, report = _failure_code(exc), None
         else:
+            written[scenario.name] = path.name
             code, report = _finish(result), result.report
         codes.append(code)
         rows.append(_summary_cells(path.stem, code, report))

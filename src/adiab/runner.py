@@ -6,8 +6,11 @@ shortest round-trip repr, '.' radix, LF line endings. The CSV is written
 in blocks of rows, so its emission memory does not grow with the run;
 the bytes are those of one string of every float's repr. A block's text
 comes from ``_floatfmt``'s whole-array kernel: Schubfach's shortest digits
-in ``uint64`` arithmetic, laid out as repr lays them out. Subnormals,
-infinities and NaNs go to repr one by one. Subnormals do because their
+in ``uint64`` arithmetic, laid out as repr lays them out. A block holds
+up to ``_floatfmt.CAPACITY`` (8 192) floats and is stacked into, and
+formatted in, one workspace per thread (2.55 MB, built on the thread's
+first CSV and kept for its life). Subnormals, infinities and NaNs go to
+repr one by one. Subnormals do because their
 decimal can have fewer digits than the kernel lays out, and because
 Schubfach keeps two digits for the smallest of them where repr keeps one
 (4.9e-324 against 5e-324).
@@ -23,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from adiab._floatfmt import format_rows
+from adiab import _floatfmt
 from adiab.diagnostics import DiagnosticsResult, run_diagnostics
 from adiab.linalg import stack_matmul
 from adiab.models import Model, schwinger_model
@@ -58,7 +61,7 @@ CN_TOL = 1e-7
 PERTURBATION_TOL = 1e-6
 INVERSE_TOL = 1e-6
 
-_CSV_BLOCK_FLOATS = 1536  # floats per block of CSV rows; larger blocks' kernel temporaries page-fault
+_CSV_BLOCK_FLOATS = _floatfmt.CAPACITY  # floats per block of CSV rows: one kernel call each
 
 
 @dataclass
@@ -323,13 +326,16 @@ def emit_csv(result: RunResult, path) -> Path:
     |Q_m| as ``qac_m``, the coupling ratio it equals. The rows go out in
     blocks of about ``_CSV_BLOCK_FLOATS`` floats, so the text held at once
     is one block's, whatever the run's length; only the |R| columns are
-    formed whole. ``format_rows`` turns a whole block into its text, each
-    float exactly as repr gives it: the shortest digits of every normal
-    float are found at once with Schubfach's algorithm, and zeros have a
-    layout of their own. Subnormals, infinities and NaNs are formatted by
-    repr itself; a subnormal's significand lacks the hidden bit, so its
-    decimal can have fewer digits than the kernel lays out, and Schubfach
-    gives ``4.9e-324`` where repr gives ``5e-324``.
+    formed whole. Each block is stacked into this thread's ``_floatfmt``
+    workspace and its text is written straight from there, so a block
+    allocates neither the stacked rows nor the text. The kernel turns a
+    whole block into its text, each float exactly as repr gives it: the
+    shortest digits of every normal float are found at once with
+    Schubfach's algorithm, and zeros have a layout of their own.
+    Subnormals, infinities and NaNs are formatted by repr itself; a
+    subnormal's significand lacks the hidden bit, so its decimal can have
+    fewer digits than the kernel lays out, and Schubfach gives
+    ``4.9e-324`` where repr gives ``5e-324``.
     """
     diag = result.pipeline.diagnostics
     n = diag.level
@@ -348,7 +354,12 @@ def emit_csv(result: RunResult, path) -> Path:
     with path.open("wb") as out:
         out.write((",".join(table) + "\n").encode("utf-8"))
         for start in range(0, len(diag.times), rows):
-            out.write(format_rows(np.column_stack([column[start : start + rows] for column in columns])))
+            stop = min(start + rows, len(diag.times))
+            block = _floatfmt.block_buffer(stop - start, len(columns))
+            for j, column in enumerate(columns):
+                block[:, j] = column[start:stop]
+            for text in _floatfmt.texts(block):
+                out.write(text)
     return path
 
 

@@ -200,11 +200,13 @@ class TestCsvBlockWriter:
 
     @pytest.fixture(scope="class")
     def spanning_run(self):
-        # 701 rows at 13 floats: five full blocks of 118 rows and a partial one
+        # 701 rows at 13 floats: a full block of 630 rows and a partial one
         return run_scenario(parse_scenario(json.dumps(small_doc(name="blocks", steps=700))))
 
     # the shipped budget; one row per block; a few rows per block, the last one
-    # partial (701 = 100 * 7 + 1 at dim 2, 101 = 25 * 4 + 1 at dim 4); one block
+    # partial (701 = 100 * 7 + 1 at dim 2, 101 = 25 * 4 + 1 at dim 4); one block,
+    # larger than the workspace at dim 2, so it is stacked apart and formatted
+    # in two chunks
     @pytest.mark.parametrize("budget", [None, 1, 100, 10**6])
     def test_bytes_match_the_one_string_writer(self, tmp_path, monkeypatch, spanning_run, budget):
         if budget is not None:
@@ -322,6 +324,28 @@ class TestCliCommands:
         ]
         assert rows[1][2:] == ["-"] * 5
         assert rows[0][-2:] == ["yes", "no"]
+
+    def test_batch_refuses_a_name_written_earlier(self, tmp_path, capsys):
+        # b.json names the outputs a.json wrote; it must neither run nor
+        # overwrite them, and the batch goes on to c.json
+        batch_dir = tmp_path / "batch"
+        batch_dir.mkdir()
+        (batch_dir / "a.json").write_text(json.dumps(small_doc(name="same")))
+        (batch_dir / "b.json").write_text(json.dumps(small_doc(name="same", theta=0.3)))
+        self._write(batch_dir, name="c_other", theta=0.2)
+        solo = tmp_path / "solo"
+        assert cli.main(["run", str(batch_dir / "a.json"), "--out", str(solo)]) == cli.EXIT_OK
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        assert cli.main(["batch", str(batch_dir), "--out", str(out_dir)]) == cli.EXIT_CONFIG
+        for name in ("same.csv", "same.report.json"):
+            assert (out_dir / name).read_bytes() == (solo / name).read_bytes()
+        assert (out_dir / "c_other.csv").exists()
+        captured = capsys.readouterr()
+        assert "configuration error: name: 'same' is already written by a.json" in captured.err
+        assert captured.out.count("wrote ") == 4  # a's and c_other's two files each
+        rows = self._summary_rows(captured.out)
+        assert [row[:2] for row in rows] == [["a", "ok"], ["b", "config"], ["c_other", "ok"]]
 
     def test_batch_table_cells_read_the_reports(self, tmp_path, capsys):
         # each ok row's value cells are its report's at 5 decimals: the peak

@@ -9,13 +9,15 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adiab import _floatfmt
-from adiab._floatfmt import format_rows
+from adiab._floatfmt import CAPACITY, format_rows, texts
 
 pytestmark = pytest.mark.skipif(
     sys.float_repr_style != "short", reason="repr is the shortest round trip only on 'short' builds"
@@ -74,6 +76,86 @@ def test_rows_and_separators():
     assert format_rows(block[:, :1]) == b"1.0\n0.0\n"
 
 
+def repr_rows(block: np.ndarray) -> bytes:
+    return "".join([",".join(map(repr, row)) + "\n" for row in block.tolist()]).encode()
+
+
+def mixed_block(rows: int, columns: int, seed: int) -> np.ndarray:
+    """Random normal bit patterns, with zeros and repr's values spread through."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(1 << 52, 0x7FF << 52, rows * columns, dtype=np.uint64)
+    bits |= rng.integers(0, 2, rows * columns, dtype=np.uint64) << np.uint64(63)
+    values = bits.view(np.float64)
+    spots = rng.choice(values.size, 12, replace=False)
+    values[spots] = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324] * 2
+    return values.reshape(rows, columns)
+
+
+# rows of width 1, 13 and 323 over several capacities, so that the chunks end
+# at different rows, and a row wider than the capacity
+BLOCK_SHAPES = [
+    (3 * CAPACITY + 5, 1),
+    (3 * CAPACITY // 13 + 7, 13),
+    (3 * CAPACITY // 323 + 2, 323),
+    (2, CAPACITY + 100),
+]
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES, ids=lambda shape: f"{shape[1]}-wide")
+def test_blocks_longer_than_the_capacity(shape):
+    block = mixed_block(*shape, seed=shape[1])
+    assert format_rows(block) == repr_rows(block)
+
+
+def test_widths_alternate_in_one_workspace():
+    # each call reuses this thread's workspace at another shape
+    shapes = [(700, 13), (3, 323), (5000, 1)]
+    blocks = [mixed_block(rows, columns, seed) for seed, (rows, columns) in enumerate(shapes)]
+    for block in blocks + blocks[::-1] + blocks:
+        assert format_rows(block) == repr_rows(block)
+    assert format_rows(np.empty((0, 13))) == b""
+    assert list(texts(np.empty((0, 13)))) == []
+
+
+def test_threads_format_at_once():
+    blocks = [mixed_block(2000, 13, 1), mixed_block(300, 323, 2)]
+    wanted = [repr_rows(block) for block in blocks]
+    start = threading.Barrier(2)
+    results, workspaces = [[], []], [None, None]
+
+    def work(i):
+        start.wait()
+        for _ in range(4):
+            results[i].append(format_rows(blocks[i]))
+        workspaces[i] = _floatfmt._workspace()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert workspaces[0] is not workspaces[1]
+    for got, want in zip(results, wanted):
+        assert got == [want] * 4
+
+
+def test_a_warm_call_allocates_no_block_sized_temporary():
+    # every block-sized array is the workspace's; what a call of 8 190 floats
+    # may allocate is a gather slice's text (under 13 kB) and numpy's small
+    # objects, where the allocating kernel peaked at about 400 bytes a float
+    block = mixed_block(CAPACITY // 13, 13, 5)
+    for _ in texts(block):
+        pass
+    tracemalloc.start()
+    try:
+        for _ in texts(block):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000, f"{peak} bytes"
+
+
 def test_tables_are_read_only_and_built_once():
     tables = _floatfmt._tables()
     assert _floatfmt._tables() is tables
@@ -92,7 +174,8 @@ from adiab.runner import emit_csv, run_pipeline, run_scenario
 from adiab.scenario import parse_scenario
 
 built = lambda: _floatfmt._tables.cache_info().currsize
-assert built() == 0, "import built the tables"
+workspace = lambda: getattr(_floatfmt._local, "workspace", None)
+assert built() == 0 and workspace() is None, "import built the tables or the workspace"
 doc = {"model": "marzlin_sanders", "omega0": 1.0, "omega": 0.1, "theta": 1.5707963267948966,
        "t_end": 0.2, "steps": 200, "n": 1}
 with tempfile.TemporaryDirectory() as tmp:
@@ -103,14 +186,19 @@ with tempfile.TemporaryDirectory() as tmp:
     model = random_smooth_model(dim=4, seed=3)
     run_pipeline(model, TimeGrid(0.0, 0.4, 100), 0, "transport")
     assert built() == 0, "verify, the pair or a dense pipeline built the tables"
+    assert workspace() is None, "verify, the pair or a dense pipeline built the workspace"
     emit_csv(pair, Path(tmp) / "pair.csv")
-    assert built() == 1
+    assert built() == 1 and workspace() is not None
+    first = workspace()
+    emit_csv(pair, Path(tmp) / "again.csv")
+    assert built() == 1 and workspace() is first, "a second CSV built the tables or the workspace again"
 """
 
 
 def test_tables_are_built_by_emission_only():
     # in a fresh interpreter: import, verify, the pair and a dense pipeline
-    # leave the tables unbuilt; the first CSV builds them
+    # leave the tables and the workspace unbuilt; the first CSV builds both,
+    # and the second reuses them
     src = Path(_floatfmt.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
