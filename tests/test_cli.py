@@ -18,7 +18,7 @@ from adiab import cli
 from adiab.linalg import ConvergenceError
 from adiab.models import SchwingerParams, random_smooth_model
 from adiab.propagate import TimeGrid
-from adiab.runner import RunReport, RunResult, emit_csv, run_pipeline, run_scenario
+from adiab.runner import RunReport, RunResult, emit_csv, emit_report, run_pipeline, run_scenario
 from adiab.scenario import _KNOWN_KEYS, Scenario, ScenarioError, Thresholds, load_scenario, parse_scenario
 from adiab.tracking import DegeneracyError, track
 
@@ -253,6 +253,149 @@ class TestCsvBlockWriter:
         width = 13  # floats per row at dim 2
         growth = (peak(8000) - peak(2000)) / 6000
         assert growth <= 12 * width, f"{growth:.0f} B/row"
+
+
+class TestReportWriter:
+    """``emit_report``'s writer gives ``json.dumps(doc, indent=2)``'s bytes."""
+
+    @staticmethod
+    def _text(doc) -> str:
+        pieces = []
+        adiab.runner._json_pieces(doc, pieces)
+        return "".join(pieces)
+
+    @pytest.mark.parametrize("stem", sorted(p.stem for p in SCENARIOS.glob("*.json")))
+    def test_shipped_reports(self, tmp_path, stem):
+        result = run_scenario(load_scenario(SCENARIOS / f"{stem}.json"))
+        doc = result.report.to_dict()
+        assert self._text(doc) == json.dumps(doc, indent=2)
+        written = emit_report(result, tmp_path / f"{stem}.report.json").read_bytes()
+        assert written == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+    def test_every_value_kind(self):
+        doc = {
+            "none": None,
+            "flags": {"yes": True, "no": False},
+            "nan": math.nan,
+            "inf": math.inf,
+            "-inf": -math.inf,
+            "zeros": {"plus": 0.0, "minus": -0.0, "int": 0},
+            "exponent": {"big": 1e16, "small": 1e-05, "max": 1.7976931348623157e308, "sub": 5e-324},
+            "ints": {"big": 10**30, "negative": -7},
+            "text": "caf\u00e9 \u2264 \U0001d11e \"q\" \\ \t\n\x00\x1f\x7f",
+            "empty": {},
+            "nested": {"deeper": {"empty": {}, "np": np.float64(0.1), "np_nan": np.float64("nan")}},
+            "\u00e9 key\n": 1.5,
+        }
+        assert self._text(doc) == json.dumps(doc, indent=2)
+        assert self._text({}) == "{}"
+
+    @pytest.mark.parametrize("value", [[1.0], (1.0,), np.int64(1), np.bool_(True), b"x"])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            self._text({"a": {"b": value}})
+
+    def test_non_string_keys_raise(self):
+        with pytest.raises(TypeError):
+            self._text({1: 2.0})
+
+
+class TestOutputRewrite:
+    """A rerun replaces each output with a new file and keeps open()'s failures."""
+
+    @staticmethod
+    def _run(steps: int, **overrides) -> RunResult:
+        doc = small_doc(name="re", steps=steps, **overrides)
+        return run_scenario(parse_scenario(json.dumps(doc)))
+
+    @staticmethod
+    def _emit(result: RunResult, out_dir: Path) -> dict:
+        out_dir.mkdir(exist_ok=True)
+        emit_csv(result, out_dir / "re.csv")
+        emit_report(result, out_dir / "re.report.json")
+        return {name: (out_dir / name).read_bytes() for name in ("re.csv", "re.report.json")}
+
+    def test_short_run_over_a_long_one_writes_fresh_bytes(self, tmp_path):
+        short = self._run(50)
+        fresh = self._emit(short, tmp_path / "fresh")
+        rerun = tmp_path / "rerun"
+        longer = self._emit(self._run(400, model="marzlin_sanders"), rerun)  # a longer report too
+        assert all(len(longer[name]) > len(fresh[name]) for name in fresh)
+        assert self._emit(short, rerun) == fresh
+
+    def test_a_hard_link_keeps_the_old_bytes(self, tmp_path):
+        out_dir = tmp_path / "out"
+        old = self._emit(self._run(400), out_dir)
+        for name in old:
+            os.link(out_dir / name, tmp_path / f"kept.{name}")
+        new = self._emit(self._run(50), out_dir)
+        for name in old:
+            assert (tmp_path / f"kept.{name}").read_bytes() == old[name]
+            assert not os.path.samefile(out_dir / name, tmp_path / f"kept.{name}")
+            assert new[name] != old[name]
+
+    def test_a_refused_unlink_truncates_in_place(self, tmp_path, monkeypatch):
+        # as in a sticky directory: the file is rewritten where it stands
+        out_dir = tmp_path / "out"
+        self._emit(self._run(400), out_dir)
+        for name in ("re.csv", "re.report.json"):
+            os.link(out_dir / name, tmp_path / f"kept.{name}")
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(1, "Operation not permitted", str(path))
+
+        monkeypatch.setattr(adiab.runner.os, "unlink", refuse)
+        new = self._emit(self._run(50), out_dir)
+        monkeypatch.undo()
+        assert new == self._emit(self._run(50), tmp_path / "fresh")
+        for name in new:
+            assert (tmp_path / f"kept.{name}").read_bytes() == new[name]
+
+    def test_a_symlinked_output_is_written_through(self, tmp_path):
+        targets = tmp_path / "targets"
+        targets.mkdir()
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        for name in ("re.csv", "re.report.json"):
+            (targets / name).write_bytes(b"old bytes, longer than nothing\n" * 100)
+            (out_dir / name).symlink_to(targets / name)
+        written = self._emit(self._run(50), out_dir)
+        assert written == self._emit(self._run(50), tmp_path / "fresh")
+        for name in written:
+            assert (out_dir / name).is_symlink()
+            assert (targets / name).read_bytes() == written[name]
+
+    @pytest.mark.parametrize("suffix", ["csv", "report.json"])
+    def test_a_directory_at_the_output_path_exits_config(self, tmp_path, capsys, suffix):
+        scenario_path = tmp_path / "re.json"
+        scenario_path.write_text(json.dumps(small_doc(name="re")))
+        out_dir = tmp_path / "out"
+        (out_dir / f"re.{suffix}").mkdir(parents=True)
+        (out_dir / f"re.{suffix}" / "inside").write_text("keep")
+        assert cli.main(["run", str(scenario_path), "--out", str(out_dir)]) == cli.EXIT_CONFIG
+        assert "configuration error: --out: cannot write" in capsys.readouterr().err
+        assert (out_dir / f"re.{suffix}" / "inside").read_text() == "keep"
+
+    @pytest.mark.parametrize("suffix", ["csv", "report.json"])
+    def test_an_output_that_may_not_be_written_exits_config(
+        self, tmp_path, capsys, monkeypatch, suffix
+    ):
+        scenario_path = tmp_path / "re.json"
+        scenario_path.write_text(json.dumps(small_doc(name="re")))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        blocked = out_dir / f"re.{suffix}"
+        blocked.write_text("keep")
+        blocked.chmod(0o444)
+        access = os.access
+
+        def no_write(path, mode, **kwargs):  # root may write a 0o444 file; say it may not
+            return False if Path(path) == blocked and mode & os.W_OK else access(path, mode, **kwargs)
+
+        monkeypatch.setattr(adiab.runner.os, "access", no_write)
+        assert cli.main(["run", str(scenario_path), "--out", str(out_dir)]) == cli.EXIT_CONFIG
+        assert "configuration error: --out: cannot write" in capsys.readouterr().err
+        assert blocked.read_text() == "keep"
 
 
 class TestCliCommands:
@@ -689,8 +832,6 @@ class TestShippedScenarios:
     def test_report_serialization_round_trip(self, tmp_path):
         sc = parse_scenario(json.dumps(small_doc(name="round")))
         result = run_scenario(sc)
-        from adiab.runner import emit_report
-
         out = emit_report(result, tmp_path / "round.report.json")
         doc = json.loads(out.read_text())
         assert doc["schema_version"] == 1
