@@ -19,16 +19,19 @@ pure-Python indenting encoder.
 
 A rerun replaces each output with a new file rather than truncating the
 old one (``_open_output``): a regular file at the path is unlinked and
-created again, so its mode comes from the umask and a hard link to it
-keeps the old bytes. A symlink at the path is followed and its target
-truncated, and a directory or a file the process may not write still
-fails with ``OSError``, leaving the file as it was. On ext4 a truncated
-file forces its blocks to be allocated when it is closed
-(``auto_da_alloc``), which made a rewrite cost about 2.5 times a fresh
-write. Nothing calls ``fsync``, before or after this: a reader never sees
-old and new bytes mixed, but after a power loss in the file system's
-writeback window a rerun's output may come back empty, as a first run's
-may.
+created again, so its owner and mode come from the process and its umask
+(a root rerun over a read-only output leaves the umask's mode, usually
+writable) and a hard link to it keeps the old bytes. A symlink at the path
+is followed and its target truncated, and a directory or a file the
+process may not write still fails with ``OSError``, leaving the file as it
+was. The saving is an implicit flush given up: on ext4 with
+``auto_da_alloc``, closing a truncated and rewritten file starts its
+writeback at once, which made a rewrite cost about 2.5 times a fresh
+write. Nothing calls ``fsync``, before or after: a reader never sees old
+and new bytes mixed, but after a power loss an output not yet written back
+comes back empty. For a rerun that window was about the journal commit
+interval (5 s on default ext4); now it is, as for a first run, up to the
+dirty-writeback expiry (about 30 s on default ext4).
 """
 
 from __future__ import annotations
@@ -385,11 +388,12 @@ def _open_output(path: Path):
     """Open ``path`` for writing as a new file, or as ``open(path, "wb")`` does.
 
     A regular file at ``path`` is unlinked first, so the output is a new
-    inode with the umask's mode and is never truncated in place. Anything
-    else (no file, a symlink, which is followed, a directory) goes straight
-    to the open, as does a file whose unlink is refused, such as one in a
-    sticky directory. A regular file the process may not write raises
-    ``PermissionError`` before it is touched, as the open would.
+    inode with the process's owner and the umask's mode and is never
+    truncated in place. Anything else (no file, a symlink, which is
+    followed, a directory) goes straight to the open, as does a file whose
+    unlink is refused, such as one in a sticky directory. A regular file
+    the process may not write raises ``PermissionError`` before it is
+    touched, as the open would.
     """
     try:
         regular = stat.S_ISREG(os.lstat(path).st_mode)

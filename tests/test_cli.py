@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -333,6 +334,19 @@ class TestOutputRewrite:
             assert (tmp_path / f"kept.{name}").read_bytes() == old[name]
             assert not os.path.samefile(out_dir / name, tmp_path / f"kept.{name}")
             assert new[name] != old[name]
+
+    def test_a_rerun_takes_its_mode_from_the_umask(self, tmp_path):
+        out_dir = tmp_path / "out"
+        old = self._emit(self._run(50), out_dir)
+        for name in old:
+            os.chmod(out_dir / name, 0o600)
+        previous = os.umask(0o022)
+        try:
+            self._emit(self._run(50), out_dir)
+        finally:
+            os.umask(previous)
+        for name in old:
+            assert stat.S_IMODE(os.stat(out_dir / name).st_mode) == 0o644
 
     def test_a_refused_unlink_truncates_in_place(self, tmp_path, monkeypatch):
         # as in a sticky directory: the file is rewritten where it stands
