@@ -6,7 +6,7 @@
 Draws N uniform 64-bit patterns (every sign and exponent: normals, and the
 subnormals, infinities and NaNs that the formatter hands to ``repr``) in
 chunks of 2^20 from ``numpy.random.default_rng(S)``, formats each chunk as a
-one-column block (the formatter walks it in its own chunks of whole rows),
+one-column block (the formatter writes it in its own blocks of whole rows),
 and compares every value's text with ``repr``. It prints
 the count, the seed, the mismatches and the time, names the first few
 mismatches, and exits 1 if there is any. Needs ``src`` on ``PYTHONPATH``.

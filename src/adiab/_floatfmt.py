@@ -1,8 +1,10 @@
-"""Float64 blocks to CSV text, byte for byte Python's ``repr``, in whole-array steps.
+"""Float64 columns to CSV text, byte for byte Python's ``repr``, in whole-array steps.
 
-``format_rows(block)`` returns the bytes of a (rows, columns) float64 block
-as CSV lines: every value's ``repr``, then ``,``, or ``\\n`` after a row's
-last value. It equals ``",".join(map(repr, row)) + "\\n"`` over the rows.
+``write_rows(columns, write)`` hands ``write`` the CSV lines of equal-length
+float64 columns: every value's ``repr``, then ``,``, or ``\\n`` after a
+row's last value. The text equals ``",".join(map(repr, row)) + "\\n"`` over
+the rows. ``format_rows(block)`` returns the same text of a
+(rows, columns) block as bytes.
 
 The digits are Schubfach's (R. Giulietti, "The Schubfach way to render
 doubles", 2020; the algorithm of JDK 19's ``Double.toString``). A normal
@@ -41,14 +43,12 @@ Every array the kernel forms lives in one workspace per thread, sized for
 writes into it with ``out=``, so a call allocates no temporary of the
 block's size and the allocator never returns and re-faults its pages (the
 one allocation left is a gather slice's text, under 13 kB). The workspace
-is built on the first block a thread formats, as the tables are, and
-holds 2.55 MB for the life of the thread: 296 bytes a float, and 128 kB
-for one gather slice. A longer block is formatted in chunks of whole rows
-of at most ``CAPACITY`` floats, or of ``CAPACITY`` floats of a row wider
-than that. ``texts`` yields each chunk's text as a view of the workspace,
-which ``emit_csv`` writes without a copy; ``format_rows`` joins them into
-bytes. A thread formats one block at a time: a chunk's view is
-overwritten by the next chunk of any block.
+is built on a thread's first ``write_rows`` call and holds 2.55 MB for the
+life of the thread: 296 bytes a float, and 128 kB for one gather slice.
+``write_rows`` cuts the columns into blocks of ``CAPACITY // len(columns)``
+whole rows, stacks each block into the workspace and passes its text to
+``write`` as a view of the workspace, valid only during that call: the
+next block overwrites it. A thread formats one block at a time.
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from functools import cache
-from typing import Iterator
+from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["CAPACITY", "block_buffer", "format_rows", "texts"]
+__all__ = ["CAPACITY", "format_rows", "write_rows"]
 
 # Floats per kernel call, and the size of the workspace (296 bytes a float).
 # In a sweep of the `panels` benchmark (8 s runs, seeds 31-33, 2-core host),
@@ -315,11 +315,10 @@ def _shortest(bits: np.ndarray, r: np.ndarray, flag: np.ndarray) -> tuple:
     return f, k.view(np.int64)
 
 
-def _text(ws: _Workspace, values: np.ndarray, columns: int, first: int) -> np.ndarray:
-    """The CSV text of at most CAPACITY contiguous floats, as a uint8 view of ``ws.u64``.
+def _text(ws: _Workspace, values: np.ndarray, columns: int) -> np.ndarray:
+    """The CSV text of whole rows of ``columns`` floats, as a uint8 view of ``ws.u64``.
 
-    ``values`` are row after row of ``columns`` floats, the first at flat
-    position ``first`` of its block, so a row may start or end outside them.
+    ``values`` holds the rows one after another, at most CAPACITY floats.
     """
     _, group_chars, exponent_chars, lengths, layouts, templates, offsets = _tables()
     count = len(values)
@@ -353,7 +352,7 @@ def _text(ws: _Workspace, values: np.ndarray, columns: int, first: int) -> np.nd
         group_chars.take(groups[j], out=words[j], mode="clip")
     _LEAD_WORDS.take(lead, out=words[4], mode="clip")
     words[5] = _COMMA_WORD
-    words[5, (columns - 1 - first) % columns :: columns] = _NEWLINE_WORD
+    words[5, columns - 1 :: columns] = _NEWLINE_WORD
     np.subtract(decpt, 1, out=scratch)
     np.absolute(scratch, out=scratch)
     exponent_chars.take(scratch, out=words[6], mode="clip")
@@ -397,7 +396,7 @@ def _text(ws: _Workspace, values: np.ndarray, columns: int, first: int) -> np.nd
         index += offsets[:size]
         source[4 * start :].take(index, out=gathered, mode="clip")  # words from value start on
         for i in specials[bisect_left(specials, start) : bisect_left(specials, stop)]:
-            separator = b"\n" if (first + i) % columns == columns - 1 else b","
+            separator = b"\n" if i % columns == columns - 1 else b","
             value = repr(float(values[i])).encode() + separator
             gathered[i - start] = np.frombuffer(value.ljust(_WIDTH, b"\0"), dtype=np.uint8)
         np.not_equal(gathered, 0, out=mask)
@@ -407,30 +406,31 @@ def _text(ws: _Workspace, values: np.ndarray, columns: int, first: int) -> np.nd
     return text[:end]
 
 
-def block_buffer(rows: int, columns: int) -> np.ndarray:
-    """A (rows, columns) float64 array to stack a block into: the workspace's when it fits."""
-    if rows * columns > CAPACITY:
-        return np.empty((rows, columns))
-    return _workspace().values[: rows * columns].reshape(rows, columns)
+def write_rows(columns: Sequence[np.ndarray], write: Callable[[np.ndarray], object]) -> None:
+    """Pass the CSV text of equal-length float columns to ``write``, a block of rows a call.
 
-
-def texts(block: np.ndarray) -> Iterator[np.ndarray]:
-    """The CSV text of a (rows, columns) float64 block, chunk by chunk.
-
-    Each chunk is whole rows of at most ``CAPACITY`` floats, or ``CAPACITY``
-    floats of a row wider than that, and its text is a uint8 view of this
-    thread's workspace: valid until the next chunk, or the next block the
-    thread formats.
+    A block is ``CAPACITY // len(columns)`` whole rows, stacked into this
+    thread's workspace; its text is a uint8 view of the workspace, valid
+    only during the call. Raises ``ValueError`` unless there are 1 to
+    ``CAPACITY`` columns.
     """
-    block = np.ascontiguousarray(block, dtype=np.float64)
-    columns = block.shape[1]
-    values = block.reshape(-1)
+    width = len(columns)
+    if not 1 <= width <= CAPACITY:
+        raise ValueError(f"expected 1 to {CAPACITY} columns, got {width}")
+    length = len(columns[0])
     ws = _workspace()
-    step = CAPACITY // max(columns, 1) * columns or CAPACITY
-    for first in range(0, len(values), step):
-        yield _text(ws, values[first : first + step], columns, first)
+    step = CAPACITY // width
+    for start in range(0, length, step):
+        rows = min(step, length - start)
+        values = ws.values[: rows * width]
+        block = values.reshape(rows, width)
+        for j, column in enumerate(columns):
+            block[:, j] = column[start : start + rows]
+        write(_text(ws, values, width))
 
 
 def format_rows(block: np.ndarray) -> bytes:
     """The CSV text of a (rows, columns) float64 block, each value as ``repr`` gives it."""
-    return b"".join([text.tobytes() for text in texts(block)])
+    pieces = []
+    write_rows(list(np.asarray(block, dtype=np.float64).T), lambda text: pieces.append(text.tobytes()))
+    return b"".join(pieces)

@@ -46,10 +46,13 @@ against general form (shared 2-core host, numpy 2.4, timeit min, K = 251 unless 
   order: ``order="F"`` took 9.7 against 7.8 µs for V†·B at K = 251, where a ``pair``
   operation makes 16 of its 42 calls, so forcing it would cost about 30 µs of that round;
   only time-contiguity is relied on, and both forms keep it;
-- ``_hermitian_defects`` from three planes: 0.72 against 2.7 ms at K = 40 001;
-- ``tracking._order_failure`` from four planes: 2.3 against 9.9 µs;
-- ``runner._perturbation_residual``'s two off-diagonal entries: 101 against 116 µs;
-- ``tracking._default_phases`` from the first row: 4.2 against 10.3 µs;
+- ``_hermitian_defects`` from three planes: 297 against 937 µs at K = 40 001;
+- ``tracking._order_failure`` from four planes: 2.0 against 8.5 µs;
+- ``runner._perturbation_residual``'s two off-diagonal entries: 87.6 against 100.0 µs at
+  K = 249 interior samples, 93 against 123 µs at K = 999;
+- ``tracking._default_phases`` from the first row: 3.5 against 9.3 µs per call. The 5.8 µs
+  the general form adds fits under ``pair``'s 0.5 % (6.5 µs of a 1 299 µs round), but a
+  ``dense`` round runs ``track`` 16 times, about 93 µs against its 65 µs limit;
 - ``lattice_read``'s evenly spaced slice: 1.2 against 10.1 µs, as ``np.take`` copies the lattice;
 - ``diagnostics._row_norms``'s ``hypot`` redo, for range not speed: past 1.3e154 it stays finite.
 """

@@ -2,20 +2,12 @@
 
 Outputs are deterministic: identical scenario documents produce
 byte-identical CSV and report files. Floats are rendered with Python's
-shortest round-trip repr, '.' radix, LF line endings. The CSV is written
-in blocks of rows, so its emission memory does not grow with the run;
-the bytes are those of one string of every float's repr. A block's text
-comes from ``_floatfmt``'s whole-array kernel: Schubfach's shortest digits
-in ``uint64`` arithmetic, laid out as repr lays them out. A block holds
-up to ``_floatfmt.CAPACITY`` (8 192) floats and is stacked into, and
-formatted in, one workspace per thread (2.55 MB, built on the thread's
-first CSV and kept for its life). Subnormals, infinities and NaNs go to
-repr one by one. Subnormals do because their
-decimal can have fewer digits than the kernel lays out, and because
-Schubfach keeps two digits for the smallest of them where repr keeps one
-(4.9e-324 against 5e-324). The report is written by ``_json_pieces``,
-which gives ``json.dumps(report, indent=2)``'s bytes without its
-pure-Python indenting encoder.
+shortest round-trip repr, '.' radix, LF line endings. The CSV's bytes are
+those of one string of every float's repr, but its rows are formatted and
+written a block at a time by ``_floatfmt.write_rows``, so emission holds
+one block's text, whatever the run's length. The report is
+written by ``_json_pieces``, which gives ``json.dumps(report, indent=2)``'s
+bytes without its pure-Python indenting encoder.
 
 A rerun replaces each output with a new file rather than truncating the
 old one (``_open_output``): a regular file at the path is unlinked and
@@ -81,9 +73,6 @@ PROBABILITY_TOL = 1e-8
 CN_TOL = 1e-7
 PERTURBATION_TOL = 1e-6
 INVERSE_TOL = 1e-6
-
-_CSV_BLOCK_FLOATS = _floatfmt.CAPACITY  # floats per block of CSV rows: one kernel call each
-
 
 @dataclass
 class PipelineResult:
@@ -344,19 +333,10 @@ def emit_csv(result: RunResult, path) -> Path:
     """One row per grid sample, fixed column order, deterministic bytes.
 
     Each quantity has one column: c_i as ``re_c_i`` and ``im_c_i``, and
-    |Q_m| as ``qac_m``, the coupling ratio it equals. The rows go out in
-    blocks of about ``_CSV_BLOCK_FLOATS`` floats, so the text held at once
-    is one block's, whatever the run's length; only the |R| columns are
-    formed whole. Each block is stacked into this thread's ``_floatfmt``
-    workspace and its text is written straight from there, so a block
-    allocates neither the stacked rows nor the text. The kernel turns a
-    whole block into its text, each float exactly as repr gives it: the
-    shortest digits of every normal float are found at once with
-    Schubfach's algorithm, and zeros have a layout of their own.
-    Subnormals, infinities and NaNs are formatted by repr itself; a
-    subnormal's significand lacks the hidden bit, so its decimal can have
-    fewer digits than the kernel lays out, and Schubfach gives
-    ``4.9e-324`` where repr gives ``5e-324``.
+    |Q_m| as ``qac_m``, the coupling ratio it equals. Each float is written
+    as repr gives it. The rows go out a block at a time through
+    ``_floatfmt.write_rows``, so the text held at once is one block's; only
+    the |R| columns are formed whole.
     """
     diag = result.pipeline.diagnostics
     n = diag.level
@@ -369,18 +349,10 @@ def emit_csv(result: RunResult, path) -> Path:
         table |= {f"residual_{k}": diag.residual[:, m]}
     table |= {f"beta_{n + 1}": diag.beta, "D_norm": diag.d_norm, "Ddot_norm": diag.ddot_norm}
     table |= {"lambda_residual": diag.lam, "norm_error": diag.norm_error}
-    columns = list(table.values())
-    rows = max(1, _CSV_BLOCK_FLOATS // len(columns))
     path = Path(path)
     with _open_output(path) as out:
         out.write((",".join(table) + "\n").encode("utf-8"))
-        for start in range(0, len(diag.times), rows):
-            stop = min(start + rows, len(diag.times))
-            block = _floatfmt.block_buffer(stop - start, len(columns))
-            for j, column in enumerate(columns):
-                block[:, j] = column[start:stop]
-            for text in _floatfmt.texts(block):
-                out.write(text)
+        _floatfmt.write_rows(list(table.values()), out.write)
     return path
 
 

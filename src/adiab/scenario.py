@@ -128,8 +128,11 @@ class Scenario:
         if self.steps > _MAX_STEPS:
             raise ScenarioError(f"steps: must be at most {_MAX_STEPS}, got {self.steps}")
         for key in ("t_start", "t_end"):
-            if not math.isfinite(getattr(self, key)):
-                raise ScenarioError(f"{key}: must be finite, got {getattr(self, key)!r}")
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ScenarioError(f"{key}: expected a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ScenarioError(f"{key}: must be finite, got {value!r}")
         try:
             # What is left to reject is the span: its order or its step size.
             TimeGrid(self.t_start, self.t_end, self.steps)
@@ -143,6 +146,8 @@ class Scenario:
                     f"{key}: {key} * max(|t_start|, |t_end|) overflows a float, "
                     f"got {getattr(self.params, key)!r} * {t_abs!r}"
                 )
+        if isinstance(self.level, bool) or not isinstance(self.level, numbers.Integral):
+            raise ScenarioError(f"n: expected an integer, got {self.level!r}")
         if not 1 <= self.level <= _MODEL_DIM:
             raise ScenarioError(f"n: tracked level must lie in 1..{_MODEL_DIM}, got {self.level}")
 

@@ -94,11 +94,18 @@ class TestParseScenario:
             ({"thresholds": {"margin": math.nan}}, "thresholds.margin: expected a positive number, got nan"),
             ({"thresholds": {"qac_violation": -1.0}},
              "thresholds.qac_violation: expected a positive number, got -1.0"),
+            ({"level": 1.5}, "n: expected an integer, got 1.5"),
+            ({"level": 2.0}, "n: expected an integer, got 2.0"),
+            ({"level": True}, "n: expected an integer, got True"),
+            ({"t_start": "0"}, "t_start: expected a number, got '0'"),
+            ({"t_end": None}, "t_end: expected a number, got None"),
+            ({"t_end": True}, "t_end: expected a number, got True"),
         ],
     )
     def test_direct_construction_names_the_key(self, fields, message):
-        # the parser's rules hold for a Scenario or Thresholds built without it;
-        # a "thresholds" entry holds the keyword arguments of a Thresholds
+        # the parser's rules hold for a Scenario or Thresholds built without it,
+        # types included; a "thresholds" entry holds the keyword arguments of a
+        # Thresholds
         args = dict(name="direct", model_kind="schwinger", params=SchwingerParams(1.0, 0.1, 0.5),
                     t_start=0.0, t_end=2.0, steps=50, level=1)
         with pytest.raises(ScenarioError) as caught:
@@ -204,17 +211,19 @@ class TestCsvBlockWriter:
         # 701 rows at 13 floats: a full block of 630 rows and a partial one
         return run_scenario(parse_scenario(json.dumps(small_doc(name="blocks", steps=700))))
 
-    # the shipped budget; one row per block; a few rows per block, the last one
-    # partial (701 = 100 * 7 + 1 at dim 2, 101 = 25 * 4 + 1 at dim 4); one block,
-    # larger than the workspace at dim 2, so it is stacked apart and formatted
-    # in two chunks
-    @pytest.mark.parametrize("budget", [None, 1, 100, 10**6])
-    def test_bytes_match_the_one_string_writer(self, tmp_path, monkeypatch, spanning_run, budget):
-        if budget is not None:
-            monkeypatch.setattr(adiab.runner, "_CSV_BLOCK_FLOATS", budget)
-        for result in (spanning_run, _four_level_result()):
-            written = emit_csv(result, tmp_path / "blocks.csv").read_bytes()
-            assert written == one_string_csv(result)
+    # a block is 630 rows of 13 floats: 630 rows fill one block, 631 spill
+    # one row into a second, 1 260 fill two
+    @pytest.mark.parametrize("steps", [629, 630, 1259])
+    def test_bytes_match_the_one_string_writer(self, tmp_path, steps):
+        result = run_scenario(parse_scenario(json.dumps(small_doc(name="blocks", steps=steps))))
+        written = emit_csv(result, tmp_path / "blocks.csv").read_bytes()
+        assert written == one_string_csv(result)
+
+    def test_four_levels_match_the_one_string_writer(self, tmp_path):
+        # 101 rows of 23 floats, one block of 356 rows, partly filled
+        result = _four_level_result()
+        written = emit_csv(result, tmp_path / "blocks.csv").read_bytes()
+        assert written == one_string_csv(result)
 
     def test_special_floats_match_the_one_string_writer(self, tmp_path, spanning_run):
         diag = spanning_run.pipeline.diagnostics

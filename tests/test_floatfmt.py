@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from adiab import _floatfmt
-from adiab._floatfmt import CAPACITY, format_rows, texts
+from adiab._floatfmt import CAPACITY, format_rows, write_rows
 
 pytestmark = pytest.mark.skipif(
     sys.float_repr_style != "short", reason="repr is the shortest round trip only on 'short' builds"
@@ -91,13 +91,12 @@ def mixed_block(rows: int, columns: int, seed: int) -> np.ndarray:
     return values.reshape(rows, columns)
 
 
-# rows of width 1, 13 and 323 over several capacities, so that the chunks end
-# at different rows, and a row wider than the capacity
+# rows of width 1, 13 and 323 over several capacities, so that the blocks end
+# at different rows
 BLOCK_SHAPES = [
     (3 * CAPACITY + 5, 1),
     (3 * CAPACITY // 13 + 7, 13),
     (3 * CAPACITY // 323 + 2, 323),
-    (2, CAPACITY + 100),
 ]
 
 
@@ -107,6 +106,13 @@ def test_blocks_longer_than_the_capacity(shape):
     assert format_rows(block) == repr_rows(block)
 
 
+@pytest.mark.parametrize("width", [0, CAPACITY + 1])
+def test_one_to_capacity_columns(width):
+    # a block holds at least one whole row
+    with pytest.raises(ValueError, match=f"got {width}"):
+        write_rows([np.zeros(3)] * width, lambda text: None)
+
+
 def test_widths_alternate_in_one_workspace():
     # each call reuses this thread's workspace at another shape
     shapes = [(700, 13), (3, 323), (5000, 1)]
@@ -114,7 +120,9 @@ def test_widths_alternate_in_one_workspace():
     for block in blocks + blocks[::-1] + blocks:
         assert format_rows(block) == repr_rows(block)
     assert format_rows(np.empty((0, 13))) == b""
-    assert list(texts(np.empty((0, 13)))) == []
+    written = []
+    write_rows([np.empty(0)] * 13, written.append)
+    assert written == []
 
 
 def test_threads_format_at_once():
@@ -143,13 +151,11 @@ def test_a_warm_call_allocates_no_block_sized_temporary():
     # every block-sized array is the workspace's; what a call of 8 190 floats
     # may allocate is a gather slice's text (under 13 kB) and numpy's small
     # objects, where the allocating kernel peaked at about 400 bytes a float
-    block = mixed_block(CAPACITY // 13, 13, 5)
-    for _ in texts(block):
-        pass
+    columns = list(mixed_block(CAPACITY // 13, 13, 5).T)
+    write_rows(columns, lambda text: None)
     tracemalloc.start()
     try:
-        for _ in texts(block):
-            pass
+        write_rows(columns, lambda text: None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
