@@ -116,7 +116,8 @@ def _summary_cells(name: str, code: int, report: Optional[RunReport]) -> list[st
 def _cmd_batch(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
-        raise ScenarioError(f"batch directory {directory} does not exist")
+        problem = "is not a directory" if directory.exists() else "does not exist"
+        raise ScenarioError(f"batch directory {directory} {problem}")
     files = sorted(directory.glob("*.json"))
     if not files:
         raise ScenarioError(f"batch directory {directory} contains no *.json scenarios")

@@ -60,6 +60,8 @@ against general form (shared 2-core host, numpy 2.4, timeit min, K = 251 unless 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from typing import Optional
 
 import numpy as np
@@ -70,6 +72,7 @@ __all__ = [
     "NORMALIZED_ATOL",
     "require_hermitian",
     "require_normalized",
+    "require_finite_real",
     "hermitian_eigendecompose",
     "unitary_exponential",
     "stack_matmul",
@@ -139,6 +142,24 @@ def require_normalized(v) -> np.ndarray:
     if defect > NORMALIZED_ATOL:
         raise ValueError(f"state is not normalized (defect {defect:.3e} > {NORMALIZED_ATOL:.1e})")
     return v
+
+
+def require_finite_real(key: str, value, error: type[ValueError] = ValueError) -> float:
+    """``value`` as a plain ``float``; otherwise ``error``, whose message names ``key``.
+
+    A bool or a non-real is refused, and so is a value outside the finite
+    floats: NaN, an infinity, or an integer too large for a float. An integer
+    is compared with the largest float, which Python does exactly for an int
+    of any size, so it is refused without overflowing.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{key}: expected a number, got {value!r}")
+    if isinstance(value, numbers.Integral) and abs(int(value)) > sys.float_info.max:
+        raise error(f"{key}: must be finite, got an integer too large for a float")
+    number = float(value)
+    if not math.isfinite(number):
+        raise error(f"{key}: must be finite, got {value!r}")
+    return number
 
 
 def hermitian_eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import ArrayLike
 
-from adiab.linalg import stack_matmul
+from adiab.linalg import require_finite_real, stack_matmul
 
 __all__ = [
     "SchwingerParams",
@@ -46,6 +46,9 @@ class SchwingerParams:
     omega0: field strength (> 0), sets the constant +/- omega0/2 spectrum.
     omega:  rotation rate of the field about the z axis (>= 0).
     theta:  cone angle between field and z axis, in [0, pi].
+
+    Each is a real number, not a bool, and is stored as a plain ``float``;
+    a rejected value raises ``ValueError`` naming its key.
     """
 
     omega0: float
@@ -53,11 +56,13 @@ class SchwingerParams:
     theta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega0) and self.omega0 > 0.0):
+        for key in ("omega0", "omega", "theta"):
+            object.__setattr__(self, key, require_finite_real(key, getattr(self, key)))
+        if not self.omega0 > 0.0:
             raise ValueError(f"omega0: must be positive and finite, got {self.omega0}")
-        if not (math.isfinite(self.omega) and self.omega >= 0.0):
+        if not self.omega >= 0.0:
             raise ValueError(f"omega: must be nonnegative and finite, got {self.omega}")
-        if not (math.isfinite(self.theta) and 0.0 <= self.theta <= math.pi):
+        if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta: must lie in [0, pi], got {self.theta}")
 
 

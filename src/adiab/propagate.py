@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from adiab.linalg import require_normalized, stack_matmul, unitary_exponential
+from adiab.linalg import require_finite_real, require_normalized, stack_matmul, unitary_exponential
 from adiab.models import Model, transformed_hamiltonian
 
 __all__ = [
@@ -45,6 +45,7 @@ class TimeGrid:
 
     The step h must be finite and at least 1e8 float spacings (ulps) of the
     larger endpoint, so samples, midpoints and half-step lattices resolve.
+    The endpoints are stored as plain ``float`` and ``steps`` as ``int``.
     ``samples`` is ``np.linspace(t_start, t_end, steps + 1)``, formed once
     per grid and read-only, since every layer of a run shares the same
     array; copy it to change it.
@@ -58,8 +59,8 @@ class TimeGrid:
         if not _is_integral(self.steps) or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
         object.__setattr__(self, "steps", int(self.steps))
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise ValueError("grid endpoints must be finite")
+        for key in ("t_start", "t_end"):
+            object.__setattr__(self, key, require_finite_real(key, getattr(self, key)))
         if not self.t_end > self.t_start:
             raise ValueError(f"t_end ({self.t_end}) must exceed t_start ({self.t_start})")
         h = self.h

@@ -23,6 +23,18 @@ must be finite and at least 1e8 float spacings (ulps) of the larger
 endpoint, the rule of ``TimeGrid``. The phases omega0 * t and omega * t
 must be finite floats at every t: omega0 and omega times
 max(|t_start|, |t_end|) may not overflow.
+
+Each value rule has one owner, the type that holds the value:
+``SchwingerParams`` checks omega0, omega and theta; ``Thresholds`` the
+thresholds; ``TimeGrid`` the span's order and step; ``Scenario`` every other
+key. Numbers go through ``linalg.require_finite_real``, so a bool, a non-real,
+NaN, an infinity and an integer too large for a float are refused alike, by
+comparison, never by overflow. ``parse_scenario`` checks only the document's
+shape and passes each value on as the JSON gives it, so each rule is checked
+once, and a scenario built directly meets the same rules with the same
+messages: ``ScenarioError``, or ``ValueError`` from ``SchwingerParams``,
+naming the key. Each type stores the plain ``float``, ``int`` or ``tuple`` it
+checked, whatever numeric type it was given.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from adiab.linalg import require_finite_real
 from adiab.models import SchwingerParams
 from adiab.propagate import TimeGrid
 
@@ -89,8 +102,13 @@ class Thresholds:
     def __post_init__(self):
         for key in sorted(_THRESHOLD_KEYS):
             value = getattr(self, key)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+            try:
+                checked = require_finite_real(key, value, ScenarioError)
+            except ScenarioError:  # one message for every rejected threshold
+                checked = math.nan
+            if not checked > 0.0:
                 raise ScenarioError(f"thresholds.{key}: expected a positive number, got {value!r}")
+            object.__setattr__(self, key, checked)
 
 
 @dataclass(frozen=True)
@@ -112,7 +130,7 @@ class Scenario:
             raise ScenarioError(f"name: expected a nonempty string, got {self.name!r}")
         if "/" in self.name or "\0" in self.name or self.name in (".", ".."):
             raise ScenarioError(f"name: expected a plain file name, got {self.name!r}")
-        if not isinstance(self.outputs, tuple) or not self.outputs:
+        if not isinstance(self.outputs, (list, tuple)) or not self.outputs:
             raise ScenarioError(f"outputs: expected a nonempty list, got {self.outputs!r}")
         for item in self.outputs:
             if item not in OUTPUT_KINDS:
@@ -121,18 +139,19 @@ class Scenario:
             raise ScenarioError(f"model: expected one of {list(MODEL_KINDS)}, got {self.model_kind!r}")
         if self.gauge not in GAUGE_MODES:
             raise ScenarioError(f"gauge: expected one of {list(GAUGE_MODES)}, got {self.gauge!r}")
-        if not isinstance(self.steps, numbers.Integral):
-            raise ScenarioError(f"steps: expected an integer, got {self.steps!r}")
+        for key, value in (("steps", self.steps), ("n", self.level)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ScenarioError(f"{key}: expected an integer, got {value!r}")
         if self.steps < _MIN_STEPS:
             raise ScenarioError(f"steps: must be at least {_MIN_STEPS}, got {self.steps}")
         if self.steps > _MAX_STEPS:
             raise ScenarioError(f"steps: must be at most {_MAX_STEPS}, got {self.steps}")
+        if not 1 <= self.level <= _MODEL_DIM:
+            raise ScenarioError(f"n: tracked level must lie in 1..{_MODEL_DIM}, got {self.level}")
         for key in ("t_start", "t_end"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ScenarioError(f"{key}: expected a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ScenarioError(f"{key}: must be finite, got {value!r}")
+            object.__setattr__(self, key, require_finite_real(key, getattr(self, key), ScenarioError))
+        for key, kind in (("steps", int), ("level", int), ("outputs", tuple)):
+            object.__setattr__(self, key, kind(getattr(self, key)))
         try:
             # What is left to reject is the span: its order or its step size.
             TimeGrid(self.t_start, self.t_end, self.steps)
@@ -146,10 +165,6 @@ class Scenario:
                     f"{key}: {key} * max(|t_start|, |t_end|) overflows a float, "
                     f"got {getattr(self.params, key)!r} * {t_abs!r}"
                 )
-        if isinstance(self.level, bool) or not isinstance(self.level, numbers.Integral):
-            raise ScenarioError(f"n: expected an integer, got {self.level!r}")
-        if not 1 <= self.level <= _MODEL_DIM:
-            raise ScenarioError(f"n: tracked level must lie in 1..{_MODEL_DIM}, got {self.level}")
 
 
 def _require(doc: dict, key: str):
@@ -158,33 +173,16 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{key}: expected a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ScenarioError(f"{key}: must be finite, got an integer too large for a float") from None
-    if not math.isfinite(value):
-        raise ScenarioError(f"{key}: must be finite, got {value!r}")
-    return value
-
-
-def _integer(doc: dict, key: str) -> int:
-    value = _require(doc, key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{key}: expected an integer, got {value!r}")
-    return value
-
-
 def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
-    """Parse and validate a JSON scenario document.
+    """Parse a JSON scenario document into a validated ``Scenario``.
 
-    Only the document's shape is checked here: an object, no unknown keys,
-    numbers where numbers go, a list of outputs and an object of
-    thresholds. Every range and rule is checked once, by ``Scenario``,
-    ``Thresholds`` and ``SchwingerParams``, so a scenario built directly
-    meets the same rules.
+    Only the document's shape is checked here: a JSON object, no unknown
+    keys, ``schema_version``, the required keys, and ``thresholds`` as an
+    object of known keys. Every value is passed on as the JSON gives it, and
+    every value rule is checked once, by the type that holds the value:
+    ``SchwingerParams`` (omega0, omega, theta), ``Thresholds``, and
+    ``Scenario`` (the rest, with ``TimeGrid`` for the span). So a scenario
+    built directly meets the same rules, with the same messages.
     """
     try:
         doc = json.loads(text)
@@ -197,49 +195,34 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
     if unknown:
         raise ScenarioError(f"{unknown[0]}: unknown key")
 
-    if "schema_version" in doc and _integer(doc, "schema_version") != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"schema_version: expected {SCHEMA_VERSION}, got {doc['schema_version']!r}"
-        )
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ScenarioError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
 
-    model_kind = _require(doc, "model")
-    omega0 = _number("omega0", _require(doc, "omega0"))
-    omega = _number("omega", _require(doc, "omega"))
-    theta = _number("theta", _require(doc, "theta"))
-    t_start = _number("t_start", doc.get("t_start", 0.0))
-    t_end = _number("t_end", _require(doc, "t_end"))
-    steps = _integer(doc, "steps")
-    level = _integer(doc, "n")
-
-    outputs = doc.get("outputs", list(OUTPUT_KINDS))
-    if not isinstance(outputs, list):
-        raise ScenarioError(f"outputs: expected a nonempty list, got {outputs!r}")
-
-    thresholds_doc = doc.get("thresholds", {})
-    if not isinstance(thresholds_doc, dict):
-        raise ScenarioError(f"thresholds: expected an object, got {thresholds_doc!r}")
-    bad = sorted(set(thresholds_doc) - _THRESHOLD_KEYS)
+    thresholds = doc.get("thresholds", {})
+    if not isinstance(thresholds, dict):
+        raise ScenarioError(f"thresholds: expected an object, got {thresholds!r}")
+    bad = sorted(set(thresholds) - _THRESHOLD_KEYS)
     if bad:
         raise ScenarioError(f"thresholds.{bad[0]}: unknown key")
-    values = {key: _number(f"thresholds.{key}", thresholds_doc[key]) for key in sorted(thresholds_doc)}
-    thresholds = Thresholds(**values)
 
+    omega0, omega, theta = (_require(doc, key) for key in ("omega0", "omega", "theta"))
     try:
-        params = SchwingerParams(omega0=omega0, omega=omega, theta=theta)
+        params = SchwingerParams(omega0, omega, theta)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
     return Scenario(
         name=doc.get("name", default_name),
-        model_kind=model_kind,
+        model_kind=_require(doc, "model"),
         params=params,
-        t_start=t_start,
-        t_end=t_end,
-        steps=steps,
-        level=level,
+        t_start=doc.get("t_start", 0.0),
+        t_end=_require(doc, "t_end"),
+        steps=_require(doc, "steps"),
+        level=_require(doc, "n"),
         gauge=doc.get("gauge", "auto"),
-        thresholds=thresholds,
-        outputs=tuple(outputs),
+        thresholds=Thresholds(**thresholds),
+        outputs=doc.get("outputs", OUTPUT_KINDS),
     )
 
 

@@ -100,6 +100,12 @@ class TestParseScenario:
             ({"t_start": "0"}, "t_start: expected a number, got '0'"),
             ({"t_end": None}, "t_end: expected a number, got None"),
             ({"t_end": True}, "t_end: expected a number, got True"),
+            ({"t_end": 10**400}, "t_end: must be finite, got an integer too large for a float"),
+            ({"steps": True}, "steps: expected an integer, got True"),
+            pytest.param({"thresholds": {"margin": 10**400}},
+                         f"thresholds.margin: expected a positive number, got {10**400!r}",
+                         id="fields18-thresholds.margin: expected a positive number, got 10**400"),
+            ({"thresholds": {"margin": True}}, "thresholds.margin: expected a positive number, got True"),
         ],
     )
     def test_direct_construction_names_the_key(self, fields, message):
@@ -112,6 +118,53 @@ class TestParseScenario:
             fields = dict(fields, thresholds=Thresholds(**fields.get("thresholds", {})))
             Scenario(**dict(args, **fields))
         assert str(caught.value) == message
+
+    def test_outputs_list_is_stored_as_a_tuple(self):
+        sc = Scenario(name="direct", model_kind="schwinger", params=SchwingerParams(1.0, 0.1, 0.5),
+                      t_start=0.0, t_end=2.0, steps=50, level=1, outputs=["csv"])
+        assert sc.outputs == ("csv",)
+
+    @pytest.mark.parametrize("value", [True, "x", math.nan, math.inf, 10**400],
+                             ids=["True", "x", "nan", "inf", "10**400"])
+    @pytest.mark.parametrize(
+        "key",
+        ["omega0", "omega", "theta", "t_start", "t_end", "steps", "n",
+         "margin", "adiabatic_max_c", "qac_violation"],
+    )
+    def test_parse_and_direct_construction_agree(self, key, value):
+        # one owner per rule: the document and the constructors give one message
+        doc, params, thresholds = small_doc(), {"omega0": 1, "omega": 0.1, "theta": 1.5707963}, {}
+        args = dict(name="direct", model_kind="schwinger", t_start=0.0, t_end=2.0, steps=50, level=1)
+        if key in params:
+            doc[key] = params[key] = value
+        elif key in Thresholds.__dataclass_fields__:
+            doc["thresholds"] = thresholds = {key: value}
+        else:
+            doc[key] = args["level" if key == "n" else key] = value
+        with pytest.raises(ScenarioError) as parsed:
+            parse_scenario(json.dumps(doc))
+        with pytest.raises(ValueError) as built:
+            Scenario(params=SchwingerParams(**params), thresholds=Thresholds(**thresholds), **args)
+        assert str(parsed.value) == str(built.value)
+        assert str(built.value).startswith(("thresholds." if thresholds else "") + key + ": ")
+
+    def test_numpy_scalars_emit_the_plain_report(self, tmp_path):
+        def scenario(real, integer):  # every value is exact in float32
+            return Scenario(
+                name="typed", model_kind="schwinger",
+                params=SchwingerParams(real(1.0), real(0.125), real(0.5)),
+                t_start=real(0.0), t_end=real(2.0), steps=integer(50), level=integer(1),
+                thresholds=Thresholds(margin=real(0.5)),
+            )
+
+        typed, plain = scenario(np.float32, np.int64), scenario(float, int)
+        assert typed == plain
+        fields = (typed.t_start, typed.t_end, typed.steps, typed.level, typed.thresholds.margin,
+                  typed.params.omega0)
+        assert [type(value) for value in fields] == [float, float, int, int, float, float]
+        written = [emit_report(run_scenario(sc), tmp_path / f"{i}.report.json").read_bytes()
+                   for i, sc in enumerate((typed, plain))]
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("missing", ["model", "omega0", "omega", "theta", "t_end", "steps", "n"])
     def test_missing_required_key(self, missing):
@@ -470,6 +523,12 @@ class TestCliCommands:
         lines = out.splitlines()
         start = max(i for i, line in enumerate(lines) if line.startswith("scenario "))
         return [line.split() for line in lines[start + 1 :]]
+
+    @pytest.mark.parametrize("kind, problem", [("file", "is not a directory"), ("absent", "does not exist")])
+    def test_batch_of_no_directory_exits_config(self, tmp_path, capsys, kind, problem):
+        path = self._write(tmp_path) if kind == "file" else tmp_path / "absent"
+        assert cli.main(["batch", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert f"batch directory {path} {problem}" in capsys.readouterr().err
 
     def test_batch_isolates_a_bad_file(self, tmp_path, capsys):
         batch_dir = tmp_path / "batch"

@@ -45,6 +45,17 @@ class TestParams:
         with pytest.raises(ValueError):
             SchwingerParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [True, "1", 10**400, math.nan], ids=["True", "1", "10**400", "nan"])
+    @pytest.mark.parametrize("key", ["omega0", "omega", "theta"])
+    def test_non_numbers_rejected_naming_the_key(self, key, value):
+        kwargs = dict({"omega0": 1.0, "omega": 1.0, "theta": 0.5}, **{key: value})
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            SchwingerParams(**kwargs)
+
+    def test_values_stored_as_plain_floats(self):
+        params = SchwingerParams(np.float32(1.0), 0, np.float64(0.5))
+        assert [type(x) for x in (params.omega0, params.omega, params.theta)] == [float] * 3
+
 
 class TestHamiltonian:
     def test_aligned_field_is_diagonal(self):

@@ -99,6 +99,14 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="positive integer"):
             TimeGrid(0.0, 1.0, True)
 
+    def test_an_endpoint_past_the_float_range_names_the_key(self):
+        with pytest.raises(ValueError, match="^t_end: must be finite, got an integer too large for a float$"):
+            TimeGrid(0.0, 10**400, 10)
+
+    def test_endpoints_stored_as_plain_floats(self):
+        grid = TimeGrid(np.float32(0.0), 1, 10)
+        assert type(grid.t_start) is float and type(grid.t_end) is float
+
 
 class TestEvolve:
     def test_stationary_eigenstate_acquires_pure_phase(self):
